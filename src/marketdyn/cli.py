@@ -1,11 +1,20 @@
 """Command-line interface: scenario resolution, analysis dispatch and
 tabular output.
 
-Tables go to stdout (or --out) as CSV or JSON-lines with floats rendered
-at 17 significant digits, so a run is reproducible bit for bit from its
-output.  Diagnostics go to stderr only.  Exit codes: 0 success, 2
-configuration or validation error, 3 numerical failure in unbounded
-mode.
+Tables go to stdout (or --out) as CSV with a header line, or as JSON
+lines, one object per row.  Cells: floats as '%.17g' (17 significant
+digits, so a run is reproducible bit for bit from its output), non-finite
+ones as nan, inf and -inf in CSV and null in JSON; ints as '%d'; bools as
+true and false; text as is in CSV unless it holds a comma, a double quote
+or a newline, which puts it in double quotes with inner quotes doubled,
+and as a JSON string in JSON.  Each column has one kind, and a table is
+written block by block, one write per block: a block holds one list,
+tuple or range per column (the column row by row) or one value repeated
+down the block (a block of repeats alone is one row).  ``bifurcate``
+writes one block per grid point, ``simulate`` and ``lyapunov`` fixed
+slices of their rows, the other commands one block.  Diagnostics go to
+stderr only.  Exit codes: 0 success, 2 configuration or validation
+error, 3 numerical failure in unbounded mode.
 """
 
 from __future__ import annotations
@@ -15,14 +24,14 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
-from . import scenarios as scenariolib
 from .analysis import (
     OrbitDomainError,
     OrbitEscapeError,
-    PERFECTLY_ELASTIC,
     detect_collapse,
     generate_orbit,
     ped,
@@ -42,70 +51,76 @@ from .scenarios import (
 )
 
 _FORMS = {"canonical": MapForm.CANONICAL, "paper-literal": MapForm.PAPER_LITERAL}
+# Rows per block of the simulate and lyapunov tables; bounds the text one write holds.
+_SLICE = 1024
 
 
-@dataclass
-class OutputTable:
-    """A fixed-width table of results; every row has one value per column."""
+@dataclass(frozen=True)
+class Table:
+    """(name, kind) column pairs and the blocks of rows under them; the
+    module docstring gives the block layout and the cell format.  A
+    sequence passed again, as the same object, is rendered only once."""
 
-    columns: list[str]
-    rows: list[tuple]
+    columns: list[tuple[str, type]]
+    blocks: Iterable[tuple]
 
     def write(self, stream, fmt: str) -> None:
+        """Write the table as CSV or JSON lines, one ``write`` per block."""
+        names = [name for name, _ in self.columns]
         if fmt == "csv":
-            self._write_csv(stream)
+            stream.write(",".join(names) + "\n")
+            row = lambda cells: ",".join(cells) + "\n"
         elif fmt == "jsonl":
-            self._write_jsonl(stream)
+            keys = [json.dumps(name).replace("%", "%%") + ": " for name in names]
+            row = lambda cells: "{" + ", ".join(map(str.__add__, keys, cells)) + "}\n"
         else:
             raise ConfigError(f"format must be csv or jsonl, got {fmt!r}")
-
-    def _write_csv(self, stream) -> None:
-        stream.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise AssertionError("row width does not match header")
-            stream.write(",".join(_csv_value(v) for v in row) + "\n")
-
-    def _write_jsonl(self, stream) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise AssertionError("row width does not match header")
-            fields = ", ".join(
-                f"{json.dumps(c)}: {_json_value(v)}"
-                for c, v in zip(self.columns, row)
-            )
-            stream.write("{" + fields + "}\n")
-
-
-def _float_repr(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+        rendered = {}
+        for block in self.blocks:
+            if len(block) != len(names):
+                raise ValueError("block width does not match header")
+            cells, seqs = [], []
+            for k, ((_, kind), entry) in enumerate(zip(self.columns, block)):
+                if not isinstance(entry, (list, tuple, range)):
+                    conv, (arg,) = _column(kind, (entry,), fmt)
+                    cells.append((conv % arg).replace("%", "%%"))
+                    continue
+                if rendered.get(k, (None,))[0] is not entry:
+                    rendered[k] = (entry, *_column(kind, entry, fmt))
+                cells.append(rendered[k][1])
+                seqs.append(rendered[k][2])
+            n = len(seqs[0]) if seqs else 1
+            if any(len(s) != n for s in seqs):
+                raise ValueError("block columns differ in length")
+            args = seqs[0] if len(seqs) == 1 else chain.from_iterable(zip(*seqs))
+            stream.write(row(cells) * n % tuple(args))
 
 
-def _csv_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _float_repr(v)
-    if isinstance(v, int):
-        return str(v)
-    text = str(v)
+def _column(kind: type, values, fmt: str) -> tuple[str, Sequence]:
+    """The %-conversion and the arguments that render one block column."""
+    if kind is float:
+        if fmt == "csv" or all(map(math.isfinite, values)):
+            return "%.17g", values
+        return "%s", ["%.17g" % x if math.isfinite(x) else "null" for x in values]
+    if kind is bool:
+        return "%s", ["true" if v else "false" for v in values]
+    if kind is int:
+        return "%s", list(map(str, values))
+    texts = {t: _quote(str(t), fmt) for t in set(values)}
+    return "%s", [texts[t] for t in values]
+
+
+def _slices(rows: Sequence) -> Iterator[tuple[int, Sequence]]:
+    """(start, rows[start:start + _SLICE]) pairs covering ``rows``."""
+    return ((lo, rows[lo:lo + _SLICE]) for lo in range(0, len(rows), _SLICE))
+
+
+def _quote(text: str, fmt: str) -> str:
+    if fmt == "jsonl":
+        return json.dumps(text)
     if any(ch in text for ch in ',"\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-def _json_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return "null" if not math.isfinite(v) else _float_repr(v)
-    if isinstance(v, int):
-        return str(v)
-    return json.dumps(str(v))
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -175,6 +190,10 @@ _DEFAULT = Scenario(
 )
 
 
+def _given(flag, default):
+    return default if flag is None else flag
+
+
 def _resolve_scenario(args) -> Scenario:
     if args.scenario:
         name = args.scenario
@@ -188,100 +207,83 @@ def _resolve_scenario(args) -> Scenario:
     else:
         sc = _DEFAULT
 
-    market = sc.market
-    if args.a is not None or args.b is not None:
-        market = MarketParams(
-            a=market.a if args.a is None else args.a,
-            b=market.b if args.b is None else args.b,
-        )
-    cost = sc.cost
-    if args.v is not None or args.fc is not None or args.margin is not None:
-        cost = CostPricing(
-            fc=cost.fc if args.fc is None else args.fc,
-            v=cost.v if args.v is None else args.v,
-            margin=cost.margin if args.margin is None else args.margin,
-        )
-    supplier = sc.supplier if args.m is None else SupplierBehavior(m=args.m)
-    form = sc.form if args.form is None else _FORMS[args.form]
+    market = MarketParams(a=_given(args.a, sc.market.a), b=_given(args.b, sc.market.b))
+    cost = CostPricing(fc=_given(args.fc, sc.cost.fc), v=_given(args.v, sc.cost.v),
+                       margin=_given(args.margin, sc.cost.margin))
     return replace(
         sc,
         market=market,
         cost=cost,
-        supplier=supplier,
-        form=form,
-        seed_demand=sc.seed_demand if args.seed_d is None else args.seed_d,
-        seed_supply=sc.seed_supply if args.seed_s is None else args.seed_s,
+        supplier=SupplierBehavior(m=_given(args.m, sc.supplier.m)),
+        form=sc.form if args.form is None else _FORMS[args.form],
+        seed_demand=_given(args.seed_d, sc.seed_demand),
+        seed_supply=_given(args.seed_s, sc.seed_supply),
     )
 
 
 def _resolve_scan_config(args, sc: Scenario) -> ScanConfig:
-    base = None
     if isinstance(sc.analysis, (BifurcationSpec, LyapunovSpec)):
         base = sc.analysis.config
-    if base is None and (args.param is None or args.min is None or args.max is None):
-        raise ConfigError(
-            "scenario has no scan configuration; pass --param, --min and --max"
-        )
-    parameter = args.param if args.param is not None else base.parameter
-    lo = args.min if args.min is not None else base.lo
-    hi = args.max if args.max is not None else base.hi
-    points = args.points if args.points is not None else (base.grid_points if base else 1000)
-    transient = args.transient if args.transient is not None else (base.transient if base else 2500)
-    keep = args.keep if args.keep is not None else (base.keep if base else 500)
-    if args.iters is not None:
-        iters = args.iters
-    elif args.transient is not None or args.keep is not None or base is None:
-        iters = transient + keep
+    elif args.param is None or args.min is None or args.max is None:
+        raise ConfigError("scenario has no scan configuration; pass --param, --min and --max")
     else:
-        iters = base.iterations_total
-    return ScanConfig(parameter, lo, hi, points, transient, keep, iters)
+        base = ScanConfig(args.param, args.min, args.max, grid_points=1000)
+    transient, keep = _given(args.transient, base.transient), _given(args.keep, base.keep)
+    iters = base.iterations_total
+    if args.transient is not None or args.keep is not None:
+        iters = transient + keep
+    return ScanConfig(
+        _given(args.param, base.parameter), _given(args.min, base.lo), _given(args.max, base.hi),
+        _given(args.points, base.grid_points), transient, keep, _given(args.iters, iters),
+    )
 
 
 def _orbit_defaults(sc: Scenario, steps, bounded, fallback_steps=100, fallback_bounded=True):
     if isinstance(sc.analysis, OrbitSpec):
-        fallback_steps = sc.analysis.steps
-        fallback_bounded = sc.analysis.bounded
-    return (
-        fallback_steps if steps is None else steps,
-        fallback_bounded if bounded is None else bounded,
-    )
+        fallback_steps, fallback_bounded = sc.analysis.steps, sc.analysis.bounded
+    return _given(steps, fallback_steps), _given(bounded, fallback_bounded)
 
 
-def _cmd_simulate(args) -> OutputTable:
+def _cmd_simulate(args) -> Table:
     sc = _resolve_scenario(args)
     steps, bounded = _orbit_defaults(sc, args.steps, args.bounded)
     orbit = generate_orbit(
         sc.initial_state(), sc.market, sc.cost, sc.supplier,
         steps, bounded=bounded, form=sc.form, scenario=sc.name,
     )
-    rows = []
-    for n, s in enumerate(orbit.states):
-        signal = s.demand / s.supply if s.supply > 0 else math.nan
-        rows.append((n, s.demand, s.supply, s.price, signal, s.collapsed))
-    return OutputTable(["step", "demand", "supply", "price", "signal", "collapsed"], rows)
+    return Table(
+        [("step", int), ("demand", float), ("supply", float), ("price", float),
+         ("signal", float), ("collapsed", bool)],
+        ((range(lo, lo + len(part)), [s.demand for s in part], [s.supply for s in part],
+          [s.price for s in part],
+          [s.demand / s.supply if s.supply > 0 else math.nan for s in part],
+          [s.collapsed for s in part]) for lo, part in _slices(orbit.states)),
+    )
 
 
-def _cmd_bifurcate(args) -> OutputTable:
+def _cmd_bifurcate(args) -> Table:
     sc = _resolve_scenario(args)
     cfg = _resolve_scan_config(args, sc)
-    rows = []
-    for r in bifurcation_scan(cfg, sc, threads=args.threads):
-        for j, d in enumerate(r.attractor_samples):
-            rows.append((r.param_value, j, float(d), r.classification))
-    return OutputTable(["param_value", "sample_index", "demand", "classification"], rows)
+    rows = bifurcation_scan(cfg, sc, threads=args.threads)
+    index = range(cfg.keep)
+    return Table(
+        [("param_value", float), ("sample_index", int), ("demand", float), ("classification", str)],
+        ((r.param_value, index, r.attractor_samples.tolist(), r.classification) for r in rows),
+    )
 
 
-def _cmd_lyapunov(args) -> OutputTable:
+def _cmd_lyapunov(args) -> Table:
     sc = _resolve_scenario(args)
     cfg = _resolve_scan_config(args, sc)
-    rows = [
-        (r.param_value, r.lam, r.method, r.defined)
-        for r in lyapunov_scan(cfg, sc, method=args.method, threads=args.threads)
-    ]
-    return OutputTable(["param_value", "lambda", "method", "defined"], rows)
+    rows = lyapunov_scan(cfg, sc, method=args.method, threads=args.threads)
+    return Table(
+        [("param_value", float), ("lambda", float), ("method", str), ("defined", bool)],
+        (([r.param_value for r in part], [r.lam for r in part], args.method,
+          [r.defined for r in part]) for _, part in _slices(rows)),
+    )
 
 
-def _cmd_collapse(args) -> OutputTable:
+def _cmd_collapse(args) -> Table:
     sc = _resolve_scenario(args)
     steps, _ = _orbit_defaults(sc, args.steps, None, fallback_steps=3000)
     orbit = generate_orbit(
@@ -289,14 +291,11 @@ def _cmd_collapse(args) -> OutputTable:
         steps, bounded=True, form=sc.form, scenario=sc.name,
     )
     report = detect_collapse(orbit)
-    if report is None:
-        rows = [(False, -1, "")]
-    else:
-        rows = [(True, report.step, report.trigger)]
-    return OutputTable(["collapsed", "step", "trigger"], rows)
+    row = (False, -1, "") if report is None else (True, report.step, report.trigger)
+    return Table([("collapsed", bool), ("step", int), ("trigger", str)], [row])
 
 
-def _cmd_ped(args) -> OutputTable:
+def _cmd_ped(args) -> Table:
     sc = _resolve_scenario(args)
     p1, p2 = args.p1, args.p2
     if isinstance(sc.analysis, PedSpec):
@@ -308,25 +307,26 @@ def _cmd_ped(args) -> OutputTable:
 
     value = ped(p1, p2, sc.market)
     q1, q2 = demand(p1, sc.market), demand(p2, sc.market)
-    out = value if isinstance(value, float) else PERFECTLY_ELASTIC
-    return OutputTable(["p1", "p2", "q1", "q2", "ped"], [(p1, p2, q1, q2, out)])
+    kind = float if isinstance(value, float) else str
+    return Table([("p1", float), ("p2", float), ("q1", float), ("q2", float), ("ped", kind)],
+                 [(p1, p2, q1, q2, value)])
 
 
-def _cmd_scenarios(args) -> OutputTable:
+def _cmd_scenarios(args) -> Table:
     del args
     kinds = {OrbitSpec: "orbit", BifurcationSpec: "bifurcation",
              LyapunovSpec: "lyapunov", PedSpec: "ped"}
-    rows = []
-    for sc in builtin_scenarios():
-        rows.append((
-            sc.name, sc.form.value, sc.supplier.m, sc.market.a, sc.market.b,
-            sc.cost.v, sc.cost.fc, sc.cost.margin, sc.seed_demand, sc.seed_supply,
-            kinds[type(sc.analysis)], sc.figure or "",
-        ))
-    return OutputTable(
-        ["name", "form", "m", "a", "b", "v", "fc", "margin",
-         "seed_d", "seed_s", "analysis", "figure"],
-        rows,
+    rows = [
+        (sc.name, sc.form.value, sc.supplier.m, sc.market.a, sc.market.b,
+         sc.cost.v, sc.cost.fc, sc.cost.margin, sc.seed_demand, sc.seed_supply,
+         kinds[type(sc.analysis)], sc.figure or "")
+        for sc in builtin_scenarios()
+    ]
+    return Table(
+        [("name", str), ("form", str), ("m", float), ("a", float), ("b", float),
+         ("v", float), ("fc", float), ("margin", float), ("seed_d", float),
+         ("seed_s", float), ("analysis", str), ("figure", str)],
+        [tuple(map(list, zip(*rows)))],
     )
 
 

@@ -63,10 +63,10 @@ class MarketParams:
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.a >= 0.0):
-            raise ValueError(f"a must be >= 0, got {self.a}")
-        if not (self.b >= 0.0):
-            raise ValueError(f"b must be >= 0, got {self.b}")
+        if not (0.0 <= self.a < math.inf):
+            raise ValueError(f"a must be finite and >= 0, got {self.a}")
+        if not (0.0 <= self.b < math.inf):
+            raise ValueError(f"b must be finite and >= 0, got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,10 @@ class CostPricing:
     margin: float
 
     def __post_init__(self) -> None:
-        if not (self.fc > 0.0):
-            raise ValueError(f"fc must be > 0, got {self.fc}")
-        if not (self.v > 0.0):
-            raise ValueError(f"v must be > 0, got {self.v}")
+        if not (0.0 < self.fc < math.inf):
+            raise ValueError(f"fc must be finite and > 0, got {self.fc}")
+        if not (0.0 < self.v < math.inf):
+            raise ValueError(f"v must be finite and > 0, got {self.v}")
         if not (0.0 <= self.margin < 1.0):
             raise ValueError(f"margin must be in [0, 1), got {self.margin}")
 
@@ -98,8 +98,8 @@ class SupplierBehavior:
     m: float
 
     def __post_init__(self) -> None:
-        if not (self.m > 0.0):
-            raise ValueError(f"m must be > 0, got {self.m}")
+        if not (0.0 < self.m < math.inf):
+            raise ValueError(f"m must be finite and > 0, got {self.m}")
 
 
 NAIVE = SupplierBehavior(m=1.0)

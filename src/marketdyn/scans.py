@@ -10,6 +10,7 @@ multithreading safe and the output independent of the chunking.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -60,6 +61,8 @@ class ScanConfig:
             raise ValueError(
                 f"parameter must be one of {_SCAN_PARAMETERS}, got {self.parameter!r}"
             )
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"scan interval must be finite, got [{self.lo}, {self.hi}]")
         if not (self.lo < self.hi):
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.grid_points < 1:
@@ -396,7 +399,8 @@ def _bifurcation_chunk(
 
 
 def _split(values: np.ndarray, threads: int) -> list[np.ndarray]:
-    threads = max(1, int(threads))
+    """Grid chunks, one per worker: at most ``threads`` and the core count."""
+    threads = max(1, min(int(threads), os.cpu_count() or 1))
     return [c for c in np.array_split(values, threads) if c.size]
 
 

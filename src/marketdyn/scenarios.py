@@ -13,6 +13,7 @@ side-by-side comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .model import (
@@ -75,10 +76,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("scenario name must be non-empty")
-        if not (self.seed_demand >= 0.0):
-            raise ConfigError(f"seed_d must be >= 0, got {self.seed_demand}")
-        if not (self.seed_supply > 0.0):
-            raise ConfigError(f"seed_s must be > 0, got {self.seed_supply}")
+        if not (0.0 <= self.seed_demand < math.inf):
+            raise ConfigError(f"seed_d must be finite and >= 0, got {self.seed_demand}")
+        if not (0.0 < self.seed_supply < math.inf):
+            raise ConfigError(f"seed_s must be finite and > 0, got {self.seed_supply}")
 
     def initial_state(self) -> MarketState:
         """Seed state: the first stock launched to feel out the market."""

@@ -4,10 +4,16 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from marketdyn.cli import run_cli
+from marketdyn.analysis import PERFECTLY_ELASTIC, detect_collapse, generate_orbit, ped
+from marketdyn.cli import Table, run_cli
+from marketdyn.model import MarketParams, demand
+from marketdyn.scans import ScanConfig, bifurcation_scan, lyapunov_scan
+from marketdyn.scenarios import builtin_scenarios, get_scenario
 
 
 def run(argv, capsys):
@@ -205,11 +211,204 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_byte_identical_across_runs_and_threads(tmp_path):
-    paths = [tmp_path / f"r{i}.csv" for i in range(3)]
-    base = ["bifurcate", "--scenario", "naive-bif-b", "--points", "40",
-            "--transient", "600", "--keep", "128"]
-    assert run_cli(base + ["--out", str(paths[0]), "--threads", "1"]) == 0
-    assert run_cli(base + ["--out", str(paths[1]), "--threads", "8"]) == 0
-    assert run_cli(base + ["--out", str(paths[2]), "--threads", "1"]) == 0
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    scan = ["--points", "40", "--transient", "600", "--keep", "128"]
+    cases = [
+        ["bifurcate", "--scenario", "naive-bif-b"] + scan,
+        ["bifurcate", "--scenario", "naive-bif-b", "--format", "jsonl"] + scan,
+        ["lyapunov", "--scenario", "naive-lyap", "--format", "jsonl", "--min", "0.08",
+         "--max", "0.6"] + scan,
+    ]
+    for n, base in enumerate(cases):
+        paths = [tmp_path / f"c{n}r{i}.out" for i in range(3)]
+        assert run_cli(base + ["--out", str(paths[0]), "--threads", "1"]) == 0
+        assert run_cli(base + ["--out", str(paths[1]), "--threads", "2"]) == 0
+        assert run_cli(base + ["--out", str(paths[2]), "--threads", "1"]) == 0
+        blobs = [p.read_bytes() for p in paths]
+        assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--a", "inf", "--steps", "3"],
+    ["lyapunov", "--scenario", "naive-lyap", "--max", "inf", "--points", "5"],
+    ["simulate", "--seed-d", "nan", "--steps", "3"],
+])
+def test_non_finite_inputs_exit_2(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+    assert not caught  # no numpy RuntimeWarning escapes
+
+
+# Reference renderer: the per-cell formatting the block writer replaced,
+# kept as the oracle the writer's bytes are compared against.
+
+def _float_repr(x: float) -> str:
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return f"{x:.17g}"
+
+
+def _csv_value(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return _float_repr(v)
+    if isinstance(v, int):
+        return str(v)
+    text = str(v)
+    if any(ch in text for ch in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _json_value(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return "null" if not math.isfinite(v) else _float_repr(v)
+    if isinstance(v, int):
+        return str(v)
+    return json.dumps(str(v))
+
+
+def oracle(columns, rows, fmt):
+    if fmt == "csv":
+        lines = [",".join(columns)] + [",".join(map(_csv_value, r)) for r in rows]
+    else:
+        lines = [
+            "{" + ", ".join(f"{json.dumps(c)}: {_json_value(v)}" for c, v in zip(columns, r)) + "}"
+            for r in rows
+        ]
+    return "".join(line + "\n" for line in lines)
+
+
+def written(table, fmt):
+    buf = io.StringIO()
+    table.write(buf, fmt)
+    return buf.getvalue()
+
+
+_EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1e308,
+                 1.7976931348623157e308, math.nan, math.inf, -math.inf, 0.1, 1e16]
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(allow_nan=True, allow_infinity=True), st.text(),
+                  st.integers(), st.booleans()),
+        max_size=20,
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+)
+@example([(x, "a,b", -1, True) for x in _EDGE_DOUBLES], -0.0, '100% "q"\n')
+@example([(5e-324, "", 0, False)], math.nan, "")
+def test_writer_matches_per_cell_oracle(cells, lone, note):
+    xs, texts, ints, flags = (list(c) for c in zip(*cells)) if cells else ([], [], [], [])
+    table = Table(
+        [("x", float), ("lone", float), ("text", str), ("note", str), ("n", int), ("flag", bool)],
+        [(xs, lone, texts, note, ints, flags)],
+    )
+    rows = [(x, lone, t, note, n, f) for x, t, n, f in cells]
+    names = ["x", "lone", "text", "note", "n", "flag"]
+    for fmt in ("csv", "jsonl"):
+        assert written(table, fmt) == oracle(names, rows, fmt)
+
+
+def test_writer_repeats_block_of_scalars_and_checks_width():
+    table = Table([("x", float), ("n", int)], [(1.5, 2), (math.inf, -3)])
+    assert written(table, "csv") == "x,n\n1.5,2\ninf,-3\n"
+    assert written(table, "jsonl") == '{"x": 1.5, "n": 2}\n{"x": null, "n": -3}\n'
+    with pytest.raises(ValueError, match="width"):
+        written(Table([("x", float)], [(1.0, 2.0)]), "csv")
+    with pytest.raises(ValueError, match="length"):
+        written(Table([("x", float), ("n", int)], [([1.0, 2.0], [1])]), "csv")
+
+
+def _simulate_rows(name, steps):
+    sc = get_scenario(name)
+    orbit = generate_orbit(sc.initial_state(), sc.market, sc.cost, sc.supplier,
+                           steps, bounded=True, form=sc.form)
+    return [
+        (n, s.demand, s.supply, s.price,
+         s.demand / s.supply if s.supply > 0 else math.nan, s.collapsed)
+        for n, s in enumerate(orbit.states)
+    ]
+
+
+def _bifurcate_rows():
+    cfg = ScanConfig("b", 0.0418, 0.16, 12, 300, 40, 340)
+    return [(r.param_value, j, float(d), r.classification)
+            for r in bifurcation_scan(cfg, get_scenario("naive-bif-b"))
+            for j, d in enumerate(r.attractor_samples)]
+
+
+def _lyapunov_rows():
+    cfg = ScanConfig("b", 0.08, 0.6, 12, 100, 300, 400)
+    return [(r.param_value, r.lam, r.method, r.defined)
+            for r in lyapunov_scan(cfg, get_scenario("naive-lyap"))]
+
+
+def _collapse_rows():
+    sc = get_scenario("collapse")
+    report = detect_collapse(generate_orbit(sc.initial_state(), sc.market, sc.cost,
+                                            sc.supplier, 3000, bounded=True, form=sc.form))
+    return [(True, report.step, report.trigger)]
+
+
+def _scenario_rows():
+    kinds = {"OrbitSpec": "orbit", "BifurcationSpec": "bifurcation",
+             "LyapunovSpec": "lyapunov", "PedSpec": "ped"}
+    return [
+        (sc.name, sc.form.value, sc.supplier.m, sc.market.a, sc.market.b, sc.cost.v,
+         sc.cost.fc, sc.cost.margin, sc.seed_demand, sc.seed_supply,
+         kinds[type(sc.analysis).__name__], sc.figure or "")
+        for sc in builtin_scenarios()
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("argv,columns,rows", [
+    (["simulate", "--scenario", "collapse", "--steps", "200"],
+     ["step", "demand", "supply", "price", "signal", "collapsed"],
+     lambda: _simulate_rows("collapse", 200)),
+    (["simulate", "--scenario", "co-ts", "--bounded", "--steps", "9000"],
+     ["step", "demand", "supply", "price", "signal", "collapsed"],
+     lambda: _simulate_rows("co-ts", 9000)),
+    (["bifurcate", "--scenario", "naive-bif-b", "--min", "0.0418", "--max", "0.16",
+      "--points", "12", "--transient", "300", "--keep", "40"],
+     ["param_value", "sample_index", "demand", "classification"], _bifurcate_rows),
+    (["lyapunov", "--scenario", "naive-lyap", "--min", "0.08", "--max", "0.6",
+      "--points", "12", "--transient", "100", "--keep", "300"],
+     ["param_value", "lambda", "method", "defined"], _lyapunov_rows),
+    (["collapse", "--scenario", "collapse"], ["collapsed", "step", "trigger"], _collapse_rows),
+    (["ped", "--a", "10", "--b", "0", "--p1", "5", "--p2", "6"],
+     ["p1", "p2", "q1", "q2", "ped"],
+     lambda: [(5.0, 6.0, 10.0, 10.0, PERFECTLY_ELASTIC)]),
+    (["ped", "--a", "10", "--b", "0.09", "--p1", "10", "--p2", "11"],
+     ["p1", "p2", "q1", "q2", "ped"],
+     lambda: [(10.0, 11.0, demand(10.0, MarketParams(10.0, 0.09)),
+               demand(11.0, MarketParams(10.0, 0.09)), ped(10.0, 11.0, MarketParams(10.0, 0.09)))]),
+    (["scenarios"],
+     ["name", "form", "m", "a", "b", "v", "fc", "margin", "seed_d", "seed_s", "analysis", "figure"],
+     _scenario_rows),
+], ids=["simulate-collapsed", "simulate-slices", "bifurcate", "lyapunov-undefined",
+        "collapse", "ped-elastic", "ped-value", "scenarios"])
+def test_every_command_matches_oracle_rendering(argv, columns, rows, fmt, capsys):
+    code, out, err = run(argv + ["--format", fmt], capsys)
+    assert code == 0
+    expected = rows()
+    assert out == oracle(columns, expected, fmt)
+    # the cases cover the cells the writer special-cases
+    cells = [v for r in expected for v in r]
+    if argv[0] == "simulate" and argv[2] == "collapse":
+        assert any(isinstance(v, float) and math.isnan(v) for v in cells)
+    if argv[0] == "lyapunov":
+        assert False in cells and (fmt == "csv" or "null" in out)
+    if argv[0] == "scenarios":
+        assert "" in cells

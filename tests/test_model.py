@@ -314,3 +314,14 @@ def test_type_invariants_rejected():
         CostPricing(fc=1.0, v=1.0, margin=-0.01)
     with pytest.raises(ValueError):
         SupplierBehavior(m=0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            MarketParams(a=bad, b=0.1)
+        with pytest.raises(ValueError):
+            MarketParams(a=1.0, b=bad)
+        with pytest.raises(ValueError):
+            CostPricing(fc=bad, v=1.0, margin=0.5)
+        with pytest.raises(ValueError):
+            CostPricing(fc=1.0, v=bad, margin=0.5)
+        with pytest.raises(ValueError):
+            SupplierBehavior(m=bad)

@@ -1,6 +1,9 @@
 """Tests for the grid sweep engines: scalar/vector parity, determinism,
 classification structure."""
 
+import math
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from marketdyn.scans import (
     ScanConfig,
     _GridParams,
     _bounded_step_arrays,
+    _split,
     bifurcation_scan,
     lyapunov_scan,
 )
@@ -174,3 +178,21 @@ def test_scan_config_validation():
         ScanConfig("M", 0.5, 1.2, 10)  # margin leaves [0, 1)
     with pytest.raises(ValueError):
         ScanConfig("b", -0.1, 0.1, 10)
+    with pytest.raises(ValueError):
+        ScanConfig("b", 0.08, math.inf, 10)
+    with pytest.raises(ValueError):
+        ScanConfig("a", math.nan, 1.0, 10)
+
+
+def test_split_caps_chunks_at_core_count(monkeypatch):
+    # planning only: no worker process is started
+    grid = np.linspace(0.0, 1.0, 50)
+    chunks = _split(grid, 10_000)
+    assert 1 <= len(chunks) <= (os.cpu_count() or 1)
+    assert np.array_equal(np.concatenate(chunks), grid)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert len(_split(grid, 10_000)) == 3
+    assert len(_split(grid, 2)) == 2
+    assert len(_split(grid[:1], 3)) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert len(_split(grid, 8)) == 1

@@ -138,6 +138,17 @@ def test_load_rejects_nonpositive_m():
         load_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "key,value", [("a", "inf"), ("fc", "nan"), ("seed_d", "inf"), ("seed_s", "inf"), ("max", "inf")]
+)
+def test_load_rejects_non_finite_values(key, value):
+    fields = {"name": "bad", "a": "10", "b": "0.09", "v": "4", "fc": "10", "margin": "0.5",
+              "analysis": "lyapunov", "param": "b", "min": "0.08", "max": "0.09", "points": "10"}
+    fields[key] = value
+    with pytest.raises(ConfigError, match="finite"):
+        load_scenario("".join(f"{k} = {v}\n" for k, v in fields.items()))
+
+
 def test_unknown_scenario_name():
     with pytest.raises(ConfigError):
         get_scenario("no-such-scenario")
