@@ -20,11 +20,14 @@ from .model import (
     MarketParams,
     MarketState,
     SupplierBehavior,
-    atc,
+    _supply_map,
     atc_derivative,
     bounded_step,
     demand,
+    derivative_naive_1d,
     step,
+    step_naive_demand_1d,
+    step_supply_1d,
 )
 
 # Returned by ped() for a flat demand curve, where the elasticity has no
@@ -308,8 +311,6 @@ def demand_map_1d(
     form: MapForm = MapForm.CANONICAL,
 ) -> Callable[[float], float]:
     """The naive supplier's demand recurrence as a plain 1-D map handle."""
-    from .model import step_naive_demand_1d
-
     def f(d: float) -> float:
         return step_naive_demand_1d(d, market, cost, form)
 
@@ -321,8 +322,6 @@ def demand_map_derivative_1d(
     cost: CostPricing,
     form: MapForm = MapForm.CANONICAL,
 ) -> Callable[[float], float]:
-    from .model import derivative_naive_1d
-
     def df(d: float) -> float:
         return derivative_naive_1d(d, market, cost, form)
 
@@ -336,8 +335,6 @@ def supply_map_1d(
     form: MapForm = MapForm.CANONICAL,
 ) -> Callable[[float], float]:
     """The m-root supplier's supply recurrence as a 1-D map handle."""
-    from .model import step_supply_1d
-
     def f(s: float) -> float:
         return step_supply_1d(s, market, cost, behavior, form)
 
@@ -356,23 +353,14 @@ def supply_map_derivative_1d(
     f'(s) = f(s) * (u'(s)/(m u(s)) + (m-1)/(m s)), where u is the
     demand provoked by supplying s; u' is the same in both map forms.
     """
-    from .model import step_supply_1d
-
     m = behavior.m
     coef = market.b / (1.0 - cost.margin)
 
     def df(s: float) -> float:
-        if not (s > 0.0):
-            raise DomainError(f"supply map derivative undefined for s {s} <= 0")
-        atc_s = atc(s, cost)
-        if form is MapForm.CANONICAL:
-            u = market.a - market.b * (atc_s / (1.0 - cost.margin))
-        else:
-            u = (market.a - market.b * atc_s) / (1.0 - cost.margin)
+        f_s, u = _supply_map(s, market, cost, behavior, form)
         if u <= 0.0:
             raise DomainError(f"supply map derivative undefined: demand {u} <= 0")
         du = -coef * atc_derivative(s, cost)
-        f_s = step_supply_1d(s, market, cost, behavior, form)
         return f_s * (du / (m * u) + (m - 1.0) / (m * s))
 
     return df

@@ -303,6 +303,7 @@ def _cmd_ped(args) -> Table:
         p2 = sc.analysis.p2 if p2 is None else p2
     if p1 is None or p2 is None:
         raise ConfigError("ped needs --p1 and --p2 (or a scenario with a ped analysis)")
+    PedSpec(p1, p2)  # validates the prices
     from .model import demand
 
     value = ped(p1, p2, sc.market)

@@ -21,6 +21,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """An operation was evaluated outside its economic domain."""
@@ -240,6 +242,54 @@ def step(
     return MarketState(demand=d_new, supply=s_new, price=p_new)
 
 
+def bounded_period(
+    d: float, s: float, p: float, a: float, b: float, fc: float, v: float,
+    one_minus_m: float, m: float, canonical: bool,
+) -> tuple[float, float, float, str | None]:
+    """One bounded period on plain floats: the arithmetic of ``bounded_step``.
+
+    ``one_minus_m`` is 1 - M for the gross margin M, ``m`` the root
+    exponent and ``canonical`` picks the map form.  Returns the next
+    (demand, supply, price, trigger).  ``trigger`` is None while the
+    market lives; otherwise it names the collapse, demand and supply are
+    0, and the price is the new one when the demand side failed, the old
+    one otherwise.  The grid engine in ``scans`` mirrors these operations
+    in the same order, so both give the same bits.
+    """
+    if not (s > 0.0):
+        return 0.0, 0.0, p, TRIGGER_EXPECTED_DEMAND
+    if m == 1.0:
+        s_new = d
+    else:
+        sig = d / s
+        if sig < 0.0:
+            return 0.0, 0.0, p, TRIGGER_EXPECTED_DEMAND
+        if m == 2.0:
+            s_new = math.sqrt(sig) * s
+        else:
+            # numpy's power, as in the grid engine: float ** can round
+            # the last bit differently, and raises on overflow
+            with np.errstate(over="ignore"):
+                s_new = float(np.power(sig, 1.0 / m)) * s
+    if s_new <= 0.0:
+        return 0.0, 0.0, p, TRIGGER_EXPECTED_DEMAND
+    if s_new < SUPPLY_FLOOR:
+        return 0.0, 0.0, p, TRIGGER_SUPPLY_FLOOR
+
+    atc_new = fc / s_new + v - v * s_new + s_new * s_new
+    p_new = atc_new / one_minus_m
+    if not math.isfinite(p_new):  # also where the supply was not finite
+        return 0.0, 0.0, p, TRIGGER_NON_FINITE
+    if p_new * b > a:
+        return 0.0, 0.0, p_new, TRIGGER_DEMAND_CLAMP
+    d_new = a - b * p_new if canonical else (a - b * atc_new) / one_minus_m
+    if d_new <= 0.0:
+        # The supplier would see zero expected demand next period and
+        # stop immediately; the market dies at the new, high price.
+        return 0.0, 0.0, p_new, TRIGGER_EXPECTED_DEMAND
+    return d_new, s_new, p_new, None
+
+
 def bounded_step(
     state: MarketState,
     market: MarketParams,
@@ -259,38 +309,11 @@ def bounded_step(
     """
     if state.collapsed:
         return state
-
-    try:
-        s_new = expected_demand(state.demand, state.supply, behavior)
-    except DomainError:
-        return MarketState(0.0, 0.0, state.price, True, TRIGGER_EXPECTED_DEMAND)
-    if not math.isfinite(s_new):
-        return MarketState(0.0, 0.0, state.price, True, TRIGGER_NON_FINITE)
-    if s_new <= 0.0:
-        return MarketState(0.0, 0.0, state.price, True, TRIGGER_EXPECTED_DEMAND)
-    if s_new < SUPPLY_FLOOR:
-        return MarketState(0.0, 0.0, state.price, True, TRIGGER_SUPPLY_FLOOR)
-
-    atc_new = atc(s_new, cost)
-    p_new = atc_new / (1.0 - cost.margin)
-    if not math.isfinite(p_new):
-        return MarketState(0.0, 0.0, state.price, True, TRIGGER_NON_FINITE)
-
-    clamped = p_new * market.b > market.a
-    if clamped:
-        d_new = 0.0
-    elif form is MapForm.CANONICAL:
-        d_new = market.a - market.b * p_new
-    else:
-        d_new = (market.a - market.b * atc_new) / (1.0 - cost.margin)
-
-    if d_new <= 0.0:
-        # The supplier would see zero expected demand next period and
-        # stop immediately; the market dies at the new, high price.
-        trigger = TRIGGER_DEMAND_CLAMP if clamped else TRIGGER_EXPECTED_DEMAND
-        return MarketState(0.0, 0.0, p_new, True, trigger)
-
-    return MarketState(demand=d_new, supply=s_new, price=p_new)
+    d, s, p, trigger = bounded_period(
+        state.demand, state.supply, state.price, market.a, market.b,
+        cost.fc, cost.v, 1.0 - cost.margin, behavior.m, form is MapForm.CANONICAL,
+    )
+    return MarketState(d, s, p, trigger is not None, trigger)
 
 
 def step_naive_demand_1d(
@@ -327,6 +350,28 @@ def step_naive_price_1d(p: float, market: MarketParams, cost: CostPricing) -> fl
     return price(q, cost)
 
 
+def _supply_map(
+    s: float, market: MarketParams, cost: CostPricing, behavior: SupplierBehavior, form: MapForm
+) -> tuple[float, float]:
+    """(f(s), u(s)): the supply map and the demand u that supply s provokes."""
+    if not (s > 0.0):
+        raise DomainError(f"supply map undefined for s {s} <= 0")
+    atc_s = atc(s, cost)
+    if form is MapForm.CANONICAL:
+        u = market.a - market.b * (atc_s / (1.0 - cost.margin))
+    else:
+        u = (market.a - market.b * atc_s) / (1.0 - cost.margin)
+    m = behavior.m
+    if m == 1.0:
+        return u, u
+    sig = u / s
+    if sig < 0.0:
+        raise DomainError(f"negative radicand {sig}: demand went negative")
+    if m == 2.0:
+        return math.sqrt(sig) * s, u
+    return sig ** (1.0 / m) * s, u
+
+
 def step_supply_1d(
     s: float,
     market: MarketParams,
@@ -342,22 +387,7 @@ def step_supply_1d(
     radicand (demand went negative) is a domain error and doubles as the
     collapse signal for callers.
     """
-    if not (s > 0.0):
-        raise DomainError(f"supply map undefined for s {s} <= 0")
-    atc_s = atc(s, cost)
-    if form is MapForm.CANONICAL:
-        d_s = market.a - market.b * (atc_s / (1.0 - cost.margin))
-    else:
-        d_s = (market.a - market.b * atc_s) / (1.0 - cost.margin)
-    m = behavior.m
-    if m == 1.0:
-        return d_s
-    sig = d_s / s
-    if sig < 0.0:
-        raise DomainError(f"negative radicand {sig}: demand went negative")
-    if m == 2.0:
-        return math.sqrt(sig) * s
-    return sig ** (1.0 / m) * s
+    return _supply_map(s, market, cost, behavior, form)[0]
 
 
 def atc_derivative(q: float, cost: CostPricing) -> float:

@@ -1,14 +1,20 @@
 """Grid-parallel parameter sweeps: bifurcation diagrams and Lyapunov spectra.
 
 The sweeps evaluate every grid point with numpy lane-per-point
-arithmetic that mirrors the scalar steppers in ``model`` operation for
-operation, so a one-point sweep reproduces a scalar orbit bit for bit.
-Rows are pure functions of their own grid value, which makes chunked
-multithreading safe and the output independent of the chunking.
+arithmetic.  The bounded period has two definitions: the scalar
+``model.bounded_period`` and ``_bounded_step_arrays`` here, which
+performs the same operations in the same order, so a one-point sweep
+reproduces a scalar orbit bit for bit.  Grid points still unclassified
+after the configured run get a short Lyapunov probe on the array
+stepper; those that do not stretch are refined one lane at a time with
+the scalar kernel, which is far cheaper per step than numpy on a few
+lanes.  Rows are pure functions of their own grid value, which makes
+chunked multithreading safe and the output independent of the chunking.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -16,17 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MapForm, SUPPLY_FLOOR
+from .model import MapForm, SUPPLY_FLOOR, bounded_period
 from .analysis import CLASS_APERIODIC, CLASS_COLLAPSED, CLASS_FIXED_POINT
 
 _SCAN_PARAMETERS = ("b", "M", "a")
-
-# Trigger codes used inside the vector engine.
-_TRIG_NONE = 0
-_TRIG_NON_FINITE = 1
-_TRIG_EXPECTED = 2
-_TRIG_FLOOR = 3
-_TRIG_CLAMP = 4
 
 # Attractor refinement: rows still unclassified after the configured
 # transient get a short Lyapunov probe; only non-stretching orbits
@@ -43,9 +42,12 @@ class ScanConfig:
     """Grid and iteration budget for a one-parameter sweep.
 
     ``parameter`` is one of "b" (demand slope), "M" (gross margin) or
-    "a" (demand intercept).  Each grid point discards ``transient``
-    iterations and then retains ``keep`` samples; ``iterations_total``
-    is the per-point budget and must cover both.
+    "a" (demand intercept).  Each grid point runs ``transient + keep``
+    iterations and retains the last ``keep`` as samples; a bifurcation
+    scan then refines unresolved points for at most ``_REFINE_ROUNDS``
+    more rounds.  ``iterations_total`` (the config key ``iters``) drives
+    no iteration: it is only a validated bound that must cover
+    ``transient + keep``.
     """
 
     parameter: str
@@ -118,92 +120,68 @@ class _GridParams:
         self.b = scenario.market.b
         self.fc = scenario.cost.fc
         self.v = scenario.cost.v
-        self.margin = scenario.cost.margin
+        margin = scenario.cost.margin
         self.m = scenario.supplier.m
         if config.parameter == "b":
             self.b = values
         elif config.parameter == "a":
             self.a = values
         else:
-            self.margin = values
-        self.one_minus_m = 1.0 - self.margin
+            margin = values
+        self.one_minus_m = 1.0 - margin
         self.form = form
         self.seed_d = scenario.seed_demand
         self.seed_s = scenario.seed_supply
 
-    def lane(self, i: int) -> dict:
-        """Scalar parameter set of a single lane, for scalar re-runs."""
-        pick = lambda x: float(x[i]) if isinstance(x, np.ndarray) else float(x)
-        return {
-            "a": pick(self.a),
-            "b": pick(self.b),
-            "fc": self.fc,
-            "v": self.v,
-            "margin": pick(self.margin),
-            "m": self.m,
-            "form": self.form,
-        }
+    def take(self, idx) -> "_GridParams":
+        """The parameters of the lanes ``idx`` (an index array or one index)."""
+        sub = copy.copy(self)
+        for name in ("a", "b", "one_minus_m"):
+            x = getattr(self, name)
+            if isinstance(x, np.ndarray):
+                setattr(sub, name, x[idx])
+        return sub
 
 
-def _bounded_step_arrays(D, S, P, alive, trig, pars: _GridParams):
-    """One bounded period for every lane; mirrors model.bounded_step."""
+def _bounded_step_arrays(D, S, P, alive, pars: _GridParams):
+    """One bounded period for every lane; mirrors ``model.bounded_period``.
+
+    Collapsed lanes hold zero demand and supply.  A lane that fails
+    before its new price is known keeps the old price; one whose demand
+    side fails dies at the new price.
+    """
     m = pars.m
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if m == 1.0:
-            S_new = D.copy()
-            neg_sig = np.zeros(D.shape, dtype=bool)
+            S_new = D
+        elif m == 2.0:
+            S_new = np.sqrt(D / S) * S
         else:
-            neg_sig = D < 0.0
-            if m == 2.0:
-                S_new = np.sqrt(D / S) * S
-            else:
-                S_new = (D / S) ** (1.0 / m) * S
-
-        bad_nf = ~np.isfinite(S_new) & ~neg_sig
-        bad_exp = (S_new <= 0.0) & ~neg_sig & ~bad_nf
-        bad_floor = (S_new < SUPPLY_FLOOR) & ~neg_sig & ~bad_nf & ~bad_exp
-        supply_fail = neg_sig | bad_nf | bad_exp | bad_floor
-
+            S_new = np.power(D / S, 1.0 / m) * S
         atc_new = pars.fc / S_new + pars.v - pars.v * S_new + S_new * S_new
         P_new = atc_new / pars.one_minus_m
-        price_fail = ~np.isfinite(P_new) & ~supply_fail
-
-        clamp = P_new * pars.b > pars.a
+        # a non-finite supply leaves a non-finite price
+        live = alive & ~((D < 0.0) | (S_new < SUPPLY_FLOOR) | ~np.isfinite(P_new))
         if pars.form is MapForm.CANONICAL:
             D_new = pars.a - pars.b * P_new
         else:
             D_new = (pars.a - pars.b * atc_new) / pars.one_minus_m
-        D_new = np.where(clamp, 0.0, D_new)
-        demand_fail = (D_new <= 0.0) & ~supply_fail & ~price_fail
-
-    newly = alive & (supply_fail | price_fail | demand_fail)
-    ok = alive & ~newly
-
-    # Collapsed lanes zero their quantities; the price freezes at the new
-    # price when the demand side failed, at the old one otherwise.
-    frozen_P = np.where(supply_fail | price_fail, P, P_new)
-    D_out = np.where(ok, D_new, np.where(newly, 0.0, D))
-    S_out = np.where(ok, S_new, np.where(newly, 0.0, S))
-    P_out = np.where(ok, P_new, np.where(newly, frozen_P, P))
-
-    trig_new = np.zeros(D.shape, dtype=np.int8)
-    trig_new[neg_sig | bad_exp] = _TRIG_EXPECTED
-    trig_new[bad_nf | price_fail] = _TRIG_NON_FINITE
-    trig_new[bad_floor] = _TRIG_FLOOR
-    trig_new[demand_fail] = np.where(clamp[demand_fail], _TRIG_CLAMP, _TRIG_EXPECTED)
-    trig_out = np.where(newly, trig_new, trig)
-
-    return D_out, S_out, P_out, alive & ~newly, trig_out
+        ok = live & ~((P_new * pars.b > pars.a) | (D_new <= 0.0))
+    return np.where(ok, D_new, 0.0), np.where(ok, S_new, 0.0), np.where(live, P_new, P), ok
 
 
-def _simulate_grid(D, S, P, alive, trig, pars: _GridParams, transient: int, keep: int):
-    """Run transient + keep bounded periods, recording demand samples."""
-    samples = np.empty((D.shape[0], keep))
+def _simulate_grid(pars: _GridParams, n: int, transient: int, keep: int):
+    """Seed n lanes and run transient + keep bounded periods, recording demand samples."""
+    D = np.full(n, float(pars.seed_d))
+    S = np.full(n, float(pars.seed_s))
+    P = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    samples = np.empty((n, keep))
     for it in range(transient + keep):
-        D, S, P, alive, trig = _bounded_step_arrays(D, S, P, alive, trig, pars)
+        D, S, P, alive = _bounded_step_arrays(D, S, P, alive, pars)
         if it >= transient:
             samples[:, it - transient] = D
-    return D, S, P, alive, trig, samples
+    return D, S, P, alive, samples
 
 
 def _classify_matrix(samples: np.ndarray, tolerance: float, max_period: int):
@@ -228,6 +206,8 @@ def _classify_matrix(samples: np.ndarray, tolerance: float, max_period: int):
 
 
 def _classification_name(k: int) -> str:
+    if k < 0:
+        return CLASS_COLLAPSED
     if k == 1:
         return CLASS_FIXED_POINT
     if k > 1:
@@ -235,96 +215,39 @@ def _classification_name(k: int) -> str:
     return CLASS_APERIODIC
 
 
-def _probe_lambda_grid(D, S, idx, pars: _GridParams, steps: int) -> np.ndarray:
+def _probe_lambda_grid(D, S, P, idx, pars: _GridParams, steps: int) -> np.ndarray:
     """Short Lyapunov estimates continued from the selected lanes.
 
-    Uses the supply recurrence derivative, which for every m shares the
-    orbit of the two-component stepper.  Lanes that escape come back as
-    +inf so the caller will not waste refinement on them.
+    The lanes advance with the bounded stepper; the slope is that of the
+    supply recurrence, which for every m shares the orbit of the
+    two-component map.  Lanes that collapse or stretch without bound
+    come back as +inf so the caller will not waste refinement on them.
     """
-    take = lambda x: x[idx] if isinstance(x, np.ndarray) else x
-    a, b, fc, v = take(pars.a), take(pars.b), pars.fc, pars.v
-    one_minus_m = take(pars.one_minus_m)
+    pars = pars.take(idx)
     m = pars.m
-    coef = b / one_minus_m
-    d = D[idx].copy()
-    s = S[idx].copy()
-    acc = np.zeros(idx.size)
+    coef = pars.b / pars.one_minus_m
+    D, S, P = D[idx], S[idx], P[idx]
     alive = np.ones(idx.size, dtype=bool)
+    acc = np.zeros(idx.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(steps):
-            du = -coef * (-fc / (s * s) - v + 2.0 * s)
-            if m == 1.0:
-                s_next = d.copy()
-                slope = du * np.ones_like(d)
-            else:
-                sig = d / s
-                s_next = np.sqrt(sig) * s if m == 2.0 else sig ** (1.0 / m) * s
-                slope = s_next * (du / (m * d) + (m - 1.0) / (m * s))
-            ok = (
-                np.isfinite(s_next)
-                & np.isfinite(slope)
-                & (s_next > 0.0)
-                & (d > 0.0)
-                & (s > 0.0)
-            )
-            alive &= ok
-            acc = np.where(
-                alive, acc + np.log(np.maximum(np.abs(slope), _LOG_FLOOR)), acc
-            )
-            atc_new = fc / s_next + v - v * s_next + s_next * s_next
-            p_new = atc_new / one_minus_m
-            if pars.form is MapForm.CANONICAL:
-                d_next = a - b * p_new
-            else:
-                d_next = (a - b * atc_new) / one_minus_m
-            d_next = np.where(p_new * b > a, 0.0, d_next)
-            alive &= np.isfinite(d_next)
-            d = np.where(alive, d_next, d)
-            s = np.where(alive, s_next, s)
+            du = -coef * (-pars.fc / (S * S) - pars.v + 2.0 * S)
+            D_next, S_next, P, alive = _bounded_step_arrays(D, S, P, alive, pars)
+            slope = du if m == 1.0 else S_next * (du / (m * D) + (m - 1.0) / (m * S))
+            alive &= np.isfinite(slope)
+            acc = np.where(alive, acc + np.log(np.maximum(np.abs(slope), _LOG_FLOOR)), acc)
+            D, S = D_next, S_next
     return np.where(alive, acc / steps, np.inf)
 
 
-def _lane_step(d, s, p, lane: dict):
-    """One bounded period for a single lane on plain floats.
-
-    Same operations in the same order as ``_bounded_step_arrays``, so a
-    refined lane continues its grid orbit bit for bit.  Returns
-    (d, s, p, alive).
-    """
-    m = lane["m"]
-    one_minus_m = 1.0 - lane["margin"]
-    if m == 1.0:
-        s_new = d
-    elif d < 0.0:
-        return 0.0, 0.0, p, False
-    else:
-        sig = d / s
-        s_new = math.sqrt(sig) * s if m == 2.0 else sig ** (1.0 / m) * s
-    if not math.isfinite(s_new) or s_new < SUPPLY_FLOOR:
-        return 0.0, 0.0, p, False
-    atc_new = lane["fc"] / s_new + lane["v"] - lane["v"] * s_new + s_new * s_new
-    p_new = atc_new / one_minus_m
-    if not math.isfinite(p_new):
-        return 0.0, 0.0, p, False
-    if p_new * lane["b"] > lane["a"]:
-        d_new = 0.0
-    elif lane["form"] is MapForm.CANONICAL:
-        d_new = lane["a"] - lane["b"] * p_new
-    else:
-        d_new = (lane["a"] - lane["b"] * atc_new) / one_minus_m
-    if d_new <= 0.0:
-        return 0.0, 0.0, p_new, False
-    return d_new, s_new, p_new, True
-
-
-def _refine_lane(d, s, p, lane: dict, keep: int, tolerance: float, max_period: int):
+def _refine_lane(d, s, p, lane: tuple, keep: int, tolerance: float, max_period: int):
     """Extend one lane's orbit until its attractor settles or the budget ends.
 
-    Returns (period, samples, collapsed); period 0 means still aperiodic.
-    Each round doubles the extra transient, so slow convergence near
-    period-doublings is resolved without inflating the budget of every
-    grid point.
+    ``lane`` holds the lane's parameters in ``model.bounded_period``
+    order after (d, s, p).  Returns (period, samples, collapsed); period
+    0 means still aperiodic.  Each round doubles the extra transient, so
+    slow convergence near period-doublings is resolved without inflating
+    the budget of every grid point.
     """
     from .analysis import detect_period
 
@@ -332,14 +255,12 @@ def _refine_lane(d, s, p, lane: dict, keep: int, tolerance: float, max_period: i
     extra = keep
     samples = np.empty(keep)
     for _ in range(_REFINE_ROUNDS):
-        n = 0
-        while alive and n < extra:
-            d, s, p, alive = _lane_step(d, s, p, lane)
-            n += 1
-        for j in range(keep):
+        for t in range(extra + keep):
             if alive:
-                d, s, p, alive = _lane_step(d, s, p, lane)
-            samples[j] = d if alive else 0.0
+                d, s, p, trigger = bounded_period(d, s, p, *lane)
+                alive = trigger is None
+            if t >= extra:
+                samples[t - extra] = d
         if not alive:
             return -1, samples, True
         k = detect_period(samples, tolerance, min(max_period, keep // 2))
@@ -359,43 +280,31 @@ def _bifurcation_chunk(
     refine: bool,
 ) -> list[BifurcationRow]:
     pars = _GridParams(scenario, config, values, form)
-    n = values.size
-    D = np.full(n, float(pars.seed_d))
-    S = np.full(n, float(pars.seed_s))
-    P = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    trig = np.zeros(n, dtype=np.int8)
-
-    D, S, P, alive, trig, samples = _simulate_grid(
-        D, S, P, alive, trig, pars, config.transient, config.keep
-    )
+    D, S, P, alive, samples = _simulate_grid(pars, values.size, config.transient, config.keep)
     periods = _classify_matrix(samples, tolerance, max_period)
     periods[~alive] = -1
 
     if refine:
         open_idx = np.flatnonzero(periods == 0)
         if open_idx.size:
-            lams = _probe_lambda_grid(D, S, open_idx, pars, _PROBE_STEPS)
+            lams = _probe_lambda_grid(D, S, P, open_idx, pars, _PROBE_STEPS)
+            canonical = form is MapForm.CANONICAL
             for j in np.flatnonzero(lams <= _PROBE_LAMBDA_MAX):
                 i = int(open_idx[j])
+                one = pars.take(i)
+                lane = (float(one.a), float(one.b), pars.fc, pars.v,
+                        float(one.one_minus_m), pars.m, canonical)
                 k, lane_samples, collapsed = _refine_lane(
-                    float(D[i]), float(S[i]), float(P[i]), pars.lane(i),
+                    float(D[i]), float(S[i]), float(P[i]), lane,
                     config.keep, tolerance, max_period,
                 )
                 periods[i] = -1 if collapsed else k
                 samples[i] = lane_samples
 
-    rows = []
-    for i in range(n):
-        cls = CLASS_COLLAPSED if periods[i] < 0 else _classification_name(int(periods[i]))
-        rows.append(
-            BifurcationRow(
-                param_value=float(values[i]),
-                attractor_samples=samples[i].copy(),
-                classification=cls,
-            )
-        )
-    return rows
+    return [
+        BifurcationRow(x, row.copy(), _classification_name(k))
+        for x, row, k in zip(values.tolist(), samples, periods.tolist())
+    ]
 
 
 def _split(values: np.ndarray, threads: int) -> list[np.ndarray]:
@@ -460,37 +369,29 @@ def _lyapunov_chunk(
     m = pars.m
     a, b, fc, v = pars.a, pars.b, pars.fc, pars.v
     one_minus_m = pars.one_minus_m
+    coef = b / one_minus_m
+
+    def provoked(x):
+        # demand provoked by supplying x; for the naive supplier this is
+        # the 1-D map, whose canonical form divides b by 1-M first
+        atc_x = fc / x + v - v * x + x * x
+        if form is MapForm.PAPER_LITERAL:
+            return (a - b * atc_x) / one_minus_m
+        return a - coef * atc_x if m == 1.0 else a - b * (atc_x / one_minus_m)
 
     def apply_map(x):
         # 1-D reduction of the dynamics: demand recurrence for the naive
-        # supplier, supply recurrence otherwise.
-        atc_x = fc / x + v - v * x + x * x
+        # supplier, supply recurrence otherwise
         if m == 1.0:
-            if form is MapForm.CANONICAL:
-                return a - (b / one_minus_m) * atc_x
-            return (a - b * atc_x) / one_minus_m
-        if form is MapForm.CANONICAL:
-            u = a - b * (atc_x / one_minus_m)
-        else:
-            u = (a - b * atc_x) / one_minus_m
-        sig = u / x
-        if m == 2.0:
-            return np.sqrt(sig) * x
-        return sig ** (1.0 / m) * x
+            return provoked(x)
+        sig = provoked(x) / x
+        return np.sqrt(sig) * x if m == 2.0 else sig ** (1.0 / m) * x
 
-    def analytic_slope(x):
-        atc_d = -fc / (x * x) - v + 2.0 * x
+    def analytic_slope(x, f_x):
+        du = -coef * (-fc / (x * x) - v + 2.0 * x)
         if m == 1.0:
-            return -(b / one_minus_m) * atc_d
-        atc_x = fc / x + v - v * x + x * x
-        if form is MapForm.CANONICAL:
-            u = a - b * (atc_x / one_minus_m)
-        else:
-            u = (a - b * atc_x) / one_minus_m
-        du = -(b / one_minus_m) * atc_d
-        sig = u / x
-        f_x = np.sqrt(sig) * x if m == 2.0 else sig ** (1.0 / m) * x
-        return f_x * (du / (m * u) + (m - 1.0) / (m * x))
+            return du
+        return f_x * (du / (m * provoked(x)) + (m - 1.0) / (m * x))
 
     x0 = pars.seed_d if m == 1.0 else pars.seed_s
     x = np.full(n, float(x0))
@@ -503,8 +404,9 @@ def _lyapunov_chunk(
             defined &= np.isfinite(x_new) & (x_new > 0.0)
             x = np.where(defined, x_new, x)
         for _ in range(config.keep):
+            x_new = apply_map(x)
             if method == "analytic":
-                slope = analytic_slope(x)
+                slope = analytic_slope(x, x_new)
             else:
                 h = 1e-8 * np.maximum(1.0, np.abs(x))
                 slope = (apply_map(x + h) - apply_map(x - h)) / (2.0 * h)
@@ -512,19 +414,13 @@ def _lyapunov_chunk(
             acc = np.where(
                 ok, acc + np.log(np.maximum(np.abs(slope), _LOG_FLOOR)), acc
             )
-            x_new = apply_map(x)
             defined = ok & np.isfinite(x_new) & (x_new > 0.0)
             x = np.where(defined, x_new, x)
 
     lam = np.where(defined, acc / config.keep, np.nan)
     return [
-        LyapunovRow(
-            param_value=float(values[i]),
-            lam=float(lam[i]),
-            method=method,
-            defined=bool(defined[i]),
-        )
-        for i in range(n)
+        LyapunovRow(x, y, method, ok)
+        for x, y, ok in zip(values.tolist(), lam.tolist(), defined.tolist())
     ]
 
 

@@ -55,6 +55,11 @@ class PedSpec:
     p1: float
     p2: float
 
+    def __post_init__(self) -> None:
+        for key, value in (("p1", self.p1), ("p2", self.p2)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+
 
 AnalysisSpec = OrbitSpec | BifurcationSpec | LyapunovSpec | PedSpec
 
@@ -76,6 +81,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("scenario name must be non-empty")
+        for key, text in (("name", self.name), ("figure", self.figure)):
+            # the config format strips a value and ends it at '#' or a line break
+            if text and (text != text.strip() or "#" in text or len(text.splitlines()) > 1):
+                raise ConfigError(f"{key} {text!r} holds '#', a line break or outer whitespace")
         if not (0.0 <= self.seed_demand < math.inf):
             raise ConfigError(f"seed_d must be finite and >= 0, got {self.seed_demand}")
         if not (0.0 < self.seed_supply < math.inf):

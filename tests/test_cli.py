@@ -231,6 +231,8 @@ def test_byte_identical_across_runs_and_threads(tmp_path):
     ["simulate", "--a", "inf", "--steps", "3"],
     ["lyapunov", "--scenario", "naive-lyap", "--max", "inf", "--points", "5"],
     ["simulate", "--seed-d", "nan", "--steps", "3"],
+    ["ped", "--a", "10", "--b", "0.09", "--p1", "nan", "--p2", "11"],
+    ["ped", "--a", "10", "--b", "0.09", "--p1", "inf", "--p2", "11"],
 ])
 def test_non_finite_inputs_exit_2(argv, capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -25,6 +25,9 @@ from marketdyn.model import (
     step_naive_price_1d,
     step_supply_1d,
     TRIGGER_DEMAND_CLAMP,
+    TRIGGER_EXPECTED_DEMAND,
+    TRIGGER_NON_FINITE,
+    TRIGGER_SUPPLY_FLOOR,
 )
 
 NAIVE_MARKET = MarketParams(a=10.0, b=0.09)
@@ -252,6 +255,17 @@ def test_bounded_step_absorbing():
 def test_bounded_step_zero_demand_stops():
     out = bounded_step(MarketState(0.0, 5.0, 3.0), NAIVE_MARKET, NAIVE_COST, NAIVE)
     assert out.collapsed and out.supply == 0.0 and out.price == 3.0
+
+
+@pytest.mark.parametrize("state,m,trigger", [
+    (MarketState(1.0, 0.0, 2.0), 1.0, TRIGGER_EXPECTED_DEMAND),  # no stock to read a signal from
+    (MarketState(-1.0, 1.0, 2.0), 2.0, TRIGGER_EXPECTED_DEMAND),  # a negative signal has no root
+    (MarketState(1e-10, 1.0, 2.0), 1.0, TRIGGER_SUPPLY_FLOOR),
+    (MarketState(20.0, 1e-3, 2.0), 0.01, TRIGGER_NON_FINITE),  # (2e4)^100 overflows
+])
+def test_bounded_step_failures_before_the_price_keep_it(state, m, trigger):
+    out = bounded_step(state, NAIVE_MARKET, NAIVE_COST, SupplierBehavior(m))
+    assert out == MarketState(0.0, 0.0, 2.0, True, trigger)
 
 
 def test_bounded_equals_step_inside_domain():

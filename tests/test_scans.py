@@ -6,13 +6,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from marketdyn.analysis import classify_samples, detect_period, generate_orbit
 from marketdyn.model import (
     CostPricing,
     MapForm,
     MarketParams,
-    MarketState,
     SupplierBehavior,
     bounded_step,
 )
@@ -28,36 +28,64 @@ from marketdyn.scans import (
 from marketdyn.scenarios import get_scenario, Scenario, OrbitSpec
 
 
-def _scenario(a, b, fc, v, margin, m, form=MapForm.CANONICAL):
+def _scenario(a, b, fc, v, margin, m, form=MapForm.CANONICAL, seed_d=1.0, seed_s=1.0):
     return Scenario(
         name="t",
         supplier=SupplierBehavior(m),
         market=MarketParams(a, b),
         cost=CostPricing(fc, v, margin),
         analysis=OrbitSpec(steps=1, bounded=True),
+        seed_demand=seed_d,
+        seed_supply=seed_s,
         form=form,
     )
 
 
+# Upper ends of the scanned parameters in the property below.
+_SCAN_TOP = {"b": 0.3, "a": 50.0, "M": 0.9}
+
+
 @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("form", list(MapForm))
-def test_vector_engine_matches_scalar_bitwise(m, form):
-    # one lane of the grid engine reproduces bounded_step exactly
-    sc = _scenario(10.0, 0.095, 20.0, 2.0, 0.5, m, form)
-    cfg = ScanConfig("b", 0.09, 0.1, 1)
-    pars = _GridParams(sc, cfg, np.array([0.095]), form)
-    D = np.array([1.0]); S = np.array([1.0]); P = np.array([0.0])
-    alive = np.array([True]); trig = np.zeros(1, dtype=np.int8)
-    state = MarketState(1.0, 1.0, 0.0)
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.floats(0.0, 50.0), b=st.floats(0.0, 0.3), fc=st.floats(0.1, 50.0),
+    v=st.floats(0.1, 10.0), margin=st.floats(0.0, 0.9),
+    seed_d=st.floats(0.0, 20.0), seed_s=st.floats(0.01, 20.0),
+    parameter=st.sampled_from(sorted(_SCAN_TOP)),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+# the collapse scenario's parameters: a clamp collapse for m = 1 and in
+# the paper-literal form
+@example(a=10.0, b=0.095, fc=20.0, v=2.0, margin=0.5, seed_d=1.0, seed_s=1.0,
+         parameter="b", fractions=[0.095 / 0.3])
+def test_vector_engine_matches_scalar_bitwise(
+    m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
+):
+    # every lane of the grid engine reproduces bounded_step exactly,
+    # through and after a collapse
+    sc = _scenario(a, b, fc, v, margin, m, form, seed_d, seed_s)
+    values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
+    pars = _GridParams(sc, ScanConfig(parameter, 0.0, 0.1, 1), values, form)
+    n = values.size
+    D = np.full(n, seed_d); S = np.full(n, seed_s); P = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    lanes = []
+    for x in values.tolist():
+        lane = _scenario(
+            x if parameter == "a" else a, x if parameter == "b" else b, fc, v,
+            x if parameter == "M" else margin, m, form, seed_d, seed_s,
+        )
+        lanes.append([lane.market, lane.cost, sc.initial_state()])
     for _ in range(120):
-        D, S, P, alive, trig = _bounded_step_arrays(D, S, P, alive, trig, pars)
-        state = bounded_step(state, sc.market, sc.cost, sc.supplier, form)
-        assert D[0] == state.demand
-        assert S[0] == state.supply
-        assert P[0] == state.price
-        assert alive[0] == (not state.collapsed)
-        if state.collapsed:
-            break
+        D, S, P, alive = _bounded_step_arrays(D, S, P, alive, pars)
+        for i, lane in enumerate(lanes):
+            market, cost, state = lane
+            state = lane[2] = bounded_step(state, market, cost, sc.supplier, form)
+            assert D[i] == state.demand
+            assert S[i] == state.supply
+            assert P[i] == state.price
+            assert alive[i] == (not state.collapsed)
 
 
 def test_degenerate_scan_equals_orbit_classification():
@@ -70,6 +98,23 @@ def test_degenerate_scan_equals_orbit_classification():
             sc.supplier, 3000, bounded=True, form=sc.form,
         )
         assert row.classification == classify_samples(orbit.demands[2501:])
+
+
+def test_refined_lane_continues_the_scalar_orbit():
+    # this lane is still open after the 3000-step grid run; one refinement
+    # round adds 500 transient steps and takes its samples at 3501..4000
+    sc = get_scenario("naive-bif-b")
+    b = 0.04875347673836918
+    cfg = ScanConfig("b", b, b + 1e-15, 1, 2500, 500, 3000)
+    [unrefined] = bifurcation_scan(cfg, sc, refine=False)
+    [row] = bifurcation_scan(cfg, sc)
+    assert unrefined.classification == "aperiodic"
+    assert row.classification == "periodic(2)"
+    orbit = generate_orbit(
+        sc.initial_state(), MarketParams(sc.market.a, b), sc.cost,
+        sc.supplier, 4000, bounded=True, form=sc.form,
+    )
+    assert row.attractor_samples.tolist() == orbit.demands[3501:4001]
 
 
 def test_scan_rows_ordered_and_complete():

@@ -3,8 +3,9 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from marketdyn.model import MapForm
+from marketdyn.model import CostPricing, MapForm, MarketParams, SupplierBehavior
 from marketdyn.scans import ScanConfig, bifurcation_scan, lyapunov_scan
 from marketdyn.scenarios import (
     BifurcationSpec,
@@ -12,6 +13,8 @@ from marketdyn.scenarios import (
     LyapunovSpec,
     OrbitSpec,
     PedSpec,
+    Scenario,
+    _parse_document,
     builtin_scenarios,
     get_scenario,
     load_scenario,
@@ -139,14 +142,86 @@ def test_load_rejects_nonpositive_m():
 
 
 @pytest.mark.parametrize(
-    "key,value", [("a", "inf"), ("fc", "nan"), ("seed_d", "inf"), ("seed_s", "inf"), ("max", "inf")]
+    "key,value", [("a", "inf"), ("fc", "nan"), ("seed_d", "inf"), ("seed_s", "inf"), ("max", "inf"),
+                  ("p1", "inf"), ("p2", "nan")]
 )
 def test_load_rejects_non_finite_values(key, value):
     fields = {"name": "bad", "a": "10", "b": "0.09", "v": "4", "fc": "10", "margin": "0.5",
-              "analysis": "lyapunov", "param": "b", "min": "0.08", "max": "0.09", "points": "10"}
+              "analysis": "lyapunov", "param": "b", "min": "0.08", "max": "0.09", "points": "10",
+              "p1": "10", "p2": "11"}
+    if key in ("p1", "p2"):
+        fields["analysis"] = "ped"
     fields[key] = value
     with pytest.raises(ConfigError, match="finite"):
         load_scenario("".join(f"{k} = {v}\n" for k, v in fields.items()))
+
+
+@pytest.mark.parametrize("text", ["run#2", " run", "run ", "a\nb", "a\rb", "x\u2028y"])
+def test_texts_the_format_cannot_carry_are_rejected(text):
+    sc = get_scenario("naive-ts")
+    with pytest.raises(ConfigError, match="name"):
+        dataclasses.replace(sc, name=text)
+    with pytest.raises(ConfigError, match="figure"):
+        dataclasses.replace(sc, figure=text)
+
+
+def _carried(text: str) -> bool:
+    """Whether a config line gives ``text`` back as a value."""
+    try:
+        return _parse_document(f"figure = {text}\n").get("figure") == text
+    except ConfigError:
+        return False
+
+
+@st.composite
+def _scan_configs(draw):
+    parameter = draw(st.sampled_from(["b", "M", "a"]))
+    top = 0.999 if parameter == "M" else 1e6
+    lo = draw(st.floats(0.0, top / 2))
+    hi = draw(st.floats(lo, top, exclude_min=True))
+    transient = draw(st.integers(0, 10**6))
+    keep = draw(st.integers(1, 10**6))
+    total = transient + keep + draw(st.integers(0, 10**6))
+    return ScanConfig(parameter, lo, hi, draw(st.integers(1, 10**7)), transient, keep, total)
+
+
+_prices = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.text(min_size=1, max_size=12),
+    figure=st.none() | st.text(max_size=12),
+    m=st.floats(0.0, 1e6, exclude_min=True),
+    a=st.floats(0.0, 1e300), b=st.floats(0.0, 1e300),
+    fc=st.floats(0.0, 1e300, exclude_min=True), v=st.floats(0.0, 1e300, exclude_min=True),
+    margin=st.floats(0.0, 1.0, exclude_max=True),
+    seed_d=st.floats(0.0, 1e300), seed_s=st.floats(0.0, 1e300, exclude_min=True),
+    form=st.sampled_from(list(MapForm)),
+    analysis=st.one_of(
+        st.builds(OrbitSpec, st.integers(0, 10**9), st.booleans()),
+        _scan_configs().map(BifurcationSpec),
+        _scan_configs().map(LyapunovSpec),
+        st.builds(PedSpec, _prices, _prices),
+    ),
+)
+def test_serialize_load_round_trip(
+    name, figure, m, a, b, fc, v, margin, seed_d, seed_s, form, analysis
+):
+    # a scenario is either refused or comes back from its document unchanged
+    def build():
+        return Scenario(
+            name=name, supplier=SupplierBehavior(m), market=MarketParams(a, b),
+            cost=CostPricing(fc, v, margin), analysis=analysis,
+            seed_demand=seed_d, seed_supply=seed_s, form=form, figure=figure,
+        )
+
+    if not (_carried(name) and (figure is None or _carried(figure))):
+        with pytest.raises(ConfigError):
+            build()
+        return
+    sc = build()
+    assert load_scenario(serialize_scenario(sc)) == sc
 
 
 def test_unknown_scenario_name():
