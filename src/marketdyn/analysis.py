@@ -1,8 +1,9 @@
 """Orbit generation, fixed points, period detection, Lyapunov exponents,
 collapse detection and price elasticity for the market maps.
 
-Everything here is scalar and exact about indices; the grid-parallel
-parameter sweeps live in ``scans``.
+Everything here is exact about indices.  The period test
+(``detect_periods``) and the finite-difference slope take one orbit or a
+matrix of lanes, so the grid-parallel sweeps in ``scans`` share them.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from .model import (
     DomainError,
     MapForm,
     MarketParams,
+    MapParams,
     MarketState,
     SupplierBehavior,
-    _supply_map,
-    atc_derivative,
+    _map_1d_checked,
     bounded_step,
     demand,
     derivative_naive_1d,
+    slope_1d,
     step,
     step_naive_demand_1d,
     step_supply_1d,
@@ -37,6 +39,7 @@ PERFECTLY_ELASTIC = "perfectly-elastic"
 CLASS_FIXED_POINT = "fixed-point"
 CLASS_APERIODIC = "aperiodic"
 CLASS_COLLAPSED = "collapsed"
+_CLASS_NAMES = {-1: CLASS_COLLAPSED, 0: CLASS_APERIODIC, 1: CLASS_FIXED_POINT}
 
 
 class OrbitDomainError(Exception):
@@ -201,6 +204,24 @@ def find_fixed_points(
     return found
 
 
+def detect_periods(samples: np.ndarray, tolerance: float, max_period: int) -> np.ndarray:
+    """Smallest period k <= max_period (and <= half the row) of each row of
+    a 2-D array of tails, 0 where none: k holds when |x[i] - x[i+k]| <
+    tolerance * max(1, |x[i]|) for every i, a tolerance relative on large values."""
+    X = np.asarray(samples, dtype=float)
+    periods = np.zeros(X.shape[0], dtype=np.int64)
+    open_idx = np.arange(X.shape[0])
+    scale = tolerance * np.maximum(1.0, np.abs(X))
+    for k in range(1, min(max_period, X.shape[1] // 2) + 1):
+        if open_idx.size == 0:
+            break
+        ok = np.all(np.abs(X[:, k:] - X[:, :-k]) < scale[:, :-k], axis=1)
+        if ok.any():
+            periods[open_idx[ok]] = k
+            open_idx, X, scale = open_idx[~ok], X[~ok], scale[~ok]
+    return periods
+
+
 def detect_period(
     tail: Sequence[float],
     tolerance: float = 1e-6,
@@ -208,20 +229,20 @@ def detect_period(
 ) -> int | None:
     """Smallest period k <= max_period of an orbit tail, or None if aperiodic.
 
-    k is accepted when |x[i] - x[i+k]| < tolerance * max(1, |x[i]|) for
-    every i, so the tolerance acts relatively on large values.  The tail
-    must hold at least two full copies of the largest detectable period.
+    The test is ``detect_periods``' on one row.  The tail must hold at
+    least two full copies of the largest detectable period.
     """
     t = np.asarray(tail, dtype=float)
     if t.size < 2 * max_period:
         raise ValueError(
             f"tail of {t.size} samples is too short to detect periods up to {max_period}"
         )
-    scale = tolerance * np.maximum(1.0, np.abs(t))
-    for k in range(1, max_period + 1):
-        if np.all(np.abs(t[k:] - t[:-k]) < scale[:-k]):
-            return k
-    return None
+    return int(detect_periods(t[None, :], tolerance, max_period)[0]) or None
+
+
+def class_name(k: int) -> str:
+    """Attractor label of a period k: -1 collapsed, 0 aperiodic, 1 fixed point."""
+    return _CLASS_NAMES[k] if k < 2 else f"periodic({k})"
 
 
 def classify_samples(
@@ -230,12 +251,7 @@ def classify_samples(
     max_period: int = 64,
 ) -> str:
     """Attractor label for a sampled tail: fixed-point, periodic(k) or aperiodic."""
-    k = detect_period(samples, tolerance, max_period)
-    if k == 1:
-        return CLASS_FIXED_POINT
-    if k is not None:
-        return f"periodic({k})"
-    return CLASS_APERIODIC
+    return class_name(detect_period(samples, tolerance, max_period) or 0)
 
 
 def label_with_lyapunov(classification: str, lam: float) -> str:
@@ -253,18 +269,19 @@ def finite_difference_derivative(
     f: Callable[[float], float],
     h_scale: float = 1e-8,
 ) -> Callable[[float], float]:
-    """Central finite-difference derivative of f with step h_scale*max(1,|x|)."""
+    """Central finite-difference derivative of f with step h_scale*max(1,|x|),
+    on a float or a lane array."""
 
-    def df(x: float) -> float:
-        h = h_scale * max(1.0, abs(x))
+    def df(x):
+        h = h_scale * np.maximum(1.0, np.abs(x))
         return (f(x + h) - f(x - h)) / (2.0 * h)
 
     return df
 
 
-# ln|f'| is floored here so an exact critical-point hit contributes a
-# huge negative term instead of -inf.
-_LYAPUNOV_FLOOR = 1e-300
+# ln|f'| is floored here, and in the sweeps, so an exact critical-point
+# hit contributes a huge negative term instead of -inf.
+LOG_FLOOR = 1e-300
 
 
 def lyapunov_exponent(
@@ -301,7 +318,7 @@ def lyapunov_exponent(
             raise OrbitEscapeError(transient + n + 1) from None
         if not (math.isfinite(x) and math.isfinite(slope)):
             raise OrbitEscapeError(transient + n + 1)
-        terms.append(math.log(max(abs(slope), _LYAPUNOV_FLOOR)))
+        terms.append(math.log(max(abs(slope), LOG_FLOOR)))
     return math.fsum(terms) / samples
 
 
@@ -347,21 +364,19 @@ def supply_map_derivative_1d(
     behavior: SupplierBehavior,
     form: MapForm = MapForm.CANONICAL,
 ) -> Callable[[float], float]:
-    """Analytic derivative of the supply recurrence.
+    """Analytic derivative of the supply recurrence (``model.slope_1d``).
 
     For f(s) = (u(s)/s)^(1/m) * s the log-derivative gives
     f'(s) = f(s) * (u'(s)/(m u(s)) + (m-1)/(m s)), where u is the
     demand provoked by supplying s; u' is the same in both map forms.
     """
-    m = behavior.m
-    coef = market.b / (1.0 - cost.margin)
+    p = MapParams(market, cost, behavior, form)
 
     def df(s: float) -> float:
-        f_s, u = _supply_map(s, market, cost, behavior, form)
+        f_s, u = _map_1d_checked(s, p, "supply")
         if u <= 0.0:
             raise DomainError(f"supply map derivative undefined: demand {u} <= 0")
-        du = -coef * atc_derivative(s, cost)
-        return f_s * (du / (m * u) + (m - 1.0) / (m * s))
+        return slope_1d(s, f_s, u, p)
 
     return df
 

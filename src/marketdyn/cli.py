@@ -39,6 +39,7 @@ from .analysis import (
 from .model import CostPricing, DomainError, MapForm, MarketParams, SupplierBehavior
 from .scans import ScanConfig, bifurcation_scan, lyapunov_scan
 from .scenarios import (
+    ANALYSIS_NAMES,
     BifurcationSpec,
     ConfigError,
     LyapunovSpec,
@@ -50,7 +51,6 @@ from .scenarios import (
     load_scenario,
 )
 
-_FORMS = {"canonical": MapForm.CANONICAL, "paper-literal": MapForm.PAPER_LITERAL}
 # Rows per block of the simulate and lyapunov tables; bounds the text one write holds.
 _SLICE = 1024
 
@@ -125,7 +125,7 @@ def _quote(text: str, fmt: str) -> str:
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", help="builtin scenario name or path to a config file")
-    p.add_argument("--form", choices=sorted(_FORMS), help="map form override")
+    p.add_argument("--form", choices=sorted(f.value for f in MapForm), help="map form override")
     p.add_argument("--out", help="write the table to this path instead of stdout")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--threads", type=int, default=1)
@@ -215,7 +215,7 @@ def _resolve_scenario(args) -> Scenario:
         market=market,
         cost=cost,
         supplier=SupplierBehavior(m=_given(args.m, sc.supplier.m)),
-        form=sc.form if args.form is None else _FORMS[args.form],
+        form=sc.form if args.form is None else MapForm(args.form),
         seed_demand=_given(args.seed_d, sc.seed_demand),
         seed_supply=_given(args.seed_s, sc.seed_supply),
     )
@@ -315,12 +315,10 @@ def _cmd_ped(args) -> Table:
 
 def _cmd_scenarios(args) -> Table:
     del args
-    kinds = {OrbitSpec: "orbit", BifurcationSpec: "bifurcation",
-             LyapunovSpec: "lyapunov", PedSpec: "ped"}
     rows = [
         (sc.name, sc.form.value, sc.supplier.m, sc.market.a, sc.market.b,
          sc.cost.v, sc.cost.fc, sc.cost.margin, sc.seed_demand, sc.seed_supply,
-         kinds[type(sc.analysis)], sc.figure or "")
+         ANALYSIS_NAMES[type(sc.analysis)], sc.figure or "")
         for sc in builtin_scenarios()
     ]
     return Table(

@@ -4,8 +4,10 @@ The market evolves in discrete sales periods.  Each period the supplier
 looks at how well the previous stock sold (the signal of success D/S),
 decides the next production quantity, prices it by average total cost
 plus a gross margin, and the market responds through a linear demand
-curve.  Composing those three mechanisms gives the period-to-period map;
-this module evaluates one period of it, in scalar form.
+curve.  Composing those three mechanisms gives the period-to-period map.
+This module owns all of its arithmetic, on floats and, for the sweeps in
+``scans``, on numpy arrays with one lane per grid point (``MapParams``,
+``map_1d``, ``slope_1d``, ``bounded_period_arrays``).
 
 Two algebraic variants of the map are provided (``MapForm``): CANONICAL
 composes the demand curve, the margin pricing and the cost function
@@ -16,6 +18,7 @@ coincide exactly when the margin M is zero and differ otherwise.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -191,9 +194,46 @@ def expected_demand(d: float, s: float, behavior: SupplierBehavior) -> float:
     sig = d / s
     if sig < 0.0:
         raise DomainError(f"no real {m}-th root of negative signal {sig}")
+    with np.errstate(over="ignore"):
+        return float(root_response(sig, s, m))
+
+
+def root_response(sig, s, m: float):
+    """sig^(1/m) * s on floats or lane arrays, with numpy's sqrt or power so
+    both give the same bits (``float **`` can round the last bit differently
+    and raises on overflow).  Callers own the floating-point error state."""
     if m == 2.0:
-        return math.sqrt(sig) * s
-    return sig ** (1.0 / m) * s
+        return np.sqrt(sig) * s
+    return np.power(sig, 1.0 / m) * s
+
+
+class MapParams:
+    """The map's parameters as floats, except that the one named by ``scan``
+    ("b", "M" or "a") takes its per-lane ``values``.  ``one_minus_m`` is
+    1 - M for the gross margin M, and ``coef`` = b / (1 - M)."""
+
+    def __init__(self, market, cost, behavior, form: MapForm, scan=None, values=None):
+        self.a, self.b = market.a, market.b
+        self.fc, self.v = cost.fc, cost.v
+        margin = cost.margin
+        if scan == "b":
+            self.b = values
+        elif scan == "a":
+            self.a = values
+        elif scan == "M":
+            margin = values
+        self.one_minus_m = 1.0 - margin
+        self.coef = self.b / self.one_minus_m
+        self.m, self.form = behavior.m, form
+
+    def take(self, idx) -> "MapParams":
+        """The parameters of the lanes ``idx`` (an index array or one index)."""
+        sub = copy.copy(self)
+        for name in ("a", "b", "one_minus_m", "coef"):
+            x = getattr(self, name)
+            if isinstance(x, np.ndarray):
+                setattr(sub, name, x[idx])
+        return sub
 
 
 def _collapse_carrying(state: MarketState, trigger: str) -> MarketState:
@@ -253,7 +293,7 @@ def bounded_period(
     (demand, supply, price, trigger).  ``trigger`` is None while the
     market lives; otherwise it names the collapse, demand and supply are
     0, and the price is the new one when the demand side failed, the old
-    one otherwise.  The grid engine in ``scans`` mirrors these operations
+    one otherwise.  ``bounded_period_arrays`` performs these operations
     in the same order, so both give the same bits.
     """
     if not (s > 0.0):
@@ -267,8 +307,7 @@ def bounded_period(
         if m == 2.0:
             s_new = math.sqrt(sig) * s
         else:
-            # numpy's power, as in the grid engine: float ** can round
-            # the last bit differently, and raises on overflow
+            # root_response's power, inline on this per-step hot path
             with np.errstate(over="ignore"):
                 s_new = float(np.power(sig, 1.0 / m)) * s
     if s_new <= 0.0:
@@ -288,6 +327,27 @@ def bounded_period(
         # stop immediately; the market dies at the new, high price.
         return 0.0, 0.0, p_new, TRIGGER_EXPECTED_DEMAND
     return d_new, s_new, p_new, None
+
+
+def bounded_period_arrays(D, S, P, alive, pars: MapParams):
+    """One bounded period for every lane; mirrors ``bounded_period``.
+
+    Collapsed lanes hold zero demand and supply.  A lane that fails
+    before its new price is known keeps the old price; one whose demand
+    side fails dies at the new price.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        S_new = D if pars.m == 1.0 else root_response(D / S, S, pars.m)
+        atc_new = pars.fc / S_new + pars.v - pars.v * S_new + S_new * S_new
+        P_new = atc_new / pars.one_minus_m
+        # a non-finite supply leaves a non-finite price
+        live = alive & ~((D < 0.0) | (S_new < SUPPLY_FLOOR) | ~np.isfinite(P_new))
+        if pars.form is MapForm.CANONICAL:
+            D_new = pars.a - pars.b * P_new
+        else:
+            D_new = (pars.a - pars.b * atc_new) / pars.one_minus_m
+        ok = live & ~((P_new * pars.b > pars.a) | (D_new <= 0.0))
+    return np.where(ok, D_new, 0.0), np.where(ok, S_new, 0.0), np.where(live, P_new, P), ok
 
 
 def bounded_step(
@@ -316,6 +376,50 @@ def bounded_step(
     return MarketState(d, s, p, trigger is not None, trigger)
 
 
+def map_1d(x, p: MapParams):
+    """The 1-D reduction of the dynamics at x, on floats or lane arrays: (f(x), u(x)).
+
+    u is the demand that supplying x provokes.  For the naive supplier
+    (m = 1) the map is the demand recurrence f = u; otherwise it is the
+    supply recurrence f = (u/x)^(1/m) * x.  CANONICAL takes
+    u = a - b*price(x), PAPER_LITERAL u = (a - b*atc(x)) / (1-M).
+    """
+    atc_x = p.fc / x + p.v - p.v * x + x * x
+    if p.form is MapForm.PAPER_LITERAL:
+        u = (p.a - p.b * atc_x) / p.one_minus_m
+    elif p.m == 1.0:
+        u = p.a - p.coef * atc_x
+    else:
+        u = p.a - p.b * (atc_x / p.one_minus_m)
+    if p.m == 1.0:
+        return u, u
+    return root_response(u / x, x, p.m), u
+
+
+def slope_1d(x, f, u, p: MapParams):
+    """Analytic slope of ``map_1d`` at x, given its (f, u) there.
+
+    u'(x) = -(b/(1-M)) * atc'(x) in both forms; that is the slope for
+    m = 1 (f and u are then unused).  Otherwise the log-derivative of
+    f = (u/x)^(1/m) * x gives f * (u'/(m u) + (m-1)/(m x)).
+    """
+    du = -p.coef * (-p.fc / (x * x) - p.v + 2.0 * x)
+    if p.m == 1.0:
+        return du
+    return f * (du / (p.m * u) + (p.m - 1.0) / (p.m * x))
+
+
+def _map_1d_checked(x: float, p: MapParams, name: str) -> tuple[float, float]:
+    """``map_1d`` on one float, with the scalar API's domain errors."""
+    if not (x > 0.0):
+        raise DomainError(f"{name} map undefined for {name[0]} {x} <= 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, u = map_1d(x, p)
+    if p.m != 1.0 and u / x < 0.0:
+        raise DomainError(f"negative radicand {u / x}: demand went negative")
+    return float(f), u
+
+
 def step_naive_demand_1d(
     d: float,
     market: MarketParams,
@@ -330,12 +434,7 @@ def step_naive_demand_1d(
     Equals the demand component of ``step`` with m = 1 in the matching
     form.
     """
-    if not (d > 0.0):
-        raise DomainError(f"demand map undefined for d {d} <= 0")
-    atc_d = atc(d, cost)
-    if form is MapForm.CANONICAL:
-        return market.a - (market.b / (1.0 - cost.margin)) * atc_d
-    return (market.a - market.b * atc_d) / (1.0 - cost.margin)
+    return _map_1d_checked(d, MapParams(market, cost, NAIVE, form), "demand")[0]
 
 
 def step_naive_price_1d(p: float, market: MarketParams, cost: CostPricing) -> float:
@@ -348,28 +447,6 @@ def step_naive_price_1d(p: float, market: MarketParams, cost: CostPricing) -> fl
     if not (q > 0.0):
         raise DomainError(f"price map undefined: quantity a - b*p = {q} <= 0")
     return price(q, cost)
-
-
-def _supply_map(
-    s: float, market: MarketParams, cost: CostPricing, behavior: SupplierBehavior, form: MapForm
-) -> tuple[float, float]:
-    """(f(s), u(s)): the supply map and the demand u that supply s provokes."""
-    if not (s > 0.0):
-        raise DomainError(f"supply map undefined for s {s} <= 0")
-    atc_s = atc(s, cost)
-    if form is MapForm.CANONICAL:
-        u = market.a - market.b * (atc_s / (1.0 - cost.margin))
-    else:
-        u = (market.a - market.b * atc_s) / (1.0 - cost.margin)
-    m = behavior.m
-    if m == 1.0:
-        return u, u
-    sig = u / s
-    if sig < 0.0:
-        raise DomainError(f"negative radicand {sig}: demand went negative")
-    if m == 2.0:
-        return math.sqrt(sig) * s, u
-    return sig ** (1.0 / m) * s, u
 
 
 def step_supply_1d(
@@ -385,16 +462,9 @@ def step_supply_1d(
     (D(s)/s)^(1/m) * s.  CANONICAL takes D(s) = a - b*price(s);
     PAPER_LITERAL takes D(s) = (a - b*atc(s)) / (1-M).  A negative
     radicand (demand went negative) is a domain error and doubles as the
-    collapse signal for callers.
+    collapse signal for callers.  A root that overflows gives inf.
     """
-    return _supply_map(s, market, cost, behavior, form)[0]
-
-
-def atc_derivative(q: float, cost: CostPricing) -> float:
-    """d/dq of the average total cost: -Fc/q^2 - v + 2q."""
-    if not (q > 0.0):
-        raise DomainError(f"atc derivative undefined for quantity {q} <= 0")
-    return -cost.fc / (q * q) - cost.v + 2.0 * q
+    return _map_1d_checked(s, MapParams(market, cost, behavior, form), "supply")[0]
 
 
 def derivative_naive_1d(
@@ -408,5 +478,6 @@ def derivative_naive_1d(
     Both forms share the same slope -(b/(1-M)) * atc'(d); they differ
     only in the constant term.
     """
-    del form  # slope is form-independent
-    return -(market.b / (1.0 - cost.margin)) * atc_derivative(d, cost)
+    if not (d > 0.0):
+        raise DomainError(f"atc derivative undefined for quantity {d} <= 0")
+    return slope_1d(d, None, None, MapParams(market, cost, NAIVE, form))

@@ -1,20 +1,20 @@
 """Grid-parallel parameter sweeps: bifurcation diagrams and Lyapunov spectra.
 
-The sweeps evaluate every grid point with numpy lane-per-point
-arithmetic.  The bounded period has two definitions: the scalar
-``model.bounded_period`` and ``_bounded_step_arrays`` here, which
-performs the same operations in the same order, so a one-point sweep
-reproduces a scalar orbit bit for bit.  Grid points still unclassified
-after the configured run get a short Lyapunov probe on the array
-stepper; those that do not stretch are refined one lane at a time with
-the scalar kernel, which is far cheaper per step than numpy on a few
-lanes.  Rows are pure functions of their own grid value, which makes
-chunked multithreading safe and the output independent of the chunking.
+The sweeps only drive lanes: one numpy lane per grid point, with every
+piece of map arithmetic taken from ``model`` (the bounded period, the
+1-D maps and their slopes, on a ``MapParams`` with per-lane values) and
+the period test from ``analysis``, the same definitions the scalar API
+uses.  So a one-point sweep reproduces a scalar orbit bit for bit.  Grid
+points still unclassified after the configured run get a short Lyapunov
+probe on the array stepper; those that do not stretch are refined one
+lane at a time with the scalar kernel, which is far cheaper per step
+than numpy on a few lanes.  Rows are pure functions of their own grid
+value, which makes chunked multithreading safe and the output
+independent of the chunking.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MapForm, SUPPLY_FLOOR, bounded_period
-from .analysis import CLASS_APERIODIC, CLASS_COLLAPSED, CLASS_FIXED_POINT
+from .model import (
+    MapForm, MapParams, bounded_period, bounded_period_arrays, map_1d, slope_1d,
+)
+from .analysis import LOG_FLOOR, class_name, detect_periods, finite_difference_derivative
 
 _SCAN_PARAMETERS = ("b", "M", "a")
 
@@ -33,8 +35,6 @@ _SCAN_PARAMETERS = ("b", "M", "a")
 _PROBE_STEPS = 2048
 _PROBE_LAMBDA_MAX = 0.02
 _REFINE_ROUNDS = 8
-
-_LOG_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -112,110 +112,22 @@ class LyapunovRow:
     defined: bool
 
 
-class _GridParams:
-    """Per-lane scalar/array parameters of a sweep chunk."""
-
-    def __init__(self, scenario, config: ScanConfig, values: np.ndarray, form: MapForm):
-        self.a = scenario.market.a
-        self.b = scenario.market.b
-        self.fc = scenario.cost.fc
-        self.v = scenario.cost.v
-        margin = scenario.cost.margin
-        self.m = scenario.supplier.m
-        if config.parameter == "b":
-            self.b = values
-        elif config.parameter == "a":
-            self.a = values
-        else:
-            margin = values
-        self.one_minus_m = 1.0 - margin
-        self.form = form
-        self.seed_d = scenario.seed_demand
-        self.seed_s = scenario.seed_supply
-
-    def take(self, idx) -> "_GridParams":
-        """The parameters of the lanes ``idx`` (an index array or one index)."""
-        sub = copy.copy(self)
-        for name in ("a", "b", "one_minus_m"):
-            x = getattr(self, name)
-            if isinstance(x, np.ndarray):
-                setattr(sub, name, x[idx])
-        return sub
-
-
-def _bounded_step_arrays(D, S, P, alive, pars: _GridParams):
-    """One bounded period for every lane; mirrors ``model.bounded_period``.
-
-    Collapsed lanes hold zero demand and supply.  A lane that fails
-    before its new price is known keeps the old price; one whose demand
-    side fails dies at the new price.
-    """
-    m = pars.m
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if m == 1.0:
-            S_new = D
-        elif m == 2.0:
-            S_new = np.sqrt(D / S) * S
-        else:
-            S_new = np.power(D / S, 1.0 / m) * S
-        atc_new = pars.fc / S_new + pars.v - pars.v * S_new + S_new * S_new
-        P_new = atc_new / pars.one_minus_m
-        # a non-finite supply leaves a non-finite price
-        live = alive & ~((D < 0.0) | (S_new < SUPPLY_FLOOR) | ~np.isfinite(P_new))
-        if pars.form is MapForm.CANONICAL:
-            D_new = pars.a - pars.b * P_new
-        else:
-            D_new = (pars.a - pars.b * atc_new) / pars.one_minus_m
-        ok = live & ~((P_new * pars.b > pars.a) | (D_new <= 0.0))
-    return np.where(ok, D_new, 0.0), np.where(ok, S_new, 0.0), np.where(live, P_new, P), ok
-
-
-def _simulate_grid(pars: _GridParams, n: int, transient: int, keep: int):
+def _simulate_grid(pars: MapParams, scenario, config: ScanConfig, n: int):
     """Seed n lanes and run transient + keep bounded periods, recording demand samples."""
-    D = np.full(n, float(pars.seed_d))
-    S = np.full(n, float(pars.seed_s))
+    transient, keep = config.transient, config.keep
+    D = np.full(n, float(scenario.seed_demand))
+    S = np.full(n, float(scenario.seed_supply))
     P = np.zeros(n)
     alive = np.ones(n, dtype=bool)
     samples = np.empty((n, keep))
     for it in range(transient + keep):
-        D, S, P, alive = _bounded_step_arrays(D, S, P, alive, pars)
+        D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars)
         if it >= transient:
             samples[:, it - transient] = D
     return D, S, P, alive, samples
 
 
-def _classify_matrix(samples: np.ndarray, tolerance: float, max_period: int):
-    """Per-row smallest period; 0 marks rows with no period <= max_period."""
-    n = samples.shape[0]
-    periods = np.zeros(n, dtype=np.int64)
-    open_idx = np.arange(n)
-    X = samples
-    kmax = min(max_period, samples.shape[1] // 2)
-    for k in range(1, kmax + 1):
-        if open_idx.size == 0:
-            break
-        base = X[:, :-k]
-        ok = np.all(
-            np.abs(X[:, k:] - base) < tolerance * np.maximum(1.0, np.abs(base)),
-            axis=1,
-        )
-        periods[open_idx[ok]] = k
-        open_idx = open_idx[~ok]
-        X = X[~ok]
-    return periods
-
-
-def _classification_name(k: int) -> str:
-    if k < 0:
-        return CLASS_COLLAPSED
-    if k == 1:
-        return CLASS_FIXED_POINT
-    if k > 1:
-        return f"periodic({k})"
-    return CLASS_APERIODIC
-
-
-def _probe_lambda_grid(D, S, P, idx, pars: _GridParams, steps: int) -> np.ndarray:
+def _probe_lambda_grid(D, S, P, idx, pars: MapParams, steps: int) -> np.ndarray:
     """Short Lyapunov estimates continued from the selected lanes.
 
     The lanes advance with the bounded stepper; the slope is that of the
@@ -224,18 +136,16 @@ def _probe_lambda_grid(D, S, P, idx, pars: _GridParams, steps: int) -> np.ndarra
     come back as +inf so the caller will not waste refinement on them.
     """
     pars = pars.take(idx)
-    m = pars.m
-    coef = pars.b / pars.one_minus_m
     D, S, P = D[idx], S[idx], P[idx]
     alive = np.ones(idx.size, dtype=bool)
     acc = np.zeros(idx.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(steps):
-            du = -coef * (-pars.fc / (S * S) - pars.v + 2.0 * S)
-            D_next, S_next, P, alive = _bounded_step_arrays(D, S, P, alive, pars)
-            slope = du if m == 1.0 else S_next * (du / (m * D) + (m - 1.0) / (m * S))
+            D_next, S_next, P, alive = bounded_period_arrays(D, S, P, alive, pars)
+            # the demand D is the u that supply S provoked
+            slope = slope_1d(S, S_next, D, pars)
             alive &= np.isfinite(slope)
-            acc = np.where(alive, acc + np.log(np.maximum(np.abs(slope), _LOG_FLOOR)), acc)
+            acc = np.where(alive, acc + np.log(np.maximum(np.abs(slope), LOG_FLOOR)), acc)
             D, S = D_next, S_next
     return np.where(alive, acc / steps, np.inf)
 
@@ -249,8 +159,6 @@ def _refine_lane(d, s, p, lane: tuple, keep: int, tolerance: float, max_period: 
     slow convergence near period-doublings is resolved without inflating
     the budget of every grid point.
     """
-    from .analysis import detect_period
-
     alive = True
     extra = keep
     samples = np.empty(keep)
@@ -263,8 +171,8 @@ def _refine_lane(d, s, p, lane: tuple, keep: int, tolerance: float, max_period: 
                 samples[t - extra] = d
         if not alive:
             return -1, samples, True
-        k = detect_period(samples, tolerance, min(max_period, keep // 2))
-        if k is not None:
+        k = int(detect_periods(samples[None, :], tolerance, max_period)[0])
+        if k:
             return k, samples, False
         extra *= 2
     return 0, samples, False
@@ -279,9 +187,10 @@ def _bifurcation_chunk(
     max_period: int,
     refine: bool,
 ) -> list[BifurcationRow]:
-    pars = _GridParams(scenario, config, values, form)
-    D, S, P, alive, samples = _simulate_grid(pars, values.size, config.transient, config.keep)
-    periods = _classify_matrix(samples, tolerance, max_period)
+    pars = MapParams(scenario.market, scenario.cost, scenario.supplier, form,
+                     config.parameter, values)
+    D, S, P, alive, samples = _simulate_grid(pars, scenario, config, values.size)
+    periods = detect_periods(samples, tolerance, max_period)
     periods[~alive] = -1
 
     if refine:
@@ -302,7 +211,7 @@ def _bifurcation_chunk(
                 samples[i] = lane_samples
 
     return [
-        BifurcationRow(x, row.copy(), _classification_name(k))
+        BifurcationRow(x, row.copy(), class_name(k))
         for x, row, k in zip(values.tolist(), samples, periods.tolist())
     ]
 
@@ -364,56 +273,24 @@ def _lyapunov_chunk(
     form: MapForm,
     method: str,
 ) -> list[LyapunovRow]:
-    pars = _GridParams(scenario, config, values, form)
-    n = values.size
-    m = pars.m
-    a, b, fc, v = pars.a, pars.b, pars.fc, pars.v
-    one_minus_m = pars.one_minus_m
-    coef = b / one_minus_m
-
-    def provoked(x):
-        # demand provoked by supplying x; for the naive supplier this is
-        # the 1-D map, whose canonical form divides b by 1-M first
-        atc_x = fc / x + v - v * x + x * x
-        if form is MapForm.PAPER_LITERAL:
-            return (a - b * atc_x) / one_minus_m
-        return a - coef * atc_x if m == 1.0 else a - b * (atc_x / one_minus_m)
-
-    def apply_map(x):
-        # 1-D reduction of the dynamics: demand recurrence for the naive
-        # supplier, supply recurrence otherwise
-        if m == 1.0:
-            return provoked(x)
-        sig = provoked(x) / x
-        return np.sqrt(sig) * x if m == 2.0 else sig ** (1.0 / m) * x
-
-    def analytic_slope(x, f_x):
-        du = -coef * (-fc / (x * x) - v + 2.0 * x)
-        if m == 1.0:
-            return du
-        return f_x * (du / (m * provoked(x)) + (m - 1.0) / (m * x))
-
-    x0 = pars.seed_d if m == 1.0 else pars.seed_s
-    x = np.full(n, float(x0))
-    defined = np.ones(n, dtype=bool)
-    acc = np.zeros(n)
+    pars = MapParams(scenario.market, scenario.cost, scenario.supplier, form,
+                     config.parameter, values)
+    x0 = scenario.seed_demand if pars.m == 1.0 else scenario.seed_supply
+    x = np.full(values.size, float(x0))
+    defined = np.ones(values.size, dtype=bool)
+    acc = np.zeros(values.size)
+    fd = finite_difference_derivative(lambda y: map_1d(y, pars)[0])
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(config.transient):
-            x_new = apply_map(x)
+            x_new = map_1d(x, pars)[0]
             defined &= np.isfinite(x_new) & (x_new > 0.0)
             x = np.where(defined, x_new, x)
         for _ in range(config.keep):
-            x_new = apply_map(x)
-            if method == "analytic":
-                slope = analytic_slope(x, x_new)
-            else:
-                h = 1e-8 * np.maximum(1.0, np.abs(x))
-                slope = (apply_map(x + h) - apply_map(x - h)) / (2.0 * h)
+            x_new, u = map_1d(x, pars)
+            slope = slope_1d(x, x_new, u, pars) if method == "analytic" else fd(x)
             ok = defined & np.isfinite(slope)
-            acc = np.where(
-                ok, acc + np.log(np.maximum(np.abs(slope), _LOG_FLOOR)), acc
-            )
+            acc = np.where(ok, acc + np.log(np.maximum(np.abs(slope), LOG_FLOOR)), acc)
             defined = ok & np.isfinite(x_new) & (x_new > 0.0)
             x = np.where(defined, x_new, x)
 

@@ -227,14 +227,12 @@ def get_scenario(name: str) -> Scenario:
     raise ConfigError(f"unknown scenario {name!r}")
 
 
-_ANALYSIS_NAMES = {
+ANALYSIS_NAMES = {
     OrbitSpec: "orbit",
     BifurcationSpec: "bifurcation",
     LyapunovSpec: "lyapunov",
     PedSpec: "ped",
 }
-
-_FORM_NAMES = {MapForm.CANONICAL: "canonical", MapForm.PAPER_LITERAL: "paper-literal"}
 
 
 def serialize_scenario(sc: Scenario) -> str:
@@ -249,8 +247,8 @@ def serialize_scenario(sc: Scenario) -> str:
         f"margin = {sc.cost.margin!r}",
         f"seed_d = {sc.seed_demand!r}",
         f"seed_s = {sc.seed_supply!r}",
-        f"form = {_FORM_NAMES[sc.form]}",
-        f"analysis = {_ANALYSIS_NAMES[type(sc.analysis)]}",
+        f"form = {sc.form.value}",
+        f"analysis = {ANALYSIS_NAMES[type(sc.analysis)]}",
     ]
     spec = sc.analysis
     if isinstance(spec, OrbitSpec):
@@ -315,10 +313,9 @@ def _typed(entries: dict[str, str]) -> dict:
                 raise ConfigError(f"bounded: expected true or false, got {value!r}")
             out[key] = value == "true"
         elif key == "form":
-            forms = {v: k for k, v in _FORM_NAMES.items()}
-            if value not in forms:
+            if value not in {f.value for f in MapForm}:
                 raise ConfigError(f"form: expected canonical or paper-literal, got {value!r}")
-            out[key] = forms[value]
+            out[key] = MapForm(value)
         else:
             out[key] = value
     return out
@@ -354,16 +351,16 @@ def load_scenario(text: str) -> Scenario:
             for key in ("param", "min", "max", "points"):
                 if key not in entries:
                     raise ConfigError(f"missing required key {key!r} for {kind} analysis")
+            transient = entries.get("transient", ScanConfig.transient)
+            keep = entries.get("keep", ScanConfig.keep)
             cfg = ScanConfig(
                 parameter=entries["param"],
                 lo=entries["min"],
                 hi=entries["max"],
                 grid_points=entries["points"],
-                transient=entries.get("transient", 2500),
-                keep=entries.get("keep", 500),
-                iterations_total=entries.get(
-                    "iters", entries.get("transient", 2500) + entries.get("keep", 500)
-                ),
+                transient=transient,
+                keep=keep,
+                iterations_total=entries.get("iters", transient + keep),
             )
             analysis = BifurcationSpec(cfg) if kind == "bifurcation" else LyapunovSpec(cfg)
         elif kind == "ped":

@@ -35,6 +35,7 @@ from marketdyn.model import (
     MarketState,
     NAIVE,
     SupplierBehavior,
+    step_supply_1d,
 )
 
 NAIVE_MARKET = MarketParams(a=10.0, b=0.09)
@@ -265,6 +266,18 @@ def test_supply_map_derivative_analytic():
         assert abs(exact - fd(s)) < 1e-5 * max(1.0, abs(exact))
         checked += 1
     assert checked > 100
+
+
+def test_overflowing_root_escapes_the_lyapunov_estimate():
+    # (50 / 0.001)^100 overflows: the map gives inf, and the estimate
+    # reports an escape instead of raising OverflowError
+    market, cost = MarketParams(50.0, 0.0), CostPricing(10.0, 4.0, 0.5)
+    m = SupplierBehavior(0.01)
+    assert step_supply_1d(0.001, market, cost, m) == math.inf
+    f = supply_map_1d(market, cost, m)
+    for df in (supply_map_derivative_1d(market, cost, m), None):
+        with pytest.raises(OrbitEscapeError):
+            lyapunov_exponent(f, df, 0.001, transient=0, samples=10)
 
 
 def test_estimator_methods_agree():

@@ -96,13 +96,16 @@ def test_invalid_margin_exits_2(capsys):
 
 
 def test_unbounded_collapse_exits_3(capsys):
-    code, out, err = run(
-        ["simulate", "--scenario", "collapse", "--unbounded", "--steps", "200"],
-        capsys,
-    )
-    assert code == 3
-    assert "step" in err
-    assert out == ""  # diagnostics never mix into the table stream
+    # the second orbit's m-th root overflows at its first step
+    for argv, message in (
+        (["simulate", "--scenario", "collapse", "--unbounded", "--steps", "200"], "step"),
+        (["simulate", "--scenario", "naive-ts", "--m", "0.01", "--seed-d", "20",
+          "--seed-s", "0.001", "--steps", "3"], "non-finite value"),
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert message in err
+        assert out == ""  # diagnostics never mix into the table stream
 
 
 def test_bounded_collapse_table(capsys):

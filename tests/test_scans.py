@@ -8,19 +8,30 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from marketdyn.analysis import classify_samples, detect_period, generate_orbit
+from marketdyn.analysis import (
+    classify_samples,
+    detect_period,
+    generate_orbit,
+    supply_map_derivative_1d,
+)
 from marketdyn.model import (
     CostPricing,
+    DomainError,
     MapForm,
+    MapParams,
     MarketParams,
     SupplierBehavior,
+    bounded_period_arrays,
     bounded_step,
+    derivative_naive_1d,
+    map_1d,
+    slope_1d,
+    step_naive_demand_1d,
+    step_supply_1d,
 )
 from marketdyn.scans import (
     BifurcationRow,
     ScanConfig,
-    _GridParams,
-    _bounded_step_arrays,
     _split,
     bifurcation_scan,
     lyapunov_scan,
@@ -66,7 +77,7 @@ def test_vector_engine_matches_scalar_bitwise(
     # through and after a collapse
     sc = _scenario(a, b, fc, v, margin, m, form, seed_d, seed_s)
     values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
-    pars = _GridParams(sc, ScanConfig(parameter, 0.0, 0.1, 1), values, form)
+    pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter, values)
     n = values.size
     D = np.full(n, seed_d); S = np.full(n, seed_s); P = np.zeros(n)
     alive = np.ones(n, dtype=bool)
@@ -78,7 +89,7 @@ def test_vector_engine_matches_scalar_bitwise(
         )
         lanes.append([lane.market, lane.cost, sc.initial_state()])
     for _ in range(120):
-        D, S, P, alive = _bounded_step_arrays(D, S, P, alive, pars)
+        D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars)
         for i, lane in enumerate(lanes):
             market, cost, state = lane
             state = lane[2] = bounded_step(state, market, cost, sc.supplier, form)
@@ -86,6 +97,47 @@ def test_vector_engine_matches_scalar_bitwise(
             assert S[i] == state.supply
             assert P[i] == state.price
             assert alive[i] == (not state.collapsed)
+
+
+def _same_bits(lane_value, scalar_call):
+    """True when scalar_call() raises DomainError or returns lane_value's bits."""
+    try:
+        want = scalar_call()
+    except DomainError:
+        return True
+    return float(lane_value).hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("form", list(MapForm))
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(0.0, 50.0), b=st.floats(0.0, 0.3), fc=st.floats(0.1, 50.0),
+    v=st.floats(0.1, 10.0), margin=st.floats(0.0, 0.9), x=st.floats(0.01, 20.0),
+    parameter=st.sampled_from(sorted(_SCAN_TOP)),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_1d_maps_match_scalar_bitwise(m, form, a, b, fc, v, margin, x, parameter, fractions):
+    # map_1d and slope_1d on lane arrays give every lane the bits of the
+    # scalar 1-D maps and their derivatives, wherever those are defined
+    sc = _scenario(a, b, fc, v, margin, m, form)
+    values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
+    pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter, values)
+    xs = np.full(values.size, x)
+    with np.errstate(all="ignore"):
+        f, u = map_1d(xs, pars)
+        slope = slope_1d(xs, f, u, pars)
+    for i, value in enumerate(values.tolist()):
+        lane = _scenario(
+            value if parameter == "a" else a, value if parameter == "b" else b, fc, v,
+            value if parameter == "M" else margin, m, form,
+        )
+        market, cost, behavior = lane.market, lane.cost, lane.supplier
+        assert _same_bits(f[i], lambda: step_supply_1d(x, market, cost, behavior, form))
+        assert _same_bits(slope[i], lambda: supply_map_derivative_1d(market, cost, behavior, form)(x))
+        if m == 1.0:
+            assert _same_bits(f[i], lambda: step_naive_demand_1d(x, market, cost, form))
+            assert _same_bits(slope[i], lambda: derivative_naive_1d(x, market, cost, form))
 
 
 def test_degenerate_scan_equals_orbit_classification():
