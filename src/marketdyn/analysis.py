@@ -1,7 +1,8 @@
 """Orbit generation, fixed points, period detection, Lyapunov exponents,
 collapse detection and price elasticity for the market maps.
 
-Everything here is exact about indices.  The period test
+Everything here is exact about indices.  An orbit's columns are filled
+by one ``model.bounded_run`` (or ``unbounded_run``) call.  The period test
 (``detect_periods``) and the finite-difference slope take one orbit or a
 matrix of lanes, so the grid-parallel sweeps in ``scans`` share them.
 """
@@ -23,13 +24,13 @@ from .model import (
     MarketState,
     SupplierBehavior,
     _map_1d_checked,
-    bounded_step,
+    bounded_run,
     demand,
     derivative_naive_1d,
     slope_1d,
-    step,
     step_naive_demand_1d,
     step_supply_1d,
+    unbounded_run,
 )
 
 # Returned by ped() for a flat demand curve, where the elasticity has no
@@ -69,27 +70,31 @@ class FixedPointNotFound(ValueError):
 
 @dataclass(frozen=True)
 class Orbit:
-    """A trajectory of market states indexed by period (state 0 is the seed).
+    """A trajectory as columns indexed by period (entry 0 is the seed).
 
-    Bounded orbits are truncated one state after the first collapse;
-    unbounded generation raises instead of recording a collapse.
+    Bounded orbits end at their first collapsed period, ``collapse_step``
+    (a collapsed seed repeats once), whose cause is ``trigger``; unbounded
+    generation raises instead of recording a collapse.
     """
 
-    states: tuple[MarketState, ...]
+    demands: list[float]
+    supplies: list[float]
+    prices: list[float]
+    trigger: str | None = None
+    collapse_step: int | None = None
     scenario: str = ""
     form: MapForm = MapForm.CANONICAL
 
-    @property
-    def demands(self) -> list[float]:
-        return [s.demand for s in self.states]
+    def state(self, n: int) -> MarketState:
+        """Period n as a ``MarketState``."""
+        dead = self.collapse_step is not None and n >= self.collapse_step
+        return MarketState(self.demands[n], self.supplies[n], self.prices[n],
+                           dead, self.trigger if dead else None)
 
     @property
-    def supplies(self) -> list[float]:
-        return [s.supply for s in self.states]
-
-    @property
-    def prices(self) -> list[float]:
-        return [s.price for s in self.states]
+    def states(self) -> tuple[MarketState, ...]:
+        """Every period as a ``MarketState``, built on each access."""
+        return tuple(map(self.state, range(len(self.demands))))
 
 
 @dataclass(frozen=True)
@@ -113,35 +118,33 @@ def generate_orbit(
 ) -> Orbit:
     """Iterate the period map ``steps`` times from ``initial``.
 
-    Bounded mode uses ``bounded_step`` and stops after recording the
-    first collapsed state.  Unbounded mode uses the raw ``step`` and
-    raises ``OrbitDomainError`` with the failing period index instead of
-    returning a collapsed state.
+    Bounded mode is one ``bounded_run`` call, which records the first
+    collapsed period and stops.  Unbounded mode is one ``unbounded_run``
+    call and raises ``OrbitDomainError`` with the failing period index
+    instead of returning a collapsed state.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    states = [initial]
-    current = initial
-    for n in range(1, steps + 1):
-        if bounded:
-            current = bounded_step(current, market, cost, behavior, form)
-            states.append(current)
-            if current.collapsed:
-                break
-        else:
-            current = step(current, market, cost, behavior, form)
-            if current.collapsed:
-                raise OrbitDomainError(n, current.trigger)
-            states.append(current)
-    return Orbit(states=tuple(states), scenario=scenario, form=form)
+    cols = ([initial.demand], [initial.supply], [initial.price])
+    if initial.collapsed:  # absorbing: a bounded step returns the seed unchanged
+        if steps and not bounded:
+            raise DomainError("cannot step a collapsed market state")
+        return Orbit(*(c * min(steps + 1, 2) for c in cols), initial.trigger, 0, scenario, form)
+    run = bounded_run if bounded else unbounded_run
+    trigger = run(initial.demand, initial.supply, initial.price,
+                  MapParams(market, cost, behavior, form), steps, cols)[3]
+    if trigger is not None and not bounded:
+        raise OrbitDomainError(len(cols[0]), trigger)
+    dead = None if trigger is None else len(cols[0]) - 1
+    return Orbit(*cols, trigger, dead, scenario, form)
 
 
 def detect_collapse(orbit: Orbit) -> CollapseReport | None:
-    """First collapsed state of a bounded orbit, or None if it survived."""
-    for n, s in enumerate(orbit.states):
-        if s.collapsed:
-            return CollapseReport(step=n, trigger=s.trigger or "unknown", state=s)
-    return None
+    """First collapsed period of a bounded orbit, or None if it survived."""
+    n = orbit.collapse_step
+    if n is None:
+        return None
+    return CollapseReport(step=n, trigger=orbit.trigger or "unknown", state=orbit.state(n))
 
 
 def find_fixed_point(
@@ -314,7 +317,7 @@ def lyapunov_exponent(
         try:
             slope = deriv_f(x)
             x = map_f(x)
-        except DomainError:
+        except (DomainError, ZeroDivisionError):  # the slope's x * x can underflow to 0
             raise OrbitEscapeError(transient + n + 1) from None
         if not (math.isfinite(x) and math.isfinite(slope)):
             raise OrbitEscapeError(transient + n + 1)

@@ -110,9 +110,9 @@ def _column(kind: type, values, fmt: str) -> tuple[str, Sequence]:
     return "%s", [texts[t] for t in values]
 
 
-def _slices(rows: Sequence) -> Iterator[tuple[int, Sequence]]:
-    """(start, rows[start:start + _SLICE]) pairs covering ``rows``."""
-    return ((lo, rows[lo:lo + _SLICE]) for lo in range(0, len(rows), _SLICE))
+def _slices(*cols: Sequence) -> Iterator[list[Sequence]]:
+    """Row slices of at most ``_SLICE`` rows, one from each column, covering them."""
+    return ([c[lo:lo + _SLICE] for c in cols] for lo in range(0, len(cols[0]), _SLICE))
 
 
 def _quote(text: str, fmt: str) -> str:
@@ -251,13 +251,14 @@ def _cmd_simulate(args) -> Table:
         sc.initial_state(), sc.market, sc.cost, sc.supplier,
         steps, bounded=bounded, form=sc.form, scenario=sc.name,
     )
+    dead = orbit.collapse_step
     return Table(
         [("step", int), ("demand", float), ("supply", float), ("price", float),
          ("signal", float), ("collapsed", bool)],
-        ((range(lo, lo + len(part)), [s.demand for s in part], [s.supply for s in part],
-          [s.price for s in part],
-          [s.demand / s.supply if s.supply > 0 else math.nan for s in part],
-          [s.collapsed for s in part]) for lo, part in _slices(orbit.states)),
+        ((index, d, s, p, [x / y if y > 0 else math.nan for x, y in zip(d, s)],
+          [dead is not None and k >= dead for k in index])
+         for index, d, s, p in _slices(range(len(orbit.demands)), orbit.demands,
+                                       orbit.supplies, orbit.prices)),
     )
 
 
@@ -279,7 +280,7 @@ def _cmd_lyapunov(args) -> Table:
     return Table(
         [("param_value", float), ("lambda", float), ("method", str), ("defined", bool)],
         (([r.param_value for r in part], [r.lam for r in part], args.method,
-          [r.defined for r in part]) for _, part in _slices(rows)),
+          [r.defined for r in part]) for (part,) in _slices(rows)),
     )
 
 

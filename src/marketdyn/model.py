@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -236,10 +236,6 @@ class MapParams:
         return sub
 
 
-def _collapse_carrying(state: MarketState, trigger: str) -> MarketState:
-    return replace(state, collapsed=True, trigger=trigger)
-
-
 def step(
     state: MarketState,
     market: MarketParams,
@@ -258,79 +254,93 @@ def step(
     """
     if state.collapsed:
         raise DomainError("cannot step a collapsed market state")
-    try:
-        s_new = expected_demand(state.demand, state.supply, behavior)
-    except DomainError:
-        return _collapse_carrying(state, TRIGGER_EXPECTED_DEMAND)
-    if not math.isfinite(s_new):
-        return _collapse_carrying(state, TRIGGER_NON_FINITE)
-    if s_new <= 0.0:
-        return _collapse_carrying(state, TRIGGER_EXPECTED_DEMAND)
-
-    atc_new = atc(s_new, cost)
-    p_new = atc_new / (1.0 - cost.margin)
-    if not math.isfinite(p_new):
-        return _collapse_carrying(state, TRIGGER_NON_FINITE)
-
-    if form is MapForm.CANONICAL:
-        d_new = market.a - market.b * p_new
-    else:
-        d_new = (market.a - market.b * atc_new) / (1.0 - cost.margin)
-    if not math.isfinite(d_new):
-        return _collapse_carrying(state, TRIGGER_NON_FINITE)
-
-    return MarketState(demand=d_new, supply=s_new, price=p_new)
+    d, s, p, trigger = unbounded_run(
+        state.demand, state.supply, state.price, MapParams(market, cost, behavior, form), 1
+    )
+    return MarketState(d, s, p, trigger is not None, trigger)
 
 
-def bounded_period(
-    d: float, s: float, p: float, a: float, b: float, fc: float, v: float,
-    one_minus_m: float, m: float, canonical: bool,
-) -> tuple[float, float, float, str | None]:
-    """One bounded period on plain floats: the arithmetic of ``bounded_step``.
+def _record(out, d: float, s: float, p: float, trigger: str | None = None):
+    """Append a period to ``out``'s three lists, if given, and return it with ``trigger``."""
+    if out is not None:
+        out[0].append(d)
+        out[1].append(s)
+        out[2].append(p)
+    return d, s, p, trigger
 
-    ``one_minus_m`` is 1 - M for the gross margin M, ``m`` the root
-    exponent and ``canonical`` picks the map form.  Returns the next
-    (demand, supply, price, trigger).  ``trigger`` is None while the
-    market lives; otherwise it names the collapse, demand and supply are
-    0, and the price is the new one when the demand side failed, the old
-    one otherwise.  ``bounded_period_arrays`` performs these operations
-    in the same order, so both give the same bits.
+
+def unbounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None):
+    """``n`` periods of ``step`` on floats from (d, s, p), like ``bounded_run``,
+    except that a failure returns the values its period started from."""
+    a, b, fc, v, one_minus_m = map(float, (pars.a, pars.b, pars.fc, pars.v, pars.one_minus_m))
+    m, canonical = pars.m, pars.form is MapForm.CANONICAL
+    with np.errstate(over="ignore"):
+        for _ in range(n):
+            # s > 0, so the signal d/s is negative exactly where d is
+            if not (s > 0.0) or d < 0.0:
+                return d, s, p, TRIGGER_EXPECTED_DEMAND
+            s_new = d if m == 1.0 else float(root_response(d / s, s, m))
+            if not math.isfinite(s_new):
+                return d, s, p, TRIGGER_NON_FINITE
+            if s_new <= 0.0:
+                return d, s, p, TRIGGER_EXPECTED_DEMAND
+            atc_new = fc / s_new + v - v * s_new + s_new * s_new
+            p_new = atc_new / one_minus_m
+            d_new = a - b * p_new if canonical else (a - b * atc_new) / one_minus_m
+            if not (math.isfinite(p_new) and math.isfinite(d_new)):
+                return d, s, p, TRIGGER_NON_FINITE
+            d, s, p = d_new, s_new, p_new
+            if out is not None:
+                _record(out, d, s, p)
+    return d, s, p, None
+
+
+def bounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None):
+    """``n`` periods of ``bounded_step`` on floats from (d, s, p): the only
+    scalar copy of the bounded arithmetic.  ``pars`` holds one lane, such as
+    ``MapParams.take(i)``; each period is appended to ``out``'s three lists,
+    if given.  Returns the last (demand, supply, price, trigger).  A collapse
+    names its trigger, ends the run and reads (0, 0, price), at the new price
+    when the demand side failed.  ``bounded_period_arrays`` does the same
+    operations in the same order, so both give the same bits.
     """
-    if not (s > 0.0):
-        return 0.0, 0.0, p, TRIGGER_EXPECTED_DEMAND
-    if m == 1.0:
-        s_new = d
-    else:
-        sig = d / s
-        if sig < 0.0:
-            return 0.0, 0.0, p, TRIGGER_EXPECTED_DEMAND
-        if m == 2.0:
-            s_new = math.sqrt(sig) * s
-        else:
-            # root_response's power, inline on this per-step hot path
-            with np.errstate(over="ignore"):
-                s_new = float(np.power(sig, 1.0 / m)) * s
-    if s_new <= 0.0:
-        return 0.0, 0.0, p, TRIGGER_EXPECTED_DEMAND
-    if s_new < SUPPLY_FLOOR:
-        return 0.0, 0.0, p, TRIGGER_SUPPLY_FLOOR
-
-    atc_new = fc / s_new + v - v * s_new + s_new * s_new
-    p_new = atc_new / one_minus_m
-    if not math.isfinite(p_new):  # also where the supply was not finite
-        return 0.0, 0.0, p, TRIGGER_NON_FINITE
-    if p_new * b > a:
-        return 0.0, 0.0, p_new, TRIGGER_DEMAND_CLAMP
-    d_new = a - b * p_new if canonical else (a - b * atc_new) / one_minus_m
-    if d_new <= 0.0:
-        # The supplier would see zero expected demand next period and
-        # stop immediately; the market dies at the new, high price.
-        return 0.0, 0.0, p_new, TRIGGER_EXPECTED_DEMAND
-    return d_new, s_new, p_new, None
+    a, b, fc, v, one_minus_m = map(float, (pars.a, pars.b, pars.fc, pars.v, pars.one_minus_m))
+    m, canonical = pars.m, pars.form is MapForm.CANONICAL
+    with np.errstate(over="ignore"):
+        for _ in range(n):
+            # s > 0, so the signal d/s is negative exactly where d is
+            if not (s > 0.0) or d < 0.0:
+                return _record(out, 0.0, 0.0, p, TRIGGER_EXPECTED_DEMAND)
+            # root_response's sqrt and power, inline on this hot path
+            if m == 1.0:
+                s_new = d
+            elif m == 2.0:
+                s_new = math.sqrt(d / s) * s
+            else:
+                s_new = float(np.power(d / s, 1.0 / m)) * s
+            if s_new <= 0.0:
+                return _record(out, 0.0, 0.0, p, TRIGGER_EXPECTED_DEMAND)
+            if s_new < SUPPLY_FLOOR:
+                return _record(out, 0.0, 0.0, p, TRIGGER_SUPPLY_FLOOR)
+            atc_new = fc / s_new + v - v * s_new + s_new * s_new
+            p_new = atc_new / one_minus_m
+            if not math.isfinite(p_new):  # also where the supply was not finite
+                return _record(out, 0.0, 0.0, p, TRIGGER_NON_FINITE)
+            if p_new * b > a:
+                return _record(out, 0.0, 0.0, p_new, TRIGGER_DEMAND_CLAMP)
+            d = a - b * p_new if canonical else (a - b * atc_new) / one_minus_m
+            if d <= 0.0:
+                # The supplier would see zero expected demand next period and
+                # stop immediately; the market dies at the new, high price.
+                return _record(out, 0.0, 0.0, p_new, TRIGGER_EXPECTED_DEMAND)
+            s, p = s_new, p_new
+            if out is not None:
+                _record(out, d, s, p)
+    return d, s, p, None
 
 
 def bounded_period_arrays(D, S, P, alive, pars: MapParams):
-    """One bounded period for every lane; mirrors ``bounded_period``.
+    """One bounded period for every lane; mirrors ``bounded_run``.
 
     Collapsed lanes hold zero demand and supply.  A lane that fails
     before its new price is known keeps the old price; one whose demand
@@ -369,9 +379,8 @@ def bounded_step(
     """
     if state.collapsed:
         return state
-    d, s, p, trigger = bounded_period(
-        state.demand, state.supply, state.price, market.a, market.b,
-        cost.fc, cost.v, 1.0 - cost.margin, behavior.m, form is MapForm.CANONICAL,
+    d, s, p, trigger = bounded_run(
+        state.demand, state.supply, state.price, MapParams(market, cost, behavior, form), 1
     )
     return MarketState(d, s, p, trigger is not None, trigger)
 

@@ -7,10 +7,10 @@ the period test from ``analysis``, the same definitions the scalar API
 uses.  So a one-point sweep reproduces a scalar orbit bit for bit.  Grid
 points still unclassified after the configured run get a short Lyapunov
 probe on the array stepper; those that do not stretch are refined one
-lane at a time with the scalar kernel, which is far cheaper per step
-than numpy on a few lanes.  Rows are pure functions of their own grid
-value, which makes chunked multithreading safe and the output
-independent of the chunking.
+lane at a time with the scalar loop ``model.bounded_run``, which is far
+cheaper per step than numpy on a few lanes.  Rows are pure functions of
+their own grid value, which makes chunked multithreading safe and the
+output independent of the chunking.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .model import (
-    MapForm, MapParams, bounded_period, bounded_period_arrays, map_1d, slope_1d,
+    MapForm, MapParams, bounded_period_arrays, bounded_run, map_1d, slope_1d,
 )
 from .analysis import LOG_FLOOR, class_name, detect_periods, finite_difference_derivative
 
@@ -150,32 +151,30 @@ def _probe_lambda_grid(D, S, P, idx, pars: MapParams, steps: int) -> np.ndarray:
     return np.where(alive, acc / steps, np.inf)
 
 
-def _refine_lane(d, s, p, lane: tuple, keep: int, tolerance: float, max_period: int):
+def _refine_lane(d, s, p, pars: MapParams, keep: int, tolerance: float, max_period: int):
     """Extend one lane's orbit until its attractor settles or the budget ends.
 
-    ``lane`` holds the lane's parameters in ``model.bounded_period``
-    order after (d, s, p).  Returns (period, samples, collapsed); period
-    0 means still aperiodic.  Each round doubles the extra transient, so
-    slow convergence near period-doublings is resolved without inflating
-    the budget of every grid point.
+    ``pars`` holds the lane's parameters (``MapParams.take(i)``).  Returns
+    (period, samples): period -1 if the lane died, 0 if still aperiodic.
+    A dead lane's samples run up to its collapse and are 0.0 after.  Each
+    round doubles the extra transient, so slow convergence near
+    period-doublings is resolved without inflating the budget of every
+    grid point.  Only the kept window is recorded.
     """
-    alive = True
     extra = keep
-    samples = np.empty(keep)
     for _ in range(_REFINE_ROUNDS):
-        for t in range(extra + keep):
-            if alive:
-                d, s, p, trigger = bounded_period(d, s, p, *lane)
-                alive = trigger is None
-            if t >= extra:
-                samples[t - extra] = d
-        if not alive:
-            return -1, samples, True
-        k = int(detect_periods(samples[None, :], tolerance, max_period)[0])
+        d, s, p, _ = bounded_run(d, s, p, pars, extra)
+        out = ([], [], [])
+        # a lane that died above holds supply 0, so it dies again at once
+        d, s, p, trigger = bounded_run(d, s, p, pars, keep, out)
+        samples = out[0] + [0.0] * (keep - len(out[0]))
+        if trigger is not None:
+            return -1, samples
+        k = int(detect_periods([samples], tolerance, max_period)[0])
         if k:
-            return k, samples, False
+            return k, samples
         extra *= 2
-    return 0, samples, False
+    return 0, samples
 
 
 def _bifurcation_chunk(
@@ -197,18 +196,12 @@ def _bifurcation_chunk(
         open_idx = np.flatnonzero(periods == 0)
         if open_idx.size:
             lams = _probe_lambda_grid(D, S, P, open_idx, pars, _PROBE_STEPS)
-            canonical = form is MapForm.CANONICAL
             for j in np.flatnonzero(lams <= _PROBE_LAMBDA_MAX):
                 i = int(open_idx[j])
-                one = pars.take(i)
-                lane = (float(one.a), float(one.b), pars.fc, pars.v,
-                        float(one.one_minus_m), pars.m, canonical)
-                k, lane_samples, collapsed = _refine_lane(
-                    float(D[i]), float(S[i]), float(P[i]), lane,
+                periods[i], samples[i] = _refine_lane(
+                    float(D[i]), float(S[i]), float(P[i]), pars.take(i),
                     config.keep, tolerance, max_period,
                 )
-                periods[i] = -1 if collapsed else k
-                samples[i] = lane_samples
 
     return [
         BifurcationRow(x, row.copy(), class_name(k))
@@ -222,24 +215,16 @@ def _split(values: np.ndarray, threads: int) -> list[np.ndarray]:
     return [c for c in np.array_split(values, threads) if c.size]
 
 
-def _star_bifurcation_chunk(args):
-    return _bifurcation_chunk(*args)
-
-
-def _star_lyapunov_chunk(args):
-    return _lyapunov_chunk(*args)
-
-
-def _run_chunks(star_worker, args: list) -> list:
-    """Evaluate chunks, in worker processes when more than one.
+def _run_chunks(worker, chunks: list) -> list:
+    """Evaluate ``worker`` on each chunk, in worker processes when more than one.
 
     Per-lane purity makes the result independent of the chunking, so the
     index-ordered merge is byte-identical for any worker count.
     """
-    if len(args) <= 1:
-        return [star_worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=len(args)) as pool:
-        return list(pool.map(star_worker, args))
+    if len(chunks) <= 1:
+        return [worker(c) for c in chunks]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return list(pool.map(worker, chunks))
 
 
 def bifurcation_scan(
@@ -260,9 +245,9 @@ def bifurcation_scan(
     independent of ``threads``.
     """
     form = scenario.form if form is None else form
-    chunks = _split(config.grid(), threads)
-    args = [(c, scenario, config, form, tolerance, max_period, refine) for c in chunks]
-    parts = _run_chunks(_star_bifurcation_chunk, args)
+    worker = partial(_bifurcation_chunk, scenario=scenario, config=config, form=form,
+                     tolerance=tolerance, max_period=max_period, refine=refine)
+    parts = _run_chunks(worker, _split(config.grid(), threads))
     return [row for part in parts for row in part]
 
 
@@ -318,7 +303,7 @@ def lyapunov_scan(
     if method not in ("analytic", "finite-difference"):
         raise ValueError(f"method must be analytic or finite-difference, got {method!r}")
     form = scenario.form if form is None else form
-    chunks = _split(config.grid(), threads)
-    args = [(c, scenario, config, form, method) for c in chunks]
-    parts = _run_chunks(_star_lyapunov_chunk, args)
+    worker = partial(_lyapunov_chunk, scenario=scenario, config=config, form=form,
+                     method=method)
+    parts = _run_chunks(worker, _split(config.grid(), threads))
     return [row for part in parts for row in part]

@@ -37,6 +37,7 @@ from marketdyn.model import (
     SupplierBehavior,
     step_supply_1d,
 )
+from marketdyn.scenarios import get_scenario
 
 NAIVE_MARKET = MarketParams(a=10.0, b=0.09)
 NAIVE_COST = CostPricing(fc=10.0, v=4.0, margin=0.5)
@@ -95,6 +96,40 @@ def test_detect_collapse_report():
         SEED, MarketParams(10.0, 0.03), NAIVE_COST, NAIVE, steps=3000, bounded=True
     )
     assert detect_collapse(calm) is None
+
+
+@pytest.mark.parametrize("name", ["collapse", "collapse-paper-literal", "collapse-m2",
+                                  "collapse-m2-paper-literal"])
+def test_orbit_columns_states_and_collapse_agree(name):
+    sc = get_scenario(name)
+    orbit = generate_orbit(sc.initial_state(), sc.market, sc.cost, sc.supplier, 3000,
+                           bounded=True, form=sc.form)
+    states = orbit.states
+    assert [s.demand for s in states] == orbit.demands
+    assert [s.supply for s in states] == orbit.supplies
+    assert [s.price for s in states] == orbit.prices
+    report = detect_collapse(orbit)
+    if report is None:  # collapse-m2 settles under the canonical map
+        assert len(states) == 3001 and not any(s.collapsed for s in states)
+        assert orbit.trigger is None and orbit.collapse_step is None
+        return
+    assert [s.collapsed for s in states] == [False] * report.step + [True]
+    assert report.step == orbit.collapse_step == len(states) - 1
+    assert report.state == states[-1] == orbit.state(report.step)
+    assert report.trigger == states[-1].trigger == orbit.trigger
+    assert (states[-1].demand, states[-1].supply) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("dead", [MarketState(0.0, 0.0, 3.0, True, "supply floor"),
+                                  MarketState(1.0, 1.0, 0.0, collapsed=True)])
+def test_orbit_from_a_collapsed_seed_repeats_it(dead):
+    for steps, want in ((0, (dead,)), (1, (dead, dead)), (40, (dead, dead))):
+        orbit = generate_orbit(dead, NAIVE_MARKET, NAIVE_COST, NAIVE, steps, bounded=True)
+        assert orbit.states == want
+        report = detect_collapse(orbit)
+        assert (report.step, report.trigger, report.state) == (0, dead.trigger or "unknown", dead)
+    with pytest.raises(DomainError):
+        generate_orbit(dead, NAIVE_MARKET, NAIVE_COST, NAIVE, 1)
 
 
 def test_collapse_consistency_bounded_vs_unbounded():
@@ -266,6 +301,14 @@ def test_supply_map_derivative_analytic():
         assert abs(exact - fd(s)) < 1e-5 * max(1.0, abs(exact))
         checked += 1
     assert checked > 100
+
+
+def test_underflowing_slope_escapes_the_lyapunov_estimate():
+    # below about 1e-162 the slope's x * x underflows to 0
+    with pytest.raises(OrbitEscapeError) as err:
+        lyapunov_exponent(demand_map_1d(NAIVE_MARKET, NAIVE_COST),
+                          demand_map_derivative_1d(NAIVE_MARKET, NAIVE_COST), 1e-170, 0, 5)
+    assert err.value.step == 1
 
 
 def test_overflowing_root_escapes_the_lyapunov_estimate():

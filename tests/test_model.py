@@ -268,6 +268,15 @@ def test_bounded_step_failures_before_the_price_keep_it(state, m, trigger):
     assert out == MarketState(0.0, 0.0, 2.0, True, trigger)
 
 
+def test_raw_overflow_is_a_collapse_without_a_warning():
+    # (2e4)^100 overflows; with warnings as errors a numpy warning would raise
+    m = SupplierBehavior(0.01)
+    assert expected_demand(20.0, 1e-3, m) == math.inf
+    state = MarketState(20.0, 1e-3, 2.0)
+    assert step(state, NAIVE_MARKET, NAIVE_COST, m) == MarketState(
+        20.0, 1e-3, 2.0, True, TRIGGER_NON_FINITE)
+
+
 def test_bounded_equals_step_inside_domain():
     state = MarketState(1.0, 1.0, 0.0)
     for _ in range(20):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from marketdyn.analysis import (
     classify_samples,
+    detect_collapse,
     detect_period,
     generate_orbit,
     supply_map_derivative_1d,
@@ -22,6 +23,7 @@ from marketdyn.model import (
     MarketParams,
     SupplierBehavior,
     bounded_period_arrays,
+    bounded_run,
     bounded_step,
     derivative_naive_1d,
     map_1d,
@@ -32,6 +34,7 @@ from marketdyn.model import (
 from marketdyn.scans import (
     BifurcationRow,
     ScanConfig,
+    _refine_lane,
     _split,
     bifurcation_scan,
     lyapunov_scan,
@@ -56,10 +59,8 @@ def _scenario(a, b, fc, v, margin, m, form=MapForm.CANONICAL, seed_d=1.0, seed_s
 _SCAN_TOP = {"b": 0.3, "a": 50.0, "M": 0.9}
 
 
-@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
-@pytest.mark.parametrize("form", list(MapForm))
-@settings(max_examples=40, deadline=None)
-@given(
+# The parameter box of the two-component bounded map's properties.
+_BOX = dict(
     a=st.floats(0.0, 50.0), b=st.floats(0.0, 0.3), fc=st.floats(0.1, 50.0),
     v=st.floats(0.1, 10.0), margin=st.floats(0.0, 0.9),
     seed_d=st.floats(0.0, 20.0), seed_s=st.floats(0.01, 20.0),
@@ -68,8 +69,15 @@ _SCAN_TOP = {"b": 0.3, "a": 50.0, "M": 0.9}
 )
 # the collapse scenario's parameters: a clamp collapse for m = 1 and in
 # the paper-literal form
-@example(a=10.0, b=0.095, fc=20.0, v=2.0, margin=0.5, seed_d=1.0, seed_s=1.0,
-         parameter="b", fractions=[0.095 / 0.3])
+_COLLAPSE = example(a=10.0, b=0.095, fc=20.0, v=2.0, margin=0.5, seed_d=1.0, seed_s=1.0,
+                    parameter="b", fractions=[0.095 / 0.3])
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("form", list(MapForm))
+@settings(max_examples=40, deadline=None)
+@given(**_BOX)
+@_COLLAPSE
 def test_vector_engine_matches_scalar_bitwise(
     m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
 ):
@@ -97,6 +105,56 @@ def test_vector_engine_matches_scalar_bitwise(
             assert S[i] == state.supply
             assert P[i] == state.price
             assert alive[i] == (not state.collapsed)
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("form", list(MapForm))
+@settings(max_examples=40, deadline=None)
+@given(**_BOX)
+@_COLLAPSE
+def test_bounded_run_matches_vector_engine_bitwise(
+    m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
+):
+    # one 120-period bounded_run call per lane records the grid engine's
+    # periods up to its collapse, which the engine then holds at (0, 0, price)
+    sc = _scenario(a, b, fc, v, margin, m, form, seed_d, seed_s)
+    values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
+    pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter, values)
+    n = values.size
+    D = np.full(n, seed_d); S = np.full(n, seed_s); P = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    history = []
+    for _ in range(120):
+        D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars)
+        history.append((D, S, P, alive))
+    for i in range(n):
+        out = ([], [], [])
+        d, s, p, trigger = bounded_run(seed_d, seed_s, 0.0, pars.take(i), 120, out)
+        assert (d, s, p) == (D[i], S[i], P[i])
+        assert (trigger is None) == alive[i]
+        assert len(out[0]) == len(out[1]) == len(out[2])
+        for t, (Dt, St, Pt, alive_t) in enumerate(history):
+            got = tuple(col[t] for col in out) if t < len(out[0]) else (0.0, 0.0, p)
+            assert got == (Dt[i], St[i], Pt[i])
+            assert alive_t[i] == (t < len(out[0]) - (trigger is not None))
+
+
+@pytest.mark.parametrize("window_before_death", [10, 1, 0, -5])
+def test_refined_lane_that_dies_keeps_its_samples_up_to_the_collapse(window_before_death):
+    sc = get_scenario("collapse")
+    orbit = generate_orbit(sc.initial_state(), sc.market, sc.cost, sc.supplier, 200,
+                           bounded=True, form=sc.form)
+    death = detect_collapse(orbit).step
+    # one round runs keep transient periods, then keeps periods keep+1 .. 2*keep;
+    # with window_before_death <= 0 the lane dies in the transient
+    keep = death - window_before_death
+    pars = MapParams(sc.market, sc.cost, sc.supplier, sc.form, "b", np.array([sc.market.b]))
+    period, samples = _refine_lane(sc.seed_demand, sc.seed_supply, 0.0, pars.take(0),
+                                   keep, 1e-6, 4)
+    assert period == -1
+    kept = orbit.demands[keep + 1:death + 1]  # the collapsed period reads 0.0
+    assert len(kept) == max(window_before_death, 0) and kept[-1:] in ([], [0.0])
+    assert samples == kept + [0.0] * (keep - len(kept))
 
 
 def _same_bits(lane_value, scalar_call):
