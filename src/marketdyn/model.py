@@ -7,7 +7,12 @@ plus a gross margin, and the market responds through a linear demand
 curve.  Composing those three mechanisms gives the period-to-period map.
 This module owns all of its arithmetic, on floats and, for the sweeps in
 ``scans``, on numpy arrays with one lane per grid point (``MapParams``,
-``map_1d``, ``slope_1d``, ``bounded_period_arrays``).
+``map_1d``, ``slope_1d``, ``bounded_period_arrays``).  On lanes the
+arithmetic runs in place where it can: ``map_1d`` and ``slope_1d`` update
+their own intermediates (never ``x``, the ``MapParams`` arrays or a ``u``
+they returned), and ``bounded_period_arrays`` writes every period into the
+preallocated buffers of a ``LaneWorkspace``.  Ufuncs give the same bits
+into ``out=`` as into a new array, so none of this moves a bit.
 
 Two algebraic variants of the map are provided (``MapForm``): CANONICAL
 composes the demand curve, the margin pricing and the cost function
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -194,17 +200,35 @@ def expected_demand(d: float, s: float, behavior: SupplierBehavior) -> float:
     sig = d / s
     if sig < 0.0:
         raise DomainError(f"no real {m}-th root of negative signal {sig}")
-    with np.errstate(over="ignore"):
-        return float(root_response(sig, s, m))
+    with _power_errstate(m):
+        return _root_float(sig, s, m)
 
 
 def root_response(sig, s, m: float):
     """sig^(1/m) * s on floats or lane arrays, with numpy's sqrt or power so
     both give the same bits (``float **`` can round the last bit differently
-    and raises on overflow).  Callers own the floating-point error state."""
+    and raises on overflow).  An array ``sig`` is overwritten with the
+    result, so pass a temporary.  Callers own the floating-point error state."""
+    out = sig if isinstance(sig, np.ndarray) else None
+    r = np.sqrt(sig, out=out) if m == 2.0 else np.power(sig, 1.0 / m, out=out)
+    r *= s
+    return r
+
+
+def _root_float(sig: float, s: float, m: float) -> float:
+    """``root_response`` on floats, with the same bits: at m = 2 through
+    ``math.sqrt``, which never warns; np.power can overflow, so a caller
+    with m not in {1, 2} enters ``_power_errstate``."""
     if m == 2.0:
-        return np.sqrt(sig) * s
-    return np.power(sig, 1.0 / m) * s
+        return math.sqrt(sig) * s
+    return float(np.power(sig, 1.0 / m)) * s
+
+
+def _power_errstate(m: float):
+    """np.power's overflow silenced for a scalar loop with this m.  Python
+    float arithmetic never warns, so for m in {1, 2}, where no numpy call
+    is made, this enters nothing: np.errstate costs more than a period."""
+    return nullcontext() if m in (1.0, 2.0) else np.errstate(over="ignore")
 
 
 class MapParams:
@@ -274,12 +298,12 @@ def unbounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=Non
     except that a failure returns the values its period started from."""
     a, b, fc, v, one_minus_m = map(float, (pars.a, pars.b, pars.fc, pars.v, pars.one_minus_m))
     m, canonical = pars.m, pars.form is MapForm.CANONICAL
-    with np.errstate(over="ignore"):
+    with _power_errstate(m):
         for _ in range(n):
             # s > 0, so the signal d/s is negative exactly where d is
             if not (s > 0.0) or d < 0.0:
                 return d, s, p, TRIGGER_EXPECTED_DEMAND
-            s_new = d if m == 1.0 else float(root_response(d / s, s, m))
+            s_new = d if m == 1.0 else _root_float(d / s, s, m)
             if not math.isfinite(s_new):
                 return d, s, p, TRIGGER_NON_FINITE
             if s_new <= 0.0:
@@ -306,12 +330,12 @@ def bounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None)
     """
     a, b, fc, v, one_minus_m = map(float, (pars.a, pars.b, pars.fc, pars.v, pars.one_minus_m))
     m, canonical = pars.m, pars.form is MapForm.CANONICAL
-    with np.errstate(over="ignore"):
+    with _power_errstate(m):
         for _ in range(n):
             # s > 0, so the signal d/s is negative exactly where d is
             if not (s > 0.0) or d < 0.0:
                 return _record(out, 0.0, 0.0, p, TRIGGER_EXPECTED_DEMAND)
-            # root_response's sqrt and power, inline on this hot path
+            # _root_float's sqrt and power, inline on this hot path
             if m == 1.0:
                 s_new = d
             elif m == 2.0:
@@ -339,25 +363,66 @@ def bounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None)
     return d, s, p, None
 
 
-def bounded_period_arrays(D, S, P, alive, pars: MapParams):
+class LaneWorkspace:
+    """Preallocated buffers for ``bounded_period_arrays`` on n lanes.
+
+    A period writes its D, S, P and alive into the ``spare`` arrays and
+    keeps the four arrays it was given as the next spares.  So the loop
+    ``D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars, ws)``
+    allocates nothing, and the previous period's arrays stay as they were
+    until the next call overwrites them.
+    """
+
+    def __init__(self, n: int):
+        self.spare = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+        self.atc, self.tmp = np.empty(n), np.empty(n)
+        self.dead, self.mask = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+
+
+def bounded_period_arrays(D, S, P, alive, pars: MapParams, ws: LaneWorkspace | None = None):
     """One bounded period for every lane; mirrors ``bounded_run``.
 
     Collapsed lanes hold zero demand and supply.  A lane that fails
     before its new price is known keeps the old price; one whose demand
-    side fails dies at the new price.
+    side fails dies at the new price.  The inputs are not written: the
+    results are the spare arrays of ``ws``, or new arrays without one.
     """
+    ws = LaneWorkspace(D.size) if ws is None else ws
+    D_new, S_new, P_new, ok = ws.spare
+    ws.spare = (D, S, P, alive)
+    atc, tmp, dead, mask = ws.atc, ws.tmp, ws.dead, ws.mask
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        S_new = D if pars.m == 1.0 else root_response(D / S, S, pars.m)
-        atc_new = pars.fc / S_new + pars.v - pars.v * S_new + S_new * S_new
-        P_new = atc_new / pars.one_minus_m
-        # a non-finite supply leaves a non-finite price
-        live = alive & ~((D < 0.0) | (S_new < SUPPLY_FLOOR) | ~np.isfinite(P_new))
-        if pars.form is MapForm.CANONICAL:
-            D_new = pars.a - pars.b * P_new
+        if pars.m == 1.0:
+            np.copyto(S_new, D)
         else:
-            D_new = (pars.a - pars.b * atc_new) / pars.one_minus_m
-        ok = live & ~((P_new * pars.b > pars.a) | (D_new <= 0.0))
-    return np.where(ok, D_new, 0.0), np.where(ok, S_new, 0.0), np.where(live, P_new, P), ok
+            root_response(np.divide(D, S, out=S_new), S, pars.m)
+        # fc/S + v - v*S + S*S, as in bounded_run
+        np.divide(pars.fc, S_new, out=atc)
+        atc += pars.v
+        atc -= np.multiply(pars.v, S_new, out=tmp)
+        atc += np.multiply(S_new, S_new, out=tmp)
+        np.divide(atc, pars.one_minus_m, out=P_new)
+        # dead = ~live, the lanes that fail before their new price; a
+        # non-finite supply leaves a non-finite price
+        np.logical_not(alive, out=dead)
+        dead |= np.less(D, 0.0, out=mask)
+        dead |= np.less(S_new, SUPPLY_FLOOR, out=mask)
+        dead |= np.logical_not(np.isfinite(P_new, out=mask), out=mask)
+        np.copyto(P_new, P, where=dead)
+        # then the demand side: clamp or no expected demand (b*P = P*b)
+        np.multiply(P_new, pars.b, out=tmp)
+        dead |= np.greater(tmp, pars.a, out=mask)
+        if pars.form is MapForm.CANONICAL:
+            np.subtract(pars.a, tmp, out=D_new)
+        else:
+            np.multiply(pars.b, atc, out=D_new)
+            np.subtract(pars.a, D_new, out=D_new)
+            D_new /= pars.one_minus_m
+        dead |= np.less_equal(D_new, 0.0, out=mask)
+        np.logical_not(dead, out=ok)
+        np.copyto(D_new, 0.0, where=dead)
+        np.copyto(S_new, 0.0, where=dead)
+    return D_new, S_new, P_new, ok
 
 
 def bounded_step(
@@ -391,15 +456,25 @@ def map_1d(x, p: MapParams):
     u is the demand that supplying x provokes.  For the naive supplier
     (m = 1) the map is the demand recurrence f = u; otherwise it is the
     supply recurrence f = (u/x)^(1/m) * x.  CANONICAL takes
-    u = a - b*price(x), PAPER_LITERAL u = (a - b*atc(x)) / (1-M).
+    u = a - b*price(x), PAPER_LITERAL u = (a - b*atc(x)) / (1-M).  At
+    m = 1 both are the one object u.  On lanes the intermediates are
+    updated in place; x and the parameters are only read.
     """
-    atc_x = p.fc / x + p.v - p.v * x + x * x
+    atc_x = p.fc / x
+    atc_x += p.v
+    atc_x -= p.v * x
+    atc_x += x * x
     if p.form is MapForm.PAPER_LITERAL:
-        u = (p.a - p.b * atc_x) / p.one_minus_m
+        atc_x *= p.b
+        u = p.a - atc_x
+        u /= p.one_minus_m
     elif p.m == 1.0:
-        u = p.a - p.coef * atc_x
+        atc_x *= p.coef
+        u = p.a - atc_x
     else:
-        u = p.a - p.b * (atc_x / p.one_minus_m)
+        atc_x /= p.one_minus_m
+        atc_x *= p.b
+        u = p.a - atc_x
     if p.m == 1.0:
         return u, u
     return root_response(u / x, x, p.m), u
@@ -410,12 +485,20 @@ def slope_1d(x, f, u, p: MapParams):
 
     u'(x) = -(b/(1-M)) * atc'(x) in both forms; that is the slope for
     m = 1 (f and u are then unused).  Otherwise the log-derivative of
-    f = (u/x)^(1/m) * x gives f * (u'/(m u) + (m-1)/(m x)).
+    f = (u/x)^(1/m) * x gives f * (u'/(m u) + (m-1)/(m x)).  The result
+    is a new object; x, f and u are only read.
     """
-    du = -p.coef * (-p.fc / (x * x) - p.v + 2.0 * x)
+    du = -p.fc / (x * x)
+    du -= p.v
+    du += 2.0 * x
+    du *= p.coef
+    du *= -1.0  # -coef * (...): negation is exact
     if p.m == 1.0:
         return du
-    return f * (du / (p.m * u) + (p.m - 1.0) / (p.m * x))
+    du /= p.m * u
+    du += (p.m - 1.0) / (p.m * x)
+    du *= f
+    return du
 
 
 def _map_1d_checked(x: float, p: MapParams, name: str) -> tuple[float, float]:

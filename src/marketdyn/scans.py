@@ -11,6 +11,15 @@ lane at a time with the scalar loop ``model.bounded_run``, which is far
 cheaper per step than numpy on a few lanes.  Rows are pure functions of
 their own grid value, which makes chunked multithreading safe and the
 output independent of the chunking.
+
+The array loops allocate their lane buffers once per call: the bounded
+runs step through a ``model.LaneWorkspace``, and the Lyapunov sums take
+their log terms in place.  A lane that leaves the map's domain is not
+frozen: its ``defined`` (or ``alive``) flag drops and it runs on,
+unobserved, since its sum and state never reach a row (λ is NaN there,
+or +inf in the probe).  A lane that ends defined passed every check, so
+it got exactly the terms it would have got alone.  Bifurcation rows are
+views into their chunk's samples matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from .model import (
-    MapForm, MapParams, bounded_period_arrays, bounded_run, map_1d, slope_1d,
+    LaneWorkspace, MapForm, MapParams, bounded_period_arrays, bounded_run, map_1d, slope_1d,
 )
 from .analysis import LOG_FLOOR, class_name, detect_periods, finite_difference_derivative
 
@@ -121,11 +130,20 @@ def _simulate_grid(pars: MapParams, scenario, config: ScanConfig, n: int):
     P = np.zeros(n)
     alive = np.ones(n, dtype=bool)
     samples = np.empty((n, keep))
+    ws = LaneWorkspace(n)
     for it in range(transient + keep):
-        D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars)
+        D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars, ws)
         if it >= transient:
             samples[:, it - transient] = D
     return D, S, P, alive, samples
+
+
+def _add_log_stretch(acc, slope):
+    """acc += ln(max(|slope|, LOG_FLOOR)), computed in ``slope``'s buffer."""
+    np.abs(slope, out=slope)
+    np.maximum(slope, LOG_FLOOR, out=slope)
+    np.log(slope, out=slope)
+    acc += slope
 
 
 def _probe_lambda_grid(D, S, P, idx, pars: MapParams, steps: int) -> np.ndarray:
@@ -140,13 +158,14 @@ def _probe_lambda_grid(D, S, P, idx, pars: MapParams, steps: int) -> np.ndarray:
     D, S, P = D[idx], S[idx], P[idx]
     alive = np.ones(idx.size, dtype=bool)
     acc = np.zeros(idx.size)
+    ws = LaneWorkspace(idx.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(steps):
-            D_next, S_next, P, alive = bounded_period_arrays(D, S, P, alive, pars)
+            D_next, S_next, P, alive = bounded_period_arrays(D, S, P, alive, pars, ws)
             # the demand D is the u that supply S provoked
             slope = slope_1d(S, S_next, D, pars)
             alive &= np.isfinite(slope)
-            acc = np.where(alive, acc + np.log(np.maximum(np.abs(slope), LOG_FLOOR)), acc)
+            _add_log_stretch(acc, slope)
             D, S = D_next, S_next
     return np.where(alive, acc / steps, np.inf)
 
@@ -204,7 +223,7 @@ def _bifurcation_chunk(
                 )
 
     return [
-        BifurcationRow(x, row.copy(), class_name(k))
+        BifurcationRow(x, row, class_name(k))
         for x, row, k in zip(values.tolist(), samples, periods.tolist())
     ]
 
@@ -263,21 +282,20 @@ def _lyapunov_chunk(
     x0 = scenario.seed_demand if pars.m == 1.0 else scenario.seed_supply
     x = np.full(values.size, float(x0))
     defined = np.ones(values.size, dtype=bool)
+    mask = np.empty(values.size, dtype=bool)
     acc = np.zeros(values.size)
     fd = finite_difference_derivative(lambda y: map_1d(y, pars)[0])
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(config.transient):
-            x_new = map_1d(x, pars)[0]
-            defined &= np.isfinite(x_new) & (x_new > 0.0)
-            x = np.where(defined, x_new, x)
-        for _ in range(config.keep):
+        for it in range(config.transient + config.keep):
             x_new, u = map_1d(x, pars)
-            slope = slope_1d(x, x_new, u, pars) if method == "analytic" else fd(x)
-            ok = defined & np.isfinite(slope)
-            acc = np.where(ok, acc + np.log(np.maximum(np.abs(slope), LOG_FLOOR)), acc)
-            defined = ok & np.isfinite(x_new) & (x_new > 0.0)
-            x = np.where(defined, x_new, x)
+            if it >= config.transient:
+                slope = slope_1d(x, x_new, u, pars) if method == "analytic" else fd(x)
+                defined &= np.isfinite(slope, out=mask)
+                _add_log_stretch(acc, slope)
+            defined &= np.isfinite(x_new, out=mask)
+            defined &= np.greater(x_new, 0.0, out=mask)
+            x = x_new
 
     lam = np.where(defined, acc / config.keep, np.nan)
     return [

@@ -17,6 +17,7 @@ from marketdyn.analysis import (
     demand_map_derivative_1d,
     detect_collapse,
     detect_period,
+    detect_periods,
     find_fixed_point,
     find_fixed_points,
     finite_difference_derivative,
@@ -31,10 +32,12 @@ from marketdyn.model import (
     CostPricing,
     DomainError,
     MapForm,
+    MapParams,
     MarketParams,
     MarketState,
     NAIVE,
     SupplierBehavior,
+    bounded_run,
     step_supply_1d,
 )
 from marketdyn.scenarios import get_scenario
@@ -349,3 +352,62 @@ def test_ped_errors():
     at_zero = 10.0 / 0.09  # demand(p1) == 0
     with pytest.raises(DomainError):
         ped(at_zero, 5.0, MarketParams(a=10.0, b=0.09))
+
+
+FEIGENBAUM_DELTA = 4.669201609
+
+
+def _bounded_period(b, transient, keep=256):
+    """Period of naive-bif-b's bounded demand orbit at slope b after
+    ``transient`` periods, to 1e-9 and at most 64; 0 if there is none."""
+    sc = get_scenario("naive-bif-b")
+    pars = MapParams(MarketParams(sc.market.a, b), sc.cost, sc.supplier, sc.form)
+    d, s, p, _ = bounded_run(sc.seed_demand, sc.seed_supply, 0.0, pars, transient)
+    out = ([], [], [])
+    bounded_run(d, s, p, pars, keep, out)
+    return int(detect_periods([out[0]], 1e-9, 64)[0])
+
+
+def _doubling_point(lo, hi, k, transient):
+    """Bisect [lo, hi] down to 1e-5 of its width for b_k, where the period
+    2^(k-1) at lo has doubled; returns the bracket's midpoint and width."""
+    width = 1e-5 * (hi - lo)
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        period = _bounded_period(mid, transient)
+        if period and 2 ** (k - 1) % period == 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), hi - lo
+
+
+def test_period_doubling_gaps_approach_feigenbaum_delta():
+    # The naive demand map is unimodal, so the gaps between its first
+    # period doublings b_1 < ... < b_5 shrink by ratios that approach
+    # Feigenbaum's delta (Feigenbaum 1978, J. Stat. Phys. 19:25).  Near
+    # b_k the orbit settles slowly, so a bisection with a finite transient
+    # places b_k too low.  That error is measured: the points are located
+    # with transients of T and 4T, and the shift of each ratio between the
+    # two is its error bar (the bias falls like 1/T, so this overstates
+    # the error of the 4T ratio about threefold).  At T = 20,000 the
+    # ratios read 5.974, 4.896 and 4.627, with error bars of 0.006, 0.006
+    # and 0.013.
+    brackets = [(0.045, 0.06), (0.07, 0.079), (0.08, 0.0819), (0.082, 0.0825),
+                (0.0825, 0.08259)]
+    for k, (lo, hi) in enumerate(brackets, 1):
+        assert (_bounded_period(lo, 20_000), _bounded_period(hi, 20_000)) == (2 ** (k - 1), 2 ** k)
+    ratios = {}
+    for transient in (20_000, 80_000):
+        located = [_doubling_point(lo, hi, k, transient) for k, (lo, hi) in enumerate(brackets, 1)]
+        points, widths = np.array(located).T
+        gaps = np.diff(points)
+        ratios[transient] = gaps[:-1] / gaps[1:]
+    delta = ratios[80_000]
+    error = np.abs(delta - ratios[20_000])
+    # the brackets' own widths move each ratio by a tenth of its error bar at most
+    pair = (widths[:-1] + widths[1:]) / gaps
+    assert all(delta * (pair[:-1] + pair[1:]) < error / 10)
+    distance = np.abs(delta - FEIGENBAUM_DELTA)
+    # each ratio is nearer delta than the one before, beyond both error bars
+    assert all(distance[1:] + error[1:] < distance[:-1] - error[:-1]), (delta, error)

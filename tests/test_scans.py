@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from marketdyn.analysis import (
+    LOG_FLOOR,
     classify_samples,
     detect_collapse,
     detect_period,
+    finite_difference_derivative,
     generate_orbit,
     supply_map_derivative_1d,
 )
@@ -19,8 +21,10 @@ from marketdyn.model import (
     CostPricing,
     DomainError,
     MapForm,
+    LaneWorkspace,
     MapParams,
     MarketParams,
+    SUPPLY_FLOOR,
     SupplierBehavior,
     bounded_period_arrays,
     bounded_run,
@@ -34,6 +38,9 @@ from marketdyn.model import (
 from marketdyn.scans import (
     BifurcationRow,
     ScanConfig,
+    _bifurcation_chunk,
+    _lyapunov_chunk,
+    _probe_lambda_grid,
     _refine_lane,
     _split,
     bifurcation_scan,
@@ -155,6 +162,159 @@ def test_refined_lane_that_dies_keeps_its_samples_up_to_the_collapse(window_befo
     kept = orbit.demands[keep + 1:death + 1]  # the collapsed period reads 0.0
     assert len(kept) == max(window_before_death, 0) and kept[-1:] in ([], [0.0])
     assert samples == kept + [0.0] * (keep - len(kept))
+
+
+# The allocating lane loops the in-place ones replaced: every piece of
+# array arithmetic as one expression, and np.where copies that freeze a
+# lane once it leaves the domain.  They are the bit oracle below.
+def _oracle_root(sig, s, m):
+    return np.sqrt(sig) * s if m == 2.0 else np.power(sig, 1.0 / m) * s
+
+
+def _oracle_map_1d(x, p):
+    atc_x = p.fc / x + p.v - p.v * x + x * x
+    if p.form is MapForm.PAPER_LITERAL:
+        u = (p.a - p.b * atc_x) / p.one_minus_m
+    elif p.m == 1.0:
+        u = p.a - p.coef * atc_x
+    else:
+        u = p.a - p.b * (atc_x / p.one_minus_m)
+    if p.m == 1.0:
+        return u, u
+    return _oracle_root(u / x, x, p.m), u
+
+
+def _oracle_slope_1d(x, f, u, p):
+    du = -p.coef * (-p.fc / (x * x) - p.v + 2.0 * x)
+    if p.m == 1.0:
+        return du
+    return f * (du / (p.m * u) + (p.m - 1.0) / (p.m * x))
+
+
+def _oracle_bounded_period(D, S, P, alive, pars):
+    S_new = D if pars.m == 1.0 else _oracle_root(D / S, S, pars.m)
+    atc_new = pars.fc / S_new + pars.v - pars.v * S_new + S_new * S_new
+    P_new = atc_new / pars.one_minus_m
+    live = alive & ~((D < 0.0) | (S_new < SUPPLY_FLOOR) | ~np.isfinite(P_new))
+    if pars.form is MapForm.CANONICAL:
+        D_new = pars.a - pars.b * P_new
+    else:
+        D_new = (pars.a - pars.b * atc_new) / pars.one_minus_m
+    ok = live & ~((P_new * pars.b > pars.a) | (D_new <= 0.0))
+    return np.where(ok, D_new, 0.0), np.where(ok, S_new, 0.0), np.where(live, P_new, P), ok
+
+
+def _oracle_lyapunov(values, sc, config, form, method):
+    pars = MapParams(sc.market, sc.cost, sc.supplier, form, config.parameter, values)
+    x = np.full(values.size, sc.seed_demand if pars.m == 1.0 else sc.seed_supply)
+    defined = np.ones(values.size, dtype=bool)
+    acc = np.zeros(values.size)
+    fd = finite_difference_derivative(lambda y: _oracle_map_1d(y, pars)[0])
+    for _ in range(config.transient):
+        x_new = _oracle_map_1d(x, pars)[0]
+        defined &= np.isfinite(x_new) & (x_new > 0.0)
+        x = np.where(defined, x_new, x)
+    for _ in range(config.keep):
+        x_new, u = _oracle_map_1d(x, pars)
+        slope = _oracle_slope_1d(x, x_new, u, pars) if method == "analytic" else fd(x)
+        ok = defined & np.isfinite(slope)
+        acc = np.where(ok, acc + np.log(np.maximum(np.abs(slope), LOG_FLOOR)), acc)
+        defined = ok & np.isfinite(x_new) & (x_new > 0.0)
+        x = np.where(defined, x_new, x)
+    return np.where(defined, acc / config.keep, np.nan), defined
+
+
+def _oracle_probe(D, S, P, idx, pars, steps):
+    pars = pars.take(idx)
+    D, S, P = D[idx], S[idx], P[idx]
+    alive = np.ones(idx.size, dtype=bool)
+    acc = np.zeros(idx.size)
+    for _ in range(steps):
+        D_next, S_next, P, alive = _oracle_bounded_period(D, S, P, alive, pars)
+        slope = _oracle_slope_1d(S, S_next, D, pars)
+        alive &= np.isfinite(slope)
+        acc = np.where(alive, acc + np.log(np.maximum(np.abs(slope), LOG_FLOOR)), acc)
+        D, S = D_next, S_next
+    return np.where(alive, acc / steps, np.inf)
+
+
+@pytest.mark.parametrize("method", ["analytic", "finite-difference"])
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("form", list(MapForm))
+@settings(max_examples=25, deadline=None)
+@given(**_BOX)
+@_COLLAPSE
+# for m = 1 canonical, with 40 transient and 60 kept steps: one lane stays
+# defined, one leaves the domain in the transient (step 28), two in the
+# kept window (steps 51 and 53)
+@example(a=10.0, b=0.09, fc=10.0, v=4.0, margin=0.5, seed_d=1.0, seed_s=1.0, parameter="b",
+         fractions=[0.28, 0.30835, 0.30833333333333335, 0.3084166666666667])
+def test_in_place_lyapunov_loops_match_the_allocating_oracle(
+    method, m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
+):
+    # lanes that leave the domain run on unobserved instead of freezing;
+    # every lambda, defined flag and probe value keeps its bits
+    sc = _scenario(a, b, fc, v, margin, m, form, seed_d, seed_s)
+    values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
+    cfg = ScanConfig(parameter, 0.0, _SCAN_TOP[parameter], values.size, 40, 60, 100)
+    with np.errstate(all="ignore"):
+        lam, defined = _oracle_lyapunov(values, sc, cfg, form, method)
+    rows = _lyapunov_chunk(values, sc, cfg, form, method)
+    assert [repr(r.lam) for r in rows] == [repr(x) for x in lam.tolist()]
+    assert [r.defined for r in rows] == defined.tolist()
+    if method == "analytic":  # the probe has one slope
+        pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter, values)
+        n = values.size
+        D, S, P = np.full(n, seed_d), np.full(n, seed_s), np.zeros(n)
+        idx = np.arange(n)[::-1].copy()
+        with np.errstate(all="ignore"):
+            want = _oracle_probe(D, S, P, idx, pars, 100)
+        got = _probe_lambda_grid(D, S, P, idx, pars, 100)
+        assert [repr(x) for x in got.tolist()] == [repr(x) for x in want.tolist()]
+
+
+def test_chunks_equal_the_concatenation_of_their_halves():
+    # lane buffers are per call: nothing leaks between calls or depends on
+    # the lane count, refined and collapsed rows included
+    sc = get_scenario("naive-bif-b")
+    cfg = ScanConfig("b", 0.045, 0.1, 41, 300, 64, 364)
+    grid = cfg.grid()
+    halves = (grid[:20], grid[20:])
+
+    def bif(values):
+        return [(r.param_value, r.classification, r.attractor_samples.tobytes())
+                for r in _bifurcation_chunk(values, sc, cfg, sc.form, 1e-6, 16, True)]
+
+    whole = bif(grid)
+    assert whole == bif(halves[0]) + bif(halves[1])
+    classes = {c.split("(")[0] for _, c, _ in whole}
+    assert {"fixed-point", "periodic", "aperiodic", "collapsed"} <= classes
+
+    def lyap(values):
+        return [(repr(r.lam), r.defined) for r in _lyapunov_chunk(values, sc, cfg, sc.form, "analytic")]
+
+    whole = lyap(grid)
+    assert whole == lyap(halves[0]) + lyap(halves[1])
+    assert {True, False} == {d for _, d in whole}
+
+
+def test_bounded_period_arrays_workspace_keeps_the_inputs():
+    # a period returns the workspace's spare arrays and leaves its inputs
+    # intact until the next call; without a workspace it allocates
+    sc = get_scenario("collapse")
+    values = np.linspace(0.05, 0.2, 7)
+    pars = MapParams(sc.market, sc.cost, sc.supplier, sc.form, "b", values)
+    D, S, P, alive = np.full(7, 1.0), np.full(7, 1.0), np.zeros(7), np.ones(7, dtype=bool)
+    ws = LaneWorkspace(7)
+    before = [x.copy() for x in (D, S, P, alive)]
+    got = bounded_period_arrays(D, S, P, alive, pars, ws)
+    want = bounded_period_arrays(D, S, P, alive, pars)
+    for x, y in zip(before, (D, S, P, alive)):
+        assert np.array_equal(x, y)
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
+    assert not any(np.shares_memory(x, y) for x in got for y in (D, S, P, alive))
+    assert all(x is y for x, y in zip(ws.spare, (D, S, P, alive)))
 
 
 def _same_bits(lane_value, scalar_call):
