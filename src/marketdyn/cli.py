@@ -1,6 +1,16 @@
 """Command-line interface: scenario resolution, analysis dispatch and
 tabular output.
 
+A command runs the scenario that ``_resolve`` builds from three layers of
+config entries, each over the one before: the command's defaults
+(``collapse`` 3000 steps, the scans 1000 points); the base scenario
+(``--scenario``, a builtin name or a config file, else a bounded 100-step
+orbit of the naive market) with its analysis set to the command's; and
+the flags given.  A flag is the config key of the same name, with a dash
+for the underscore (``--seed-d`` is ``seed_d``), so ``scenarios.KEYS``
+defines both.  ``--transient`` or ``--keep`` without ``--iters`` makes
+``iters`` follow ``transient + keep``.
+
 Tables go to stdout (or --out) as CSV with a header line, or as JSON
 lines, one object per row.  Cells: floats as '%.17g' (17 significant
 digits, so a run is reproducible bit for bit from its output), non-finite
@@ -13,8 +23,10 @@ tuple or range per column (the column row by row) or one value repeated
 down the block (a block of repeats alone is one row).  ``bifurcate``
 writes one block per grid point, ``simulate`` and ``lyapunov`` fixed
 slices of their rows, the other commands one block.  Diagnostics go to
-stderr only.  Exit codes: 0 success, 2 configuration or validation
-error, 3 numerical failure in unbounded mode.
+stderr only.  Exit codes: 0 success; 1 stdout closed by its reader (a
+broken pipe, which ends the run quietly); 2 configuration or validation
+error, or an --out path that cannot be written; 3 numerical failure in
+unbounded mode.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -36,19 +48,17 @@ from .analysis import (
     generate_orbit,
     ped,
 )
-from .model import CostPricing, DomainError, MapForm, MarketParams, SupplierBehavior
-from .scans import ScanConfig, bifurcation_scan, lyapunov_scan
+from .model import DomainError, MapForm, demand
+from .scans import bifurcation_scan, lyapunov_scan
 from .scenarios import (
-    ANALYSIS_NAMES,
-    BifurcationSpec,
+    KEYS,
     ConfigError,
-    LyapunovSpec,
-    OrbitSpec,
-    PedSpec,
     Scenario,
+    build_scenario,
     builtin_scenarios,
     get_scenario,
     load_scenario,
+    scenario_entries,
 )
 
 # Rows per block of the simulate and lyapunov tables; bounds the text one write holds.
@@ -181,75 +191,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT = Scenario(
-    name="custom",
-    supplier=SupplierBehavior(m=1.0),
-    market=MarketParams(a=10.0, b=0.09),
-    cost=CostPricing(fc=10.0, v=4.0, margin=0.5),
-    analysis=OrbitSpec(steps=100, bounded=True),
-)
+# The base of a command given no --scenario: the naive market, a bounded 100-step orbit.
+_DEFAULT = {"name": "custom", "a": 10.0, "b": 0.09, "v": 4.0, "fc": 10.0, "margin": 0.5,
+            "steps": 100}
 
 
-def _given(flag, default):
-    return default if flag is None else flag
-
-
-def _resolve_scenario(args) -> Scenario:
+def _resolve(args, analysis: str, **defaults) -> Scenario:
+    """The scenario a command runs, from three layers of config entries:
+    ``defaults``, then the base scenario's entries (``--scenario``, a
+    builtin name or a config file) with ``analysis`` set to the command's,
+    then every flag given, whose dest is its config key."""
+    entries = dict(defaults)
     if args.scenario:
         name = args.scenario
         path = Path(name)
         if os.sep in name or path.suffix or path.is_file():
             if not path.is_file():
                 raise ConfigError(f"scenario config file not found: {name}")
-            sc = load_scenario(path.read_text())
+            base = load_scenario(path.read_text())
         else:
-            sc = get_scenario(name)
+            base = get_scenario(name)
+        entries.update(scenario_entries(base))
     else:
-        sc = _DEFAULT
-
-    market = MarketParams(a=_given(args.a, sc.market.a), b=_given(args.b, sc.market.b))
-    cost = CostPricing(fc=_given(args.fc, sc.cost.fc), v=_given(args.v, sc.cost.v),
-                       margin=_given(args.margin, sc.cost.margin))
-    return replace(
-        sc,
-        market=market,
-        cost=cost,
-        supplier=SupplierBehavior(m=_given(args.m, sc.supplier.m)),
-        form=sc.form if args.form is None else MapForm(args.form),
-        seed_demand=_given(args.seed_d, sc.seed_demand),
-        seed_supply=_given(args.seed_s, sc.seed_supply),
-    )
-
-
-def _resolve_scan_config(args, sc: Scenario) -> ScanConfig:
-    if isinstance(sc.analysis, (BifurcationSpec, LyapunovSpec)):
-        base = sc.analysis.config
-    elif args.param is None or args.min is None or args.max is None:
+        entries.update(_DEFAULT)
+    entries["analysis"] = analysis
+    flags = {key: value for key, value in vars(args).items()
+             if key in KEYS and value is not None}
+    if "iters" not in flags and flags.keys() & {"transient", "keep"}:
+        entries.pop("iters", None)  # it follows transient + keep
+    entries.update(flags)
+    if analysis in ("bifurcation", "lyapunov") and not entries.keys() >= {"param", "min", "max"}:
         raise ConfigError("scenario has no scan configuration; pass --param, --min and --max")
-    else:
-        base = ScanConfig(args.param, args.min, args.max, grid_points=1000)
-    transient, keep = _given(args.transient, base.transient), _given(args.keep, base.keep)
-    iters = base.iterations_total
-    if args.transient is not None or args.keep is not None:
-        iters = transient + keep
-    return ScanConfig(
-        _given(args.param, base.parameter), _given(args.min, base.lo), _given(args.max, base.hi),
-        _given(args.points, base.grid_points), transient, keep, _given(args.iters, iters),
-    )
-
-
-def _orbit_defaults(sc: Scenario, steps, bounded, fallback_steps=100, fallback_bounded=True):
-    if isinstance(sc.analysis, OrbitSpec):
-        fallback_steps, fallback_bounded = sc.analysis.steps, sc.analysis.bounded
-    return _given(steps, fallback_steps), _given(bounded, fallback_bounded)
+    return build_scenario(entries)
 
 
 def _cmd_simulate(args) -> Table:
-    sc = _resolve_scenario(args)
-    steps, bounded = _orbit_defaults(sc, args.steps, args.bounded)
+    sc = _resolve(args, "orbit")
     orbit = generate_orbit(
         sc.initial_state(), sc.market, sc.cost, sc.supplier,
-        steps, bounded=bounded, form=sc.form, scenario=sc.name,
+        sc.analysis.steps, bounded=sc.analysis.bounded, form=sc.form, scenario=sc.name,
     )
     dead = orbit.collapse_step
     return Table(
@@ -263,8 +243,8 @@ def _cmd_simulate(args) -> Table:
 
 
 def _cmd_bifurcate(args) -> Table:
-    sc = _resolve_scenario(args)
-    cfg = _resolve_scan_config(args, sc)
+    sc = _resolve(args, "bifurcation", points=1000)
+    cfg = sc.analysis.config
     rows = bifurcation_scan(cfg, sc, threads=args.threads)
     index = range(cfg.keep)
     return Table(
@@ -274,8 +254,8 @@ def _cmd_bifurcate(args) -> Table:
 
 
 def _cmd_lyapunov(args) -> Table:
-    sc = _resolve_scenario(args)
-    cfg = _resolve_scan_config(args, sc)
+    sc = _resolve(args, "lyapunov", points=1000)
+    cfg = sc.analysis.config
     rows = lyapunov_scan(cfg, sc, method=args.method, threads=args.threads)
     return Table(
         [("param_value", float), ("lambda", float), ("method", str), ("defined", bool)],
@@ -285,11 +265,10 @@ def _cmd_lyapunov(args) -> Table:
 
 
 def _cmd_collapse(args) -> Table:
-    sc = _resolve_scenario(args)
-    steps, _ = _orbit_defaults(sc, args.steps, None, fallback_steps=3000)
+    sc = _resolve(args, "orbit", steps=3000)
     orbit = generate_orbit(
         sc.initial_state(), sc.market, sc.cost, sc.supplier,
-        steps, bounded=True, form=sc.form, scenario=sc.name,
+        sc.analysis.steps, bounded=True, form=sc.form, scenario=sc.name,
     )
     report = detect_collapse(orbit)
     row = (False, -1, "") if report is None else (True, report.step, report.trigger)
@@ -297,16 +276,8 @@ def _cmd_collapse(args) -> Table:
 
 
 def _cmd_ped(args) -> Table:
-    sc = _resolve_scenario(args)
-    p1, p2 = args.p1, args.p2
-    if isinstance(sc.analysis, PedSpec):
-        p1 = sc.analysis.p1 if p1 is None else p1
-        p2 = sc.analysis.p2 if p2 is None else p2
-    if p1 is None or p2 is None:
-        raise ConfigError("ped needs --p1 and --p2 (or a scenario with a ped analysis)")
-    PedSpec(p1, p2)  # validates the prices
-    from .model import demand
-
+    sc = _resolve(args, "ped")
+    p1, p2 = sc.analysis.p1, sc.analysis.p2
     value = ped(p1, p2, sc.market)
     q1, q2 = demand(p1, sc.market), demand(p2, sc.market)
     kind = float if isinstance(value, float) else str
@@ -316,18 +287,13 @@ def _cmd_ped(args) -> Table:
 
 def _cmd_scenarios(args) -> Table:
     del args
-    rows = [
-        (sc.name, sc.form.value, sc.supplier.m, sc.market.a, sc.market.b,
-         sc.cost.v, sc.cost.fc, sc.cost.margin, sc.seed_demand, sc.seed_supply,
-         ANALYSIS_NAMES[type(sc.analysis)], sc.figure or "")
-        for sc in builtin_scenarios()
-    ]
-    return Table(
-        [("name", str), ("form", str), ("m", float), ("a", float), ("b", float),
-         ("v", float), ("fc", float), ("margin", float), ("seed_d", float),
-         ("seed_s", float), ("analysis", str), ("figure", str)],
-        [tuple(map(list, zip(*rows)))],
-    )
+    entries = [scenario_entries(sc) for sc in builtin_scenarios()]
+    listed = ("name", "form", "m", "a", "b", "v", "fc", "margin", "seed_d", "seed_s",
+              "analysis", "figure")
+    columns = {key: [e.get(key, "") for e in entries] for key in listed}
+    columns["form"] = [form.value for form in columns["form"]]
+    return Table([(key, float if KEYS[key] is float else str) for key in listed],
+                 [tuple(columns.values())])
 
 
 _COMMANDS = {
@@ -357,16 +323,28 @@ def run_cli(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.out:
+    if not args.out:
+        table.write(sys.stdout, args.format)
+        return 0
+    try:
         with open(args.out, "w", newline="") as fh:
             table.write(fh, args.format)
-    else:
-        table.write(sys.stdout, args.format)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Python's recipe for EPIPE: point stdout
+        # at devnull, so the flush at exit cannot fail too, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -230,7 +230,9 @@ def _bifurcation_chunk(
 
 def _split(values: np.ndarray, threads: int) -> list[np.ndarray]:
     """Grid chunks, one per worker: at most ``threads`` and the core count."""
-    threads = max(1, min(int(threads), os.cpu_count() or 1))
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = min(int(threads), os.cpu_count() or 1)
     return [c for c in np.array_split(values, threads) if c.size]
 
 

@@ -3,7 +3,12 @@
 Each scenario bundles a supplier behavior, market and cost parameters,
 seed quantities, a map form and the analysis it was built to run, so the
 reference experiments are reproducible by name.  Scenarios round-trip
-through a flat ``key = value`` config format (see ``load_scenario``).
+through a flat ``key = value`` config format.  ``KEYS`` is its one
+schema: every key in document order with its value's type.  The parser
+reads text into typed entries by it, ``scenario_entries`` gives a
+scenario as typed entries in that order (which ``serialize_scenario``
+writes), and ``build_scenario`` turns typed entries into a validated
+scenario.  The command line's flags are the same keys.
 
 Every builtin is registered in the form that reproduces its figure
 (canonical throughout; the paper-literal algebra diverges within a few
@@ -234,48 +239,68 @@ ANALYSIS_NAMES = {
     PedSpec: "ped",
 }
 
+# Every config key, in the order a document lists them, with its value's type.
+KEYS: dict[str, type] = {
+    "name": str, "m": float, "a": float, "b": float, "v": float, "fc": float,
+    "margin": float, "seed_d": float, "seed_s": float, "form": MapForm, "analysis": str,
+    "steps": int, "bounded": bool,
+    "param": str, "min": float, "max": float, "points": int,
+    "transient": int, "keep": int, "iters": int,
+    "p1": float, "p2": float,
+    "figure": str,
+}
+
+
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+# value type -> (config text to value, value to config text, what the text must be)
+_CODECS = {
+    str: (str, str, ""),
+    float: (float, repr, "a number"),
+    int: (int, str, "an integer"),
+    bool: (_bool, lambda flag: "true" if flag else "false", "true or false"),
+    MapForm: (MapForm, lambda form: form.value, "canonical or paper-literal"),
+}
+
+_REQUIRED_KEYS = ("name", "a", "b", "v", "fc", "margin")
+_SCAN_KEYS = ("param", "min", "max", "points")
+# the keys each analysis requires beyond _REQUIRED_KEYS
+_ANALYSIS_KEYS = {
+    "orbit": (), "bifurcation": _SCAN_KEYS, "lyapunov": _SCAN_KEYS, "ped": ("p1", "p2"),
+}
+
+
+def scenario_entries(sc: Scenario) -> dict:
+    """The scenario as typed config entries, in the order of ``KEYS``:
+    the keys of its own analysis, and ``figure`` only when it has one."""
+    spec = sc.analysis
+    entries = {
+        "name": sc.name, "m": sc.supplier.m, "a": sc.market.a, "b": sc.market.b,
+        "v": sc.cost.v, "fc": sc.cost.fc, "margin": sc.cost.margin,
+        "seed_d": sc.seed_demand, "seed_s": sc.seed_supply, "form": sc.form,
+        "analysis": ANALYSIS_NAMES[type(spec)],
+    }
+    if isinstance(spec, OrbitSpec):
+        entries.update(steps=spec.steps, bounded=spec.bounded)
+    elif isinstance(spec, PedSpec):
+        entries.update(p1=spec.p1, p2=spec.p2)
+    else:
+        cfg = spec.config
+        entries.update(param=cfg.parameter, min=cfg.lo, max=cfg.hi, points=cfg.grid_points,
+                       transient=cfg.transient, keep=cfg.keep, iters=cfg.iterations_total)
+    if sc.figure is not None:
+        entries["figure"] = sc.figure
+    return entries
+
 
 def serialize_scenario(sc: Scenario) -> str:
     """Render a scenario as the flat key = value config document."""
-    lines = [
-        f"name = {sc.name}",
-        f"m = {sc.supplier.m!r}",
-        f"a = {sc.market.a!r}",
-        f"b = {sc.market.b!r}",
-        f"v = {sc.cost.v!r}",
-        f"fc = {sc.cost.fc!r}",
-        f"margin = {sc.cost.margin!r}",
-        f"seed_d = {sc.seed_demand!r}",
-        f"seed_s = {sc.seed_supply!r}",
-        f"form = {sc.form.value}",
-        f"analysis = {ANALYSIS_NAMES[type(sc.analysis)]}",
-    ]
-    spec = sc.analysis
-    if isinstance(spec, OrbitSpec):
-        lines.append(f"steps = {spec.steps}")
-        lines.append(f"bounded = {'true' if spec.bounded else 'false'}")
-    elif isinstance(spec, (BifurcationSpec, LyapunovSpec)):
-        cfg = spec.config
-        lines.append(f"param = {cfg.parameter}")
-        lines.append(f"min = {cfg.lo!r}")
-        lines.append(f"max = {cfg.hi!r}")
-        lines.append(f"points = {cfg.grid_points}")
-        lines.append(f"transient = {cfg.transient}")
-        lines.append(f"keep = {cfg.keep}")
-        lines.append(f"iters = {cfg.iterations_total}")
-    else:
-        lines.append(f"p1 = {spec.p1!r}")
-        lines.append(f"p2 = {spec.p2!r}")
-    if sc.figure is not None:
-        lines.append(f"figure = {sc.figure}")
-    return "\n".join(lines) + "\n"
-
-
-_FLOAT_KEYS = {"m", "a", "b", "v", "fc", "margin", "seed_d", "seed_s", "min", "max", "p1", "p2"}
-_INT_KEYS = {"steps", "points", "transient", "keep", "iters"}
-_KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | {"name", "form", "analysis", "bounded", "param", "figure"}
-
-_REQUIRED_KEYS = ("name", "a", "b", "v", "fc", "margin")
+    return "".join(f"{key} = {_CODECS[KEYS[key]][1](value)}\n"
+                   for key, value in scenario_entries(sc).items())
 
 
 def _parse_document(text: str) -> dict[str, str]:
@@ -287,7 +312,7 @@ def _parse_document(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -297,94 +322,63 @@ def _parse_document(text: str) -> dict[str, str]:
 
 def _typed(entries: dict[str, str]) -> dict:
     out: dict = {}
-    for key, value in entries.items():
-        if key in _FLOAT_KEYS:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-        elif key in _INT_KEYS:
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-        elif key == "bounded":
-            if value not in ("true", "false"):
-                raise ConfigError(f"bounded: expected true or false, got {value!r}")
-            out[key] = value == "true"
-        elif key == "form":
-            if value not in {f.value for f in MapForm}:
-                raise ConfigError(f"form: expected canonical or paper-literal, got {value!r}")
-            out[key] = MapForm(value)
-        else:
-            out[key] = value
+    for key, text in entries.items():
+        parse, _, expected = _CODECS[KEYS[key]]
+        try:
+            out[key] = parse(text)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
     return out
+
+
+def build_scenario(entries: dict) -> Scenario:
+    """Build a Scenario from typed config entries (``form`` may also be
+    given by its value).
+
+    Missing required keys and out-of-range values raise ``ConfigError``
+    naming the offending field; the keys of analyses other than the one
+    named are ignored.  Seeds default to (1, 1), the form to canonical
+    and the analysis to a bounded 100-step orbit.
+    """
+    for key in _REQUIRED_KEYS:
+        if key not in entries:
+            raise ConfigError(f"missing required key {key!r}")
+    kind = entries.get("analysis", "orbit")
+    try:
+        supplier = SupplierBehavior(m=entries.get("m", 1.0))
+        market = MarketParams(a=entries["a"], b=entries["b"])
+        cost = CostPricing(fc=entries["fc"], v=entries["v"], margin=entries["margin"])
+        if kind not in _ANALYSIS_KEYS:
+            raise ConfigError(
+                f"analysis: expected orbit, bifurcation, lyapunov or ped, got {kind!r}"
+            )
+        for key in _ANALYSIS_KEYS[kind]:
+            if key not in entries:
+                raise ConfigError(f"missing required key {key!r} for {kind} analysis")
+        if kind == "orbit":
+            analysis: AnalysisSpec = OrbitSpec(entries.get("steps", 100),
+                                               entries.get("bounded", True))
+        elif kind == "ped":
+            analysis = PedSpec(entries["p1"], entries["p2"])
+        else:
+            transient = entries.get("transient", ScanConfig.transient)
+            keep = entries.get("keep", ScanConfig.keep)
+            cfg = ScanConfig(entries["param"], entries["min"], entries["max"], entries["points"],
+                             transient, keep, entries.get("iters", transient + keep))
+            analysis = BifurcationSpec(cfg) if kind == "bifurcation" else LyapunovSpec(cfg)
+        return Scenario(
+            entries["name"], supplier, market, cost, analysis,
+            seed_demand=entries.get("seed_d", 1.0), seed_supply=entries.get("seed_s", 1.0),
+            form=MapForm(entries.get("form", MapForm.CANONICAL)), figure=entries.get("figure"),
+        )
+    except ValueError as exc:  # a ConfigError keeps its text
+        raise ConfigError(str(exc)) from None
 
 
 def load_scenario(text: str) -> Scenario:
     """Parse a flat key = value config document into a Scenario.
 
-    Unknown keys, missing required keys and out-of-range values raise
-    ``ConfigError`` naming the offending field.  Seeds default to (1, 1),
-    the form to canonical and the analysis to a bounded 100-step orbit.
+    Unknown, duplicate and mistyped keys raise ``ConfigError``; the
+    entries then go through ``build_scenario``.
     """
-    entries = _typed(_parse_document(text))
-    for key in _REQUIRED_KEYS:
-        if key not in entries:
-            raise ConfigError(f"missing required key {key!r}")
-
-    try:
-        supplier = SupplierBehavior(m=entries.get("m", 1.0))
-        market = MarketParams(a=entries["a"], b=entries["b"])
-        cost = CostPricing(fc=entries["fc"], v=entries["v"], margin=entries["margin"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    kind = entries.get("analysis", "orbit")
-    try:
-        if kind == "orbit":
-            analysis: AnalysisSpec = OrbitSpec(
-                steps=entries.get("steps", 100),
-                bounded=entries.get("bounded", True),
-            )
-        elif kind in ("bifurcation", "lyapunov"):
-            for key in ("param", "min", "max", "points"):
-                if key not in entries:
-                    raise ConfigError(f"missing required key {key!r} for {kind} analysis")
-            transient = entries.get("transient", ScanConfig.transient)
-            keep = entries.get("keep", ScanConfig.keep)
-            cfg = ScanConfig(
-                parameter=entries["param"],
-                lo=entries["min"],
-                hi=entries["max"],
-                grid_points=entries["points"],
-                transient=transient,
-                keep=keep,
-                iterations_total=entries.get("iters", transient + keep),
-            )
-            analysis = BifurcationSpec(cfg) if kind == "bifurcation" else LyapunovSpec(cfg)
-        elif kind == "ped":
-            for key in ("p1", "p2"):
-                if key not in entries:
-                    raise ConfigError(f"missing required key {key!r} for ped analysis")
-            analysis = PedSpec(p1=entries["p1"], p2=entries["p2"])
-        else:
-            raise ConfigError(
-                f"analysis: expected orbit, bifurcation, lyapunov or ped, got {kind!r}"
-            )
-
-        return Scenario(
-            name=entries["name"],
-            supplier=supplier,
-            market=market,
-            cost=cost,
-            analysis=analysis,
-            seed_demand=entries.get("seed_d", 1.0),
-            seed_supply=entries.get("seed_s", 1.0),
-            form=entries.get("form", MapForm.CANONICAL),
-            figure=entries.get("figure"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return build_scenario(_typed(_parse_document(text)))

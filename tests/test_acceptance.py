@@ -158,8 +158,12 @@ def test_c04_named_cycles():
     assert k3 == 3, f"expected period 3 at b=0.1308, got {k3}"
     # Known red: under the recorded (canonical) map the attractor at this b
     # is a doubled 10-cycle, period 20 with pair gaps ~1e-3, far above the
-    # 1e-6 clustering tolerance.  A true period-10 window exists ~2.4e-5
-    # lower in b.  The check is kept as stated rather than loosened.
+    # 1e-6 clustering tolerance.  The true period-10 window lies lower in
+    # b, between 0.084356954 (it opens out of the aperiodic band) and
+    # 0.084387409 (it doubles to period 20), by bisection with a transient
+    # of 20,000 and tolerance 1e-9; see
+    # test_analysis.test_genuine_period_10_window_below_c04.  The check is
+    # kept as stated rather than loosened.
     assert k10 == 10, f"expected period 10 at b=0.0843999995, got {k10}"
 
 

@@ -411,3 +411,18 @@ def test_period_doubling_gaps_approach_feigenbaum_delta():
     distance = np.abs(delta - FEIGENBAUM_DELTA)
     # each ratio is nearer delta than the one before, beyond both error bars
     assert all(distance[1:] + error[1:] < distance[:-1] - error[:-1]), (delta, error)
+
+
+def test_genuine_period_10_window_below_c04():
+    # Acceptance check c04 pins period 10 at b = 0.0843999995, where the
+    # attractor is a doubled 10-cycle.  Bisection on the period (transient
+    # 20,000, tolerance 1e-9) puts the genuine period-10 window between
+    # b = 0.084356954, where it opens out of the aperiodic band, and
+    # b = 0.084387409, where it doubles to period 20.  At a transient of
+    # 80,000 the lower edge moves by 5e-11 and the upper one to 0.084387581:
+    # the orbit settles slowly near a doubling, as in the Feigenbaum test.
+    lower, upper = 0.084356954, 0.084387409
+    assert _bounded_period(0.5 * (lower + upper), 20_000) == 10
+    assert [_bounded_period(b, 20_000) for b in (lower - 1e-8, lower + 1e-8)] == [0, 10]
+    assert [_bounded_period(b, 20_000) for b in (upper - 1e-8, upper + 1e-8)] == [10, 20]
+    assert _bounded_period(0.0843999995, 20_000) == 20

@@ -1,19 +1,32 @@
 """End-to-end tests of the command-line surface."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import marketdyn
 from marketdyn.analysis import PERFECTLY_ELASTIC, detect_collapse, generate_orbit, ped
-from marketdyn.cli import Table, run_cli
-from marketdyn.model import MarketParams, demand
+from marketdyn.cli import Table, build_parser, run_cli
+from marketdyn.model import MapForm, MarketParams, demand
 from marketdyn.scans import ScanConfig, bifurcation_scan, lyapunov_scan
-from marketdyn.scenarios import builtin_scenarios, get_scenario
+from marketdyn.scenarios import (
+    KEYS,
+    OrbitSpec,
+    builtin_scenarios,
+    get_scenario,
+    serialize_scenario,
+)
 
 
 def run(argv, capsys):
@@ -230,6 +243,30 @@ def test_byte_identical_across_runs_and_threads(tmp_path):
         assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.csv"
+    code, out, err = run(["simulate", "--steps", "3", "--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    # the reader leaves after the first bytes, as in `marketdyn simulate | head -2`
+    src = str(Path(marketdyn.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from marketdyn.cli import main; main()",
+         "simulate", "--steps", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.read(64).startswith(b"step,demand")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""  # no traceback, no "Exception ignored" line
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--a", "inf", "--steps", "3"],
     ["lyapunov", "--scenario", "naive-lyap", "--max", "inf", "--points", "5"],
@@ -417,3 +454,101 @@ def test_every_command_matches_oracle_rendering(argv, columns, rows, fmt, capsys
         assert False in cells and (fmt == "csv" or "null" in out)
     if argv[0] == "scenarios":
         assert "" in cells
+
+
+# The shared schema: a flag is the config key of its dest.
+
+def test_flag_dests_have_their_config_key_types():
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    seen = set()
+    for sub in subcommands.values():
+        for action in sub._actions:
+            key = action.dest
+            if key not in KEYS:
+                continue
+            seen.add(key)
+            if key == "form":  # given by its value, which build_scenario takes
+                assert KEYS[key] is MapForm
+                assert sorted(action.choices) == sorted(f.value for f in MapForm)
+            elif action.nargs == 0:  # --bounded / --unbounded
+                assert KEYS[key] is bool and isinstance(action.const, bool)
+            else:
+                assert (action.type or str) is KEYS[key], key
+    assert seen == set(KEYS) - {"name", "analysis", "figure"}
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _by_flags_and_by_file(command, name, flags, keys, folder):
+    """The outcomes of a command given ``flags`` on a builtin, and given
+    the builtin's config document with ``keys`` set in it."""
+    def texts(values):
+        return {key: repr(value) if isinstance(value, float) else str(value)
+                for key, value in values.items()}
+
+    document = serialize_scenario(get_scenario(name))
+    lines = dict(line.split(" = ", 1) for line in document.splitlines())
+    lines.update(texts(keys))
+    path = folder / "overrides.cfg"
+    path.write_text("".join(f"{key} = {text}\n" for key, text in lines.items()))
+    argv = [f"--{key.replace('_', '-')}={text}" for key, text in texts(flags).items()]
+    return (_outcome([command, "--scenario", name, *argv]),
+            _outcome([command, "--scenario", str(path)]))
+
+
+_ORBIT_BUILTINS = [sc.name for sc in builtin_scenarios() if isinstance(sc.analysis, OrbitSpec)]
+
+
+def _values(lo, hi):
+    """Mostly floats in [lo, hi]; one draw in four is below lo or not finite."""
+    return st.integers(0, 3).flatmap(
+        lambda k: st.floats(lo, hi) if k else st.sampled_from([lo - 1.0, math.inf, math.nan]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(_ORBIT_BUILTINS),
+    overrides=st.fixed_dictionaries({}, optional={
+        "a": _values(0.0, 40.0), "b": _values(0.0, 0.2), "v": _values(0.5, 10.0),
+        "fc": _values(0.5, 40.0), "margin": _values(0.0, 0.99), "m": _values(0.25, 4.0),
+        "seed_d": _values(0.0, 30.0), "seed_s": _values(0.01, 30.0),
+        "steps": st.integers(-1, 40),
+    }),
+)
+def test_simulate_flags_act_as_their_config_keys(tmp_path_factory, name, overrides):
+    by_flags, by_file = _by_flags_and_by_file(
+        "simulate", name, overrides, overrides, tmp_path_factory.mktemp("cfg"))
+    assert by_flags == by_file
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    overrides=st.fixed_dictionaries({"points": st.integers(0, 3)}, optional={
+        "param": st.sampled_from(["b", "M", "a"]),
+        "min": _values(0.0, 0.1), "max": _values(0.1, 0.9),
+        # above 1,000 (naive-lyap's own), a transient needs iters to follow it
+        "transient": st.integers(-1, 1200), "keep": st.integers(0, 60),
+    }),
+    extra=st.none() | st.integers(-1, 20),
+)
+@example(overrides={"points": 2, "transient": 1100}, extra=None)
+@example(overrides={"points": 2, "transient": 1100}, extra=-1)
+def test_scan_flags_act_as_their_config_keys(tmp_path_factory, overrides, extra):
+    # --transient or --keep without --iters makes iters transient + keep;
+    # with extra, --iters is given as transient + keep + extra
+    base = get_scenario("naive-lyap").analysis.config
+    flags, keys = dict(overrides), dict(overrides)
+    span = overrides.get("transient", base.transient) + overrides.get("keep", base.keep)
+    if extra is not None:
+        flags["iters"] = keys["iters"] = span + extra
+    elif overrides.keys() & {"transient", "keep"}:
+        keys["iters"] = span
+    by_flags, by_file = _by_flags_and_by_file(
+        "lyapunov", "naive-lyap", flags, keys, tmp_path_factory.mktemp("cfg"))
+    assert by_flags == by_file

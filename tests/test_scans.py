@@ -511,3 +511,6 @@ def test_split_caps_chunks_at_core_count(monkeypatch):
     assert len(_split(grid[:1], 3)) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert len(_split(grid, 8)) == 1
+    for threads in (0, -5):  # refused, not run on one worker
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            _split(grid, threads)

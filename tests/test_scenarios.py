@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from marketdyn.model import CostPricing, MapForm, MarketParams, SupplierBehavior
 from marketdyn.scans import ScanConfig, bifurcation_scan, lyapunov_scan
 from marketdyn.scenarios import (
+    KEYS,
     BifurcationSpec,
     ConfigError,
     LyapunovSpec,
@@ -15,9 +16,11 @@ from marketdyn.scenarios import (
     PedSpec,
     Scenario,
     _parse_document,
+    build_scenario,
     builtin_scenarios,
     get_scenario,
     load_scenario,
+    scenario_entries,
     serialize_scenario,
 )
 from marketdyn.analysis import detect_collapse, generate_orbit, OrbitDomainError
@@ -72,6 +75,10 @@ def test_published_parameterizations():
 def test_round_trip_identity_on_registry():
     for sc in builtin_scenarios():
         assert load_scenario(serialize_scenario(sc)) == sc
+        entries = scenario_entries(sc)
+        assert build_scenario(entries) == sc
+        assert list(entries) == [key for key in KEYS if key in entries]
+        assert all(isinstance(value, KEYS[key]) for key, value in entries.items())
 
 
 def test_load_defaults():
