@@ -41,6 +41,7 @@ from .scans import (
     BifurcationRow,
     LyapunovRow,
     ScanConfig,
+    bifurcation_rows,
     bifurcation_scan,
     lyapunov_scan,
 )

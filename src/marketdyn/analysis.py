@@ -207,18 +207,36 @@ def find_fixed_points(
     return found
 
 
+# Rows per block of the period test.  Its temporaries are then about
+# 0.5 MiB each at 500 samples a row, whatever the number of rows.
+_BLOCK = 128
+
+
 def detect_periods(samples: np.ndarray, tolerance: float, max_period: int) -> np.ndarray:
     """Smallest period k <= max_period (and <= half the row) of each row of
     a 2-D array of tails, 0 where none: k holds when |x[i] - x[i+k]| <
-    tolerance * max(1, |x[i]|) for every i, a tolerance relative on large values."""
+    tolerance * max(1, |x[i]|) for every i, a tolerance relative on large values.
+
+    Rows are tested ``_BLOCK`` at a time, so the temporaries are a block's
+    size whatever the number of rows."""
     X = np.asarray(samples, dtype=float)
     periods = np.zeros(X.shape[0], dtype=np.int64)
+    for lo in range(0, X.shape[0], _BLOCK):
+        periods[lo:lo + _BLOCK] = _block_periods(X[lo:lo + _BLOCK], tolerance, max_period)
+    return periods
+
+
+def _block_periods(X: np.ndarray, tolerance: float, max_period: int) -> np.ndarray:
+    periods = np.zeros(X.shape[0], dtype=np.int64)
     open_idx = np.arange(X.shape[0])
-    scale = tolerance * np.maximum(1.0, np.abs(X))
+    scale = np.abs(X)
+    np.maximum(scale, 1.0, out=scale)
+    scale *= tolerance
     for k in range(1, min(max_period, X.shape[1] // 2) + 1):
         if open_idx.size == 0:
             break
-        ok = np.all(np.abs(X[:, k:] - X[:, :-k]) < scale[:, :-k], axis=1)
+        gap = X[:, k:] - X[:, :-k]
+        ok = np.all(np.abs(gap, out=gap) < scale[:, :-k], axis=1)
         if ok.any():
             periods[open_idx[ok]] = k
             open_idx, X, scale = open_idx[~ok], X[~ok], scale[~ok]

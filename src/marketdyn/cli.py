@@ -19,10 +19,12 @@ true and false; text as is in CSV unless it holds a comma, a double quote
 or a newline, which puts it in double quotes with inner quotes doubled,
 and as a JSON string in JSON.  Each column has one kind, and a table is
 written block by block, one write per block: a block holds one list,
-tuple or range per column (the column row by row) or one value repeated
-down the block (a block of repeats alone is one row).  ``bifurcate``
-writes one block per grid point, ``simulate`` and ``lyapunov`` fixed
-slices of their rows, the other commands one block.  Diagnostics go to
+tuple, range or ndarray per column (the column row by row) or one value
+repeated down the block (a block of repeats alone is one row).  A float
+column given as an ndarray has each distinct bit pattern formatted once.
+``bifurcate`` writes one block per grid point as the scan streams it,
+``simulate`` and ``lyapunov`` fixed slices of their rows, the other
+commands one block.  Diagnostics go to
 stderr only.  Exit codes: 0 success; 1 stdout closed by its reader (a
 broken pipe, which ends the run quietly); 2 configuration or validation
 error, or an --out path that cannot be written; 3 numerical failure in
@@ -41,6 +43,8 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     OrbitDomainError,
     OrbitEscapeError,
@@ -49,7 +53,7 @@ from .analysis import (
     ped,
 )
 from .model import DomainError, MapForm, demand
-from .scans import bifurcation_scan, lyapunov_scan
+from .scans import bifurcation_rows, lyapunov_scan
 from .scenarios import (
     KEYS,
     ConfigError,
@@ -91,7 +95,7 @@ class Table:
                 raise ValueError("block width does not match header")
             cells, seqs = [], []
             for k, ((_, kind), entry) in enumerate(zip(self.columns, block)):
-                if not isinstance(entry, (list, tuple, range)):
+                if not isinstance(entry, (list, tuple, range, np.ndarray)):
                     conv, (arg,) = _column(kind, (entry,), fmt)
                     cells.append((conv % arg).replace("%", "%%"))
                     continue
@@ -108,6 +112,13 @@ class Table:
 
 def _column(kind: type, values, fmt: str) -> tuple[str, Sequence]:
     """The %-conversion and the arguments that render one block column."""
+    if kind is float and isinstance(values, np.ndarray):
+        # each distinct bit pattern is formatted once; float equality would
+        # merge -0.0 into 0.0
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        conv, distinct = _column(kind, bits.view(np.float64).tolist(), fmt)
+        texts = [conv % x for x in distinct]
+        return "%s", list(map(texts.__getitem__, inverse.tolist()))
     if kind is float:
         if fmt == "csv" or all(map(math.isfinite, values)):
             return "%.17g", values
@@ -133,12 +144,28 @@ def _quote(text: str, fmt: str) -> str:
     return text
 
 
+def _output_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help="write the table to this path instead of stdout")
+    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+
+
+def _threads(text: str) -> int:
+    """A --threads value: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", help="builtin scenario name or path to a config file")
     p.add_argument("--form", choices=sorted(f.value for f in MapForm), help="map form override")
-    p.add_argument("--out", help="write the table to this path instead of stdout")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--threads", type=int, default=1)
+    _output_flags(p)
+    p.add_argument("--threads", type=_threads, default=1,
+                   help="worker processes (at most the core count)")
     for flag in ("--a", "--b", "--v", "--fc", "--margin", "--m", "--seed-d", "--seed-s"):
         p.add_argument(flag, type=float, default=None)
 
@@ -186,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", type=float, default=None)
 
     p = sub.add_parser("scenarios", help="list the builtin scenarios")
-    _common_flags(p)
+    _output_flags(p)
 
     return parser
 
@@ -245,11 +272,11 @@ def _cmd_simulate(args) -> Table:
 def _cmd_bifurcate(args) -> Table:
     sc = _resolve(args, "bifurcation", points=1000)
     cfg = sc.analysis.config
-    rows = bifurcation_scan(cfg, sc, threads=args.threads)
+    rows = bifurcation_rows(cfg, sc, threads=args.threads)
     index = range(cfg.keep)
     return Table(
         [("param_value", float), ("sample_index", int), ("demand", float), ("classification", str)],
-        ((r.param_value, index, r.attractor_samples.tolist(), r.classification) for r in rows),
+        ((r.param_value, index, r.attractor_samples, r.classification) for r in rows),
     )
 
 

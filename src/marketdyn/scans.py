@@ -18,17 +18,24 @@ their log terms in place.  A lane that leaves the map's domain is not
 frozen: its ``defined`` (or ``alive``) flag drops and it runs on,
 unobserved, since its sum and state never reach a row (λ is NaN there,
 or +inf in the probe).  A lane that ends defined passed every check, so
-it got exactly the terms it would have got alone.  Bifurcation rows are
-views into their chunk's samples matrix.
+it got exactly the terms it would have got alone.
+
+A bifurcation scan streams: the grid runs in chunks of ``_CHUNK`` lanes,
+at most two per worker in flight, and each chunk's samples matrix is
+dropped once its rows are taken, so memory is set by a chunk, not by the
+grid.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -45,6 +52,11 @@ _SCAN_PARAMETERS = ("b", "M", "a")
 _PROBE_STEPS = 2048
 _PROBE_LAMBDA_MAX = 0.02
 _REFINE_ROUNDS = 8
+
+# Lanes per chunk of a bifurcation scan.  The array step's cost per
+# lane-step levels off near 4,096 lanes, and a chunk's samples matrix is
+# then 32 KiB per kept sample (16 MiB at keep = 500).
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -204,7 +216,8 @@ def _bifurcation_chunk(
     tolerance: float,
     max_period: int,
     refine: bool,
-) -> list[BifurcationRow]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """The samples matrix and the periods of one chunk of the grid."""
     pars = MapParams(scenario.market, scenario.cost, scenario.supplier, form,
                      config.parameter, values)
     D, S, P, alive, samples = _simulate_grid(pars, scenario, config, values.size)
@@ -221,31 +234,83 @@ def _bifurcation_chunk(
                     float(D[i]), float(S[i]), float(P[i]), pars.take(i),
                     config.keep, tolerance, max_period,
                 )
+    return samples, periods
 
-    return [
-        BifurcationRow(x, row, class_name(k))
-        for x, row, k in zip(values.tolist(), samples, periods.tolist())
-    ]
+
+def _rows(values: np.ndarray, part: tuple[np.ndarray, np.ndarray]) -> Iterator[BifurcationRow]:
+    """The rows of one chunk's (samples, periods), each with its own copy of
+    its samples: a row kept by the caller then does not hold the chunk's
+    whole matrix."""
+    samples, periods = part
+    for x, row, k in zip(values.tolist(), samples, periods.tolist()):
+        yield BifurcationRow(x, row.copy(), class_name(k))
+
+
+def _workers(threads: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` chunks: at most ``threads``, the core
+    count and ``tasks``."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return min(int(threads), os.cpu_count() or 1, tasks)
 
 
 def _split(values: np.ndarray, threads: int) -> list[np.ndarray]:
-    """Grid chunks, one per worker: at most ``threads`` and the core count."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    threads = min(int(threads), os.cpu_count() or 1)
-    return [c for c in np.array_split(values, threads) if c.size]
+    """Grid chunks, one per worker."""
+    return np.array_split(values, _workers(threads, values.size))
 
 
-def _run_chunks(worker, chunks: list) -> list:
-    """Evaluate ``worker`` on each chunk, in worker processes when more than one.
+def _run_chunks(worker, chunks: list, workers: int) -> Iterator:
+    """``worker``'s result on each chunk, in chunk order, from ``workers`` processes
+    when more than one.
 
-    Per-lane purity makes the result independent of the chunking, so the
-    index-ordered merge is byte-identical for any worker count.
+    At most two chunks per worker are in flight, so finished results do
+    not pile up behind a slow consumer.  Per-lane purity makes the results
+    independent of the chunking and of the worker count.
     """
-    if len(chunks) <= 1:
-        return [worker(c) for c in chunks]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return list(pool.map(worker, chunks))
+    if workers <= 1:
+        yield from map(worker, chunks)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        pending = deque()
+        for chunk in chunks:
+            pending.append(pool.submit(worker, chunk))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def bifurcation_rows(
+    config: ScanConfig,
+    scenario,
+    form: MapForm | None = None,
+    tolerance: float = 1e-6,
+    max_period: int = 64,
+    threads: int = 1,
+    refine: bool = True,
+) -> Iterator[BifurcationRow]:
+    """Long-run attractor samples of the bounded dynamics over a grid, as a stream.
+
+    Each grid point seeds the scenario's initial quantities, discards
+    the transient, keeps ``config.keep`` demand samples and classifies
+    them.  Points whose orbit dies are classified "collapsed" rather
+    than aborting the sweep.  The grid runs in chunks of ``_CHUNK``
+    lanes, on up to ``threads`` worker processes, and rows come in grid
+    order, independent of ``threads``.  Memory is set by a chunk: a
+    chunk's samples matrix is dropped once its rows are taken.
+    """
+    form = scenario.form if form is None else form
+    worker = partial(_bifurcation_chunk, scenario=scenario, config=config, form=form,
+                     tolerance=tolerance, max_period=max_period, refine=refine)
+    grid = config.grid()
+    chunks = [grid[lo:lo + _CHUNK] for lo in range(0, grid.size, _CHUNK)]
+    parts = _run_chunks(worker, chunks, _workers(threads, len(chunks)))
+    # chain drops each chunk's rows generator, and with it the chunk's
+    # matrix, before it asks for the next chunk
+    return chain.from_iterable(map(_rows, chunks, parts))
 
 
 def bifurcation_scan(
@@ -257,19 +322,9 @@ def bifurcation_scan(
     threads: int = 1,
     refine: bool = True,
 ) -> list[BifurcationRow]:
-    """Long-run attractor samples of the bounded dynamics over a grid.
-
-    Each grid point seeds the scenario's initial quantities, discards
-    the transient, keeps ``config.keep`` demand samples and classifies
-    them.  Points whose orbit dies are classified "collapsed" rather
-    than aborting the sweep.  Results are ordered by grid index and
-    independent of ``threads``.
-    """
-    form = scenario.form if form is None else form
-    worker = partial(_bifurcation_chunk, scenario=scenario, config=config, form=form,
-                     tolerance=tolerance, max_period=max_period, refine=refine)
-    parts = _run_chunks(worker, _split(config.grid(), threads))
-    return [row for part in parts for row in part]
+    """Every row of ``bifurcation_rows``, as a list."""
+    return list(bifurcation_rows(config, scenario, form, tolerance, max_period, threads,
+                                 refine))
 
 
 def _lyapunov_chunk(
@@ -325,5 +380,5 @@ def lyapunov_scan(
     form = scenario.form if form is None else form
     worker = partial(_lyapunov_chunk, scenario=scenario, config=config, form=form,
                      method=method)
-    parts = _run_chunks(worker, _split(config.grid(), threads))
-    return [row for part in parts for row in part]
+    chunks = _split(config.grid(), threads)
+    return list(chain.from_iterable(_run_chunks(worker, chunks, len(chunks))))

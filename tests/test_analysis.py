@@ -6,8 +6,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from marketdyn.analysis import (
+    _BLOCK,
     FixedPointNotFound,
     OrbitDomainError,
     OrbitEscapeError,
@@ -216,6 +218,23 @@ def test_detect_period_relative_tolerance():
     base = [100.0, 200.0] * 100
     jittered = [x + 1e-5 * (i % 3) for i, x in enumerate(base)]
     assert detect_period(jittered, tolerance=1e-6) == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_period_test_equals_the_per_row_test(rows, seed):
+    # cycles of period 1..6 on scales 0.1..1000, each row jittered by
+    # nothing, by about the tolerance or by far more than it
+    rng = np.random.default_rng(seed)
+    period = rng.integers(1, 7, size=rows)
+    scale = 10.0 ** rng.uniform(-1.0, 3.0, size=rows)
+    cycle = rng.uniform(0.0, 1.0, size=(rows, 6)) * scale[:, None]
+    X = cycle[np.arange(rows)[:, None], np.arange(40) % period[:, None]]
+    jitter = rng.choice([0.0, 1e-6, 1e-3], size=rows)[:, None] * scale[:, None]
+    X += jitter * rng.uniform(-1.0, 1.0, size=X.shape)
+    want = [detect_period(row, 1e-6, 16) or 0 for row in X]
+    assert detect_periods(X, 1e-6, 16).tolist() == want
 
 
 def test_classify_labels():

@@ -12,10 +12,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import marketdyn
+from marketdyn import scans
 from marketdyn.analysis import PERFECTLY_ELASTIC, detect_collapse, generate_orbit, ped
 from marketdyn.cli import Table, build_parser, run_cli
 from marketdyn.model import MapForm, MarketParams, demand
@@ -243,6 +245,38 @@ def test_byte_identical_across_runs_and_threads(tmp_path):
         assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_bifurcate_bytes_do_not_depend_on_the_chunk_size(chunk, tmp_path, monkeypatch):
+    # about 150 points: one chunk at the default size, 22 or 3 when patched
+    argv = ["bifurcate", "--scenario", "naive-bif-b", "--points", "151", "--transient", "600",
+            "--keep", "64"]
+    assert run_cli(argv + ["--out", str(tmp_path / "whole.csv")]) == 0
+    monkeypatch.setattr(scans, "_CHUNK", chunk)
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        assert run_cli(argv + ["--threads", threads, "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bifurcate", "lyapunov", "collapse", "ped",
+                                     "scenarios"])
+def test_threads_below_one_exits_2_for_every_command(command, capsys):
+    for threads in ("0", "-3", "two"):
+        code, out, err = run([command, "--threads", threads], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
+
+
+@pytest.mark.parametrize("flags", [["--scenario", "naive-ts"], ["--a", "3"],
+                                   ["--form", "canonical"], ["--threads", "2"]])
+def test_scenarios_takes_only_output_flags(flags, capsys):
+    code, out, err = run(["scenarios", *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "table.csv"
     code, out, err = run(["simulate", "--steps", "3", "--out", str(target)], capsys)
@@ -352,14 +386,29 @@ _EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1e308,
 @example([(5e-324, "", 0, False)], math.nan, "")
 def test_writer_matches_per_cell_oracle(cells, lone, note):
     xs, texts, ints, flags = (list(c) for c in zip(*cells)) if cells else ([], [], [], [])
-    table = Table(
-        [("x", float), ("lone", float), ("text", str), ("note", str), ("n", int), ("flag", bool)],
-        [(xs, lone, texts, note, ints, flags)],
-    )
     rows = [(x, lone, t, note, n, f) for x, t, n, f in cells]
     names = ["x", "lone", "text", "note", "n", "flag"]
-    for fmt in ("csv", "jsonl"):
-        assert written(table, fmt) == oracle(names, rows, fmt)
+    # a float column given as an ndarray is rendered from its distinct bit patterns
+    for column in (xs, np.array(xs, dtype=float)):
+        table = Table(
+            [("x", float), ("lone", float), ("text", str), ("note", str), ("n", int),
+             ("flag", bool)],
+            [(column, lone, texts, note, ints, flags)],
+        )
+        for fmt in ("csv", "jsonl"):
+            assert written(table, fmt) == oracle(names, rows, fmt)
+
+
+def test_ndarray_float_column_formats_each_bit_pattern_as_its_own_cell():
+    xs = [0.1, -0.0, 0.0, 0.1, math.nan, -0.0, math.inf, 0.0, -math.inf, 0.1,
+          -math.nan, 1e308, math.nan]
+    table = Table([("x", float), ("i", int)], [(np.array(xs), range(len(xs)))])
+    csv_text = written(table, "csv").splitlines()[1:]
+    assert csv_text == ["%.17g,%d" % (x, i) for i, x in enumerate(xs)]
+    assert csv_text[1:3] == ["-0,1", "0,2"]  # not merged as equal floats
+    assert written(table, "jsonl").splitlines() == [
+        '{"x": %s, "i": %d}' % ("%.17g" % x if math.isfinite(x) else "null", i)
+        for i, x in enumerate(xs)]
 
 
 def test_writer_repeats_block_of_scalars_and_checks_width():

@@ -3,6 +3,8 @@ classification structure."""
 
 import math
 import os
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from marketdyn.model import (
     step_naive_demand_1d,
     step_supply_1d,
 )
+from marketdyn import scans
 from marketdyn.scans import (
     BifurcationRow,
     ScanConfig,
@@ -42,7 +45,9 @@ from marketdyn.scans import (
     _lyapunov_chunk,
     _probe_lambda_grid,
     _refine_lane,
+    _rows,
     _split,
+    bifurcation_rows,
     bifurcation_scan,
     lyapunov_scan,
 )
@@ -282,8 +287,9 @@ def test_chunks_equal_the_concatenation_of_their_halves():
     halves = (grid[:20], grid[20:])
 
     def bif(values):
+        part = _bifurcation_chunk(values, sc, cfg, sc.form, 1e-6, 16, True)
         return [(r.param_value, r.classification, r.attractor_samples.tobytes())
-                for r in _bifurcation_chunk(values, sc, cfg, sc.form, 1e-6, 16, True)]
+                for r in _rows(values, part)]
 
     whole = bif(grid)
     assert whole == bif(halves[0]) + bif(halves[1])
@@ -497,6 +503,50 @@ def test_scan_config_validation():
         ScanConfig("b", 0.08, math.inf, 10)
     with pytest.raises(ValueError):
         ScanConfig("a", math.nan, 1.0, 10)
+
+
+def test_streamed_scan_holds_one_chunk_at_a_time(monkeypatch):
+    monkeypatch.setattr(scans, "_CHUNK", 2048)
+    sc = get_scenario("naive-bif-b")
+    cfg = ScanConfig("b", 0.0418, 0.16, 4 * 2048 + 1, 100, 128, 228)
+    chunk_bytes = 2048 * cfg.keep * 8
+    tracemalloc.start()
+    try:
+        # refinement writes into its own chunk's matrix; under tracemalloc
+        # its scalar loops would take seconds
+        rows = sum(1 for _ in bifurcation_rows(cfg, sc, refine=False))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == cfg.grid_points
+    # one chunk plus block-sized temporaries reads about 1.4; two chunks at
+    # once (a row kept by the caller that views its chunk's matrix) about
+    # 2.4, and the whole grid's samples would be five
+    assert peak < 2 * chunk_bytes
+
+
+def test_pool_keeps_at_most_two_chunks_per_worker_in_flight(monkeypatch):
+    submitted = []
+
+    class InlinePool:  # runs each task at submission, in this process
+        def __init__(self, max_workers):
+            assert max_workers == 3
+
+        def submit(self, fn, chunk):
+            submitted.append(chunk)
+            done = Future()
+            done.set_result(fn(chunk))
+            return done
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(scans, "ProcessPoolExecutor", InlinePool)
+    got = []
+    for result in scans._run_chunks(lambda chunk: -chunk, range(20), 3):
+        got.append(result)
+        assert len(submitted) <= len(got) - 1 + 2 * 3
+    assert got == [-c for c in range(20)]
 
 
 def test_split_caps_chunks_at_core_count(monkeypatch):
