@@ -42,6 +42,11 @@ CLASS_APERIODIC = "aperiodic"
 CLASS_COLLAPSED = "collapsed"
 _CLASS_NAMES = {-1: CLASS_COLLAPSED, 0: CLASS_APERIODIC, 1: CLASS_FIXED_POINT}
 
+# The period test's policy, for the sweeps' labels and for
+# ``classify_samples``: the relative tolerance and the largest period.
+PERIOD_TOLERANCE = 1e-6
+MAX_PERIOD = 64
+
 
 class OrbitDomainError(Exception):
     """An unbounded orbit left the economic domain.
@@ -83,7 +88,6 @@ class Orbit:
     trigger: str | None = None
     collapse_step: int | None = None
     scenario: str = ""
-    form: MapForm = MapForm.CANONICAL
 
     def state(self, n: int) -> MarketState:
         """Period n as a ``MarketState``."""
@@ -129,14 +133,14 @@ def generate_orbit(
     if initial.collapsed:  # absorbing: a bounded step returns the seed unchanged
         if steps and not bounded:
             raise DomainError("cannot step a collapsed market state")
-        return Orbit(*(c * min(steps + 1, 2) for c in cols), initial.trigger, 0, scenario, form)
+        return Orbit(*(c * min(steps + 1, 2) for c in cols), initial.trigger, 0, scenario)
     run = bounded_run if bounded else unbounded_run
     trigger = run(initial.demand, initial.supply, initial.price,
                   MapParams(market, cost, behavior, form), steps, cols)[3]
     if trigger is not None and not bounded:
         raise OrbitDomainError(len(cols[0]), trigger)
     dead = None if trigger is None else len(cols[0]) - 1
-    return Orbit(*cols, trigger, dead, scenario, form)
+    return Orbit(*cols, trigger, dead, scenario)
 
 
 def detect_collapse(orbit: Orbit) -> CollapseReport | None:
@@ -151,13 +155,11 @@ def find_fixed_point(
     map_f: Callable[[float], float],
     lo: float,
     hi: float,
-    width: float = 1e-13,
-    residual: float = 1e-12,
 ) -> float:
     """Fixed point of a 1-D map by bracketing bisection on g(x) = f(x) - x.
 
-    Requires a sign change of g on [lo, hi]; refines the bracket to
-    ``width`` and checks |f(x*) - x*| < ``residual``.
+    Requires a sign change of g on [lo, hi]; refines the bracket to a
+    width of 1e-13 and checks |f(x*) - x*| < 1e-12.
     """
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -170,7 +172,7 @@ def find_fixed_point(
     if (g_lo > 0.0) == (g_hi > 0.0):
         raise FixedPointNotFound(f"no sign change of f(x)-x on [{lo}, {hi}]")
     for _ in range(200):
-        if hi - lo <= width:
+        if hi - lo <= 1e-13:
             break
         mid = 0.5 * (lo + hi)
         g_mid = map_f(mid) - mid
@@ -181,7 +183,7 @@ def find_fixed_point(
         else:
             hi, g_hi = mid, g_mid
     x_star = 0.5 * (lo + hi)
-    if abs(map_f(x_star) - x_star) >= residual:
+    if abs(map_f(x_star) - x_star) >= 1e-12:
         raise FixedPointNotFound(
             f"bisection stalled: residual {abs(map_f(x_star) - x_star):.3e} at {x_star}"
         )
@@ -192,10 +194,9 @@ def find_fixed_points(
     map_f: Callable[[float], float],
     lo: float,
     hi: float,
-    pieces: int = 64,
 ) -> list[float]:
-    """All fixed points found by scanning [lo, hi] in equal sub-intervals."""
-    edges = np.linspace(lo, hi, pieces + 1)
+    """All fixed points found by scanning [lo, hi] in 64 equal sub-intervals."""
+    edges = np.linspace(lo, hi, 65)
     found: list[float] = []
     for a, b in zip(edges[:-1], edges[1:]):
         try:
@@ -245,8 +246,8 @@ def _block_periods(X: np.ndarray, tolerance: float, max_period: int) -> np.ndarr
 
 def detect_period(
     tail: Sequence[float],
-    tolerance: float = 1e-6,
-    max_period: int = 64,
+    tolerance: float = PERIOD_TOLERANCE,
+    max_period: int = MAX_PERIOD,
 ) -> int | None:
     """Smallest period k <= max_period of an orbit tail, or None if aperiodic.
 
@@ -266,13 +267,10 @@ def class_name(k: int) -> str:
     return _CLASS_NAMES[k] if k < 2 else f"periodic({k})"
 
 
-def classify_samples(
-    samples: Sequence[float],
-    tolerance: float = 1e-6,
-    max_period: int = 64,
-) -> str:
-    """Attractor label for a sampled tail: fixed-point, periodic(k) or aperiodic."""
-    return class_name(detect_period(samples, tolerance, max_period) or 0)
+def classify_samples(samples: Sequence[float]) -> str:
+    """Attractor label for a sampled tail: fixed-point, periodic(k) or aperiodic,
+    by ``detect_period`` under the sweeps' policy."""
+    return class_name(detect_period(samples) or 0)
 
 
 def label_with_lyapunov(classification: str, lam: float) -> str:
@@ -286,15 +284,12 @@ def label_with_lyapunov(classification: str, lam: float) -> str:
     return "chaotic" if lam > 0.0 else "unresolved"
 
 
-def finite_difference_derivative(
-    f: Callable[[float], float],
-    h_scale: float = 1e-8,
-) -> Callable[[float], float]:
-    """Central finite-difference derivative of f with step h_scale*max(1,|x|),
+def finite_difference_derivative(f: Callable[[float], float]) -> Callable[[float], float]:
+    """Central finite-difference derivative of f with step 1e-8*max(1,|x|),
     on a float or a lane array."""
 
     def df(x):
-        h = h_scale * np.maximum(1.0, np.abs(x))
+        h = 1e-8 * np.maximum(1.0, np.abs(x))
         return (f(x + h) - f(x - h)) / (2.0 * h)
 
     return df

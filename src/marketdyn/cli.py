@@ -8,8 +8,8 @@ config entries, each over the one before: the command's defaults
 orbit of the naive market) with its analysis set to the command's; and
 the flags given.  A flag is the config key of the same name, with a dash
 for the underscore (``--seed-d`` is ``seed_d``), so ``scenarios.KEYS``
-defines both.  ``--transient`` or ``--keep`` without ``--iters`` makes
-``iters`` follow ``transient + keep``.
+defines both; a flag is spelled in full, never abbreviated.  ``--transient``
+or ``--keep`` without ``--iters`` makes ``iters`` follow ``transient + keep``.
 
 Tables go to stdout (or --out) as CSV with a header line, or as JSON
 lines, one object per row.  Cells: floats as '%.17g' (17 significant
@@ -40,6 +40,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -53,7 +54,7 @@ from .analysis import (
     ped,
 )
 from .model import DomainError, MapForm, demand
-from .scans import bifurcation_rows, lyapunov_scan
+from .scans import SCAN_PARAMETERS, bifurcation_rows, lyapunov_scan
 from .scenarios import (
     KEYS,
     ConfigError,
@@ -171,7 +172,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _scan_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--param", choices=("b", "M", "a"))
+    p.add_argument("--param", choices=SCAN_PARAMETERS)
     p.add_argument("--min", type=float, default=None)
     p.add_argument("--max", type=float, default=None)
     p.add_argument("--points", type=int, default=None)
@@ -183,36 +184,38 @@ def _scan_flags(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="marketdyn",
+        allow_abbrev=False,
         description="Simulate and analyze the demand-driven supply market model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = partial(sub.add_parser, allow_abbrev=False)  # subparsers do not inherit it
 
-    p = sub.add_parser("simulate", help="iterate a scenario and emit its time series")
+    p = add("simulate", help="iterate a scenario and emit its time series")
     _common_flags(p)
     p.add_argument("--steps", type=int, default=None)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--bounded", dest="bounded", action="store_true", default=None)
     mode.add_argument("--unbounded", dest="bounded", action="store_false")
 
-    p = sub.add_parser("bifurcate", help="bifurcation diagram over a parameter grid")
+    p = add("bifurcate", help="bifurcation diagram over a parameter grid")
     _common_flags(p)
     _scan_flags(p)
 
-    p = sub.add_parser("lyapunov", help="Lyapunov exponent spectrum over a grid")
+    p = add("lyapunov", help="Lyapunov exponent spectrum over a grid")
     _common_flags(p)
     _scan_flags(p)
     p.add_argument("--method", choices=("analytic", "finite-difference"), default="analytic")
 
-    p = sub.add_parser("collapse", help="run bounded dynamics and report the collapse")
+    p = add("collapse", help="run bounded dynamics and report the collapse")
     _common_flags(p)
     p.add_argument("--steps", type=int, default=None)
 
-    p = sub.add_parser("ped", help="arc price elasticity of demand between two prices")
+    p = add("ped", help="arc price elasticity of demand between two prices")
     _common_flags(p)
     p.add_argument("--p1", type=float, default=None)
     p.add_argument("--p2", type=float, default=None)
 
-    p = sub.add_parser("scenarios", help="list the builtin scenarios")
+    p = add("scenarios", help="list the builtin scenarios")
     _output_flags(p)
 
     return parser

@@ -379,15 +379,14 @@ class LaneWorkspace:
         self.dead, self.mask = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
 
 
-def bounded_period_arrays(D, S, P, alive, pars: MapParams, ws: LaneWorkspace | None = None):
+def bounded_period_arrays(D, S, P, alive, pars: MapParams, ws: LaneWorkspace):
     """One bounded period for every lane; mirrors ``bounded_run``.
 
     Collapsed lanes hold zero demand and supply.  A lane that fails
     before its new price is known keeps the old price; one whose demand
     side fails dies at the new price.  The inputs are not written: the
-    results are the spare arrays of ``ws``, or new arrays without one.
+    results are the spare arrays of ``ws``.
     """
-    ws = LaneWorkspace(D.size) if ws is None else ws
     D_new, S_new, P_new, ok = ws.spare
     ws.spare = (D, S, P, alive)
     atc, tmp, dead, mask = ws.atc, ws.tmp, ws.dead, ws.mask

@@ -12,6 +12,11 @@ cheaper per step than numpy on a few lanes.  Rows are pure functions of
 their own grid value, which makes chunked multithreading safe and the
 output independent of the chunking.
 
+A sweep runs the scenario's map form; the other form is a sweep of
+``dataclasses.replace(scenario, form=...)`` or of the ``-paper-literal``
+twin.  Rows are labelled by the period test under one policy,
+``analysis.PERIOD_TOLERANCE`` and ``analysis.MAX_PERIOD``.
+
 The array loops allocate their lane buffers once per call: the bounded
 runs step through a ``model.LaneWorkspace``, and the Lyapunov sums take
 their log terms in place.  A lane that leaves the map's domain is not
@@ -40,11 +45,12 @@ from itertools import chain
 import numpy as np
 
 from .model import (
-    LaneWorkspace, MapForm, MapParams, bounded_period_arrays, bounded_run, map_1d, slope_1d,
+    LaneWorkspace, MapParams, bounded_period_arrays, bounded_run, map_1d, slope_1d,
 )
-from .analysis import LOG_FLOOR, class_name, detect_periods, finite_difference_derivative
+from .analysis import (LOG_FLOOR, MAX_PERIOD, PERIOD_TOLERANCE, class_name, detect_periods,
+                       finite_difference_derivative)
 
-_SCAN_PARAMETERS = ("b", "M", "a")
+SCAN_PARAMETERS = ("b", "M", "a")
 
 # Attractor refinement: rows still unclassified after the configured
 # transient get a short Lyapunov probe; only non-stretching orbits
@@ -66,10 +72,11 @@ class ScanConfig:
     ``parameter`` is one of "b" (demand slope), "M" (gross margin) or
     "a" (demand intercept).  Each grid point runs ``transient + keep``
     iterations and retains the last ``keep`` as samples; a bifurcation
-    scan then refines unresolved points for at most ``_REFINE_ROUNDS``
-    more rounds.  ``iterations_total`` (the config key ``iters``) drives
-    no iteration: it is only a validated bound that must cover
-    ``transient + keep``.
+    scan labels them with the smallest period up to ``analysis.MAX_PERIOD``
+    (and ``keep // 2``) and refines unresolved points for at most
+    ``_REFINE_ROUNDS`` more rounds.  ``iterations_total`` (the config key
+    ``iters``) drives no iteration: it is only a validated bound that must
+    cover ``transient + keep``.
     """
 
     parameter: str
@@ -81,9 +88,9 @@ class ScanConfig:
     iterations_total: int = 3000
 
     def __post_init__(self) -> None:
-        if self.parameter not in _SCAN_PARAMETERS:
+        if self.parameter not in SCAN_PARAMETERS:
             raise ValueError(
-                f"parameter must be one of {_SCAN_PARAMETERS}, got {self.parameter!r}"
+                f"parameter must be one of {SCAN_PARAMETERS}, got {self.parameter!r}"
             )
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"scan interval must be finite, got [{self.lo}, {self.hi}]")
@@ -130,7 +137,6 @@ class LyapunovRow:
 
     param_value: float
     lam: float
-    method: str
     defined: bool
 
 
@@ -182,7 +188,7 @@ def _probe_lambda_grid(D, S, P, idx, pars: MapParams, steps: int) -> np.ndarray:
     return np.where(alive, acc / steps, np.inf)
 
 
-def _refine_lane(d, s, p, pars: MapParams, keep: int, tolerance: float, max_period: int):
+def _refine_lane(d, s, p, pars: MapParams, keep: int):
     """Extend one lane's orbit until its attractor settles or the budget ends.
 
     ``pars`` holds the lane's parameters (``MapParams.take(i)``).  Returns
@@ -201,7 +207,7 @@ def _refine_lane(d, s, p, pars: MapParams, keep: int, tolerance: float, max_peri
         samples = out[0] + [0.0] * (keep - len(out[0]))
         if trigger is not None:
             return -1, samples
-        k = int(detect_periods([samples], tolerance, max_period)[0])
+        k = int(detect_periods([samples], PERIOD_TOLERANCE, MAX_PERIOD)[0])
         if k:
             return k, samples
         extra *= 2
@@ -212,16 +218,13 @@ def _bifurcation_chunk(
     values: np.ndarray,
     scenario,
     config: ScanConfig,
-    form: MapForm,
-    tolerance: float,
-    max_period: int,
     refine: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The samples matrix and the periods of one chunk of the grid."""
-    pars = MapParams(scenario.market, scenario.cost, scenario.supplier, form,
+    pars = MapParams(scenario.market, scenario.cost, scenario.supplier, scenario.form,
                      config.parameter, values)
     D, S, P, alive, samples = _simulate_grid(pars, scenario, config, values.size)
-    periods = detect_periods(samples, tolerance, max_period)
+    periods = detect_periods(samples, PERIOD_TOLERANCE, MAX_PERIOD)
     periods[~alive] = -1
 
     if refine:
@@ -231,8 +234,7 @@ def _bifurcation_chunk(
             for j in np.flatnonzero(lams <= _PROBE_LAMBDA_MAX):
                 i = int(open_idx[j])
                 periods[i], samples[i] = _refine_lane(
-                    float(D[i]), float(S[i]), float(P[i]), pars.take(i),
-                    config.keep, tolerance, max_period,
+                    float(D[i]), float(S[i]), float(P[i]), pars.take(i), config.keep,
                 )
     return samples, periods
 
@@ -286,9 +288,6 @@ def _run_chunks(worker, chunks: list, workers: int) -> Iterator:
 def bifurcation_rows(
     config: ScanConfig,
     scenario,
-    form: MapForm | None = None,
-    tolerance: float = 1e-6,
-    max_period: int = 64,
     threads: int = 1,
     refine: bool = True,
 ) -> Iterator[BifurcationRow]:
@@ -302,9 +301,7 @@ def bifurcation_rows(
     order, independent of ``threads``.  Memory is set by a chunk: a
     chunk's samples matrix is dropped once its rows are taken.
     """
-    form = scenario.form if form is None else form
-    worker = partial(_bifurcation_chunk, scenario=scenario, config=config, form=form,
-                     tolerance=tolerance, max_period=max_period, refine=refine)
+    worker = partial(_bifurcation_chunk, scenario=scenario, config=config, refine=refine)
     grid = config.grid()
     chunks = [grid[lo:lo + _CHUNK] for lo in range(0, grid.size, _CHUNK)]
     parts = _run_chunks(worker, chunks, _workers(threads, len(chunks)))
@@ -316,25 +313,20 @@ def bifurcation_rows(
 def bifurcation_scan(
     config: ScanConfig,
     scenario,
-    form: MapForm | None = None,
-    tolerance: float = 1e-6,
-    max_period: int = 64,
     threads: int = 1,
     refine: bool = True,
 ) -> list[BifurcationRow]:
     """Every row of ``bifurcation_rows``, as a list."""
-    return list(bifurcation_rows(config, scenario, form, tolerance, max_period, threads,
-                                 refine))
+    return list(bifurcation_rows(config, scenario, threads, refine))
 
 
 def _lyapunov_chunk(
     values: np.ndarray,
     scenario,
     config: ScanConfig,
-    form: MapForm,
     method: str,
 ) -> list[LyapunovRow]:
-    pars = MapParams(scenario.market, scenario.cost, scenario.supplier, form,
+    pars = MapParams(scenario.market, scenario.cost, scenario.supplier, scenario.form,
                      config.parameter, values)
     x0 = scenario.seed_demand if pars.m == 1.0 else scenario.seed_supply
     x = np.full(values.size, float(x0))
@@ -356,7 +348,7 @@ def _lyapunov_chunk(
 
     lam = np.where(defined, acc / config.keep, np.nan)
     return [
-        LyapunovRow(x, y, method, ok)
+        LyapunovRow(x, y, ok)
         for x, y, ok in zip(values.tolist(), lam.tolist(), defined.tolist())
     ]
 
@@ -364,7 +356,6 @@ def _lyapunov_chunk(
 def lyapunov_scan(
     config: ScanConfig,
     scenario,
-    form: MapForm | None = None,
     method: str = "analytic",
     threads: int = 1,
 ) -> list[LyapunovRow]:
@@ -377,8 +368,6 @@ def lyapunov_scan(
     """
     if method not in ("analytic", "finite-difference"):
         raise ValueError(f"method must be analytic or finite-difference, got {method!r}")
-    form = scenario.form if form is None else form
-    worker = partial(_lyapunov_chunk, scenario=scenario, config=config, form=form,
-                     method=method)
+    worker = partial(_lyapunov_chunk, scenario=scenario, config=config, method=method)
     chunks = _split(config.grid(), threads)
     return list(chain.from_iterable(_run_chunks(worker, chunks, len(chunks))))

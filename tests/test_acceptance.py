@@ -193,8 +193,8 @@ def test_c05_positive_lyapunov_and_estimator_agreement():
         sc = get_scenario(name)
         values = np.array(sorted(rng.uniform(lo, hi) for _ in range(60)))
         cfg = ScanConfig("b", lo, hi, 60, 1000, 10000, 11000)
-        analytic = _lyapunov_chunk(values, sc, cfg, sc.form, "analytic")
-        numeric = _lyapunov_chunk(values, sc, cfg, sc.form, "finite-difference")
+        analytic = _lyapunov_chunk(values, sc, cfg, "analytic")
+        numeric = _lyapunov_chunk(values, sc, cfg, "finite-difference")
         for ra, rn in zip(analytic, numeric):
             if ra.defined and rn.defined:
                 agree_checked += 1

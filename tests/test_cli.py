@@ -269,12 +269,23 @@ def test_threads_below_one_exits_2_for_every_command(command, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--scenario", "naive-ts"], ["--a", "3"],
-                                   ["--form", "canonical"], ["--threads", "2"]])
+                                   ["--form", "canonical"], ["--form", "csv"],
+                                   ["--threads", "2"]])
 def test_scenarios_takes_only_output_flags(flags, capsys):
     code, out, err = run(["scenarios", *flags], capsys)
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--scen", "naive-ts"],
+                                  ["bifurcate", "--scenario", "naive-bif-b", "--poi", "3"]])
+def test_abbreviated_flags_exit_2(argv, capsys):
+    # a prefix of a flag is not that flag
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
@@ -441,7 +452,7 @@ def _bifurcate_rows():
 
 def _lyapunov_rows():
     cfg = ScanConfig("b", 0.08, 0.6, 12, 100, 300, 400)
-    return [(r.param_value, r.lam, r.method, r.defined)
+    return [(r.param_value, r.lam, "analytic", r.defined)
             for r in lyapunov_scan(cfg, get_scenario("naive-lyap"))]
 
 

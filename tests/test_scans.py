@@ -5,6 +5,7 @@ import math
 import os
 import tracemalloc
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def test_vector_engine_matches_scalar_bitwise(
         )
         lanes.append([lane.market, lane.cost, sc.initial_state()])
     for _ in range(120):
-        D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars)
+        D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars, LaneWorkspace(n))
         for i, lane in enumerate(lanes):
             market, cost, state = lane
             state = lane[2] = bounded_step(state, market, cost, sc.supplier, form)
@@ -137,7 +138,7 @@ def test_bounded_run_matches_vector_engine_bitwise(
     alive = np.ones(n, dtype=bool)
     history = []
     for _ in range(120):
-        D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars)
+        D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars, LaneWorkspace(n))
         history.append((D, S, P, alive))
     for i in range(n):
         out = ([], [], [])
@@ -161,8 +162,7 @@ def test_refined_lane_that_dies_keeps_its_samples_up_to_the_collapse(window_befo
     # with window_before_death <= 0 the lane dies in the transient
     keep = death - window_before_death
     pars = MapParams(sc.market, sc.cost, sc.supplier, sc.form, "b", np.array([sc.market.b]))
-    period, samples = _refine_lane(sc.seed_demand, sc.seed_supply, 0.0, pars.take(0),
-                                   keep, 1e-6, 4)
+    period, samples = _refine_lane(sc.seed_demand, sc.seed_supply, 0.0, pars.take(0), keep)
     assert period == -1
     kept = orbit.demands[keep + 1:death + 1]  # the collapsed period reads 0.0
     assert len(kept) == max(window_before_death, 0) and kept[-1:] in ([], [0.0])
@@ -264,7 +264,7 @@ def test_in_place_lyapunov_loops_match_the_allocating_oracle(
     cfg = ScanConfig(parameter, 0.0, _SCAN_TOP[parameter], values.size, 40, 60, 100)
     with np.errstate(all="ignore"):
         lam, defined = _oracle_lyapunov(values, sc, cfg, form, method)
-    rows = _lyapunov_chunk(values, sc, cfg, form, method)
+    rows = _lyapunov_chunk(values, sc, cfg, method)
     assert [repr(r.lam) for r in rows] == [repr(x) for x in lam.tolist()]
     assert [r.defined for r in rows] == defined.tolist()
     if method == "analytic":  # the probe has one slope
@@ -287,7 +287,7 @@ def test_chunks_equal_the_concatenation_of_their_halves():
     halves = (grid[:20], grid[20:])
 
     def bif(values):
-        part = _bifurcation_chunk(values, sc, cfg, sc.form, 1e-6, 16, True)
+        part = _bifurcation_chunk(values, sc, cfg, True)
         return [(r.param_value, r.classification, r.attractor_samples.tobytes())
                 for r in _rows(values, part)]
 
@@ -297,7 +297,7 @@ def test_chunks_equal_the_concatenation_of_their_halves():
     assert {"fixed-point", "periodic", "aperiodic", "collapsed"} <= classes
 
     def lyap(values):
-        return [(repr(r.lam), r.defined) for r in _lyapunov_chunk(values, sc, cfg, sc.form, "analytic")]
+        return [(repr(r.lam), r.defined) for r in _lyapunov_chunk(values, sc, cfg, "analytic")]
 
     whole = lyap(grid)
     assert whole == lyap(halves[0]) + lyap(halves[1])
@@ -306,7 +306,7 @@ def test_chunks_equal_the_concatenation_of_their_halves():
 
 def test_bounded_period_arrays_workspace_keeps_the_inputs():
     # a period returns the workspace's spare arrays and leaves its inputs
-    # intact until the next call; without a workspace it allocates
+    # intact until the next call; a fresh workspace gives the same bits
     sc = get_scenario("collapse")
     values = np.linspace(0.05, 0.2, 7)
     pars = MapParams(sc.market, sc.cost, sc.supplier, sc.form, "b", values)
@@ -314,7 +314,7 @@ def test_bounded_period_arrays_workspace_keeps_the_inputs():
     ws = LaneWorkspace(7)
     before = [x.copy() for x in (D, S, P, alive)]
     got = bounded_period_arrays(D, S, P, alive, pars, ws)
-    want = bounded_period_arrays(D, S, P, alive, pars)
+    want = bounded_period_arrays(D, S, P, alive, pars, LaneWorkspace(7))
     for x, y in zip(before, (D, S, P, alive)):
         assert np.array_equal(x, y)
     for x, y in zip(got, want):
@@ -365,15 +365,18 @@ def test_1d_maps_match_scalar_bitwise(m, form, a, b, fc, v, margin, x, parameter
 
 
 def test_degenerate_scan_equals_orbit_classification():
+    # the literal labels pin the period test's policy, which the sweep and
+    # classify_samples share: periodic(20) needs a cap above 16
     sc = get_scenario("naive-bif-b")
-    for b in (0.05, 0.0843999995, 0.09):
+    for b, label in ((0.05, "periodic(2)"), (0.0843999995, "periodic(20)"),
+                     (0.09, "aperiodic")):
         cfg = ScanConfig("b", b, b + 1e-15, 1, 2500, 500, 3000)
         [row] = bifurcation_scan(cfg, sc)
         orbit = generate_orbit(
             sc.initial_state(), MarketParams(sc.market.a, b), sc.cost,
             sc.supplier, 3000, bounded=True, form=sc.form,
         )
-        assert row.classification == classify_samples(orbit.demands[2501:])
+        assert row.classification == classify_samples(orbit.demands[2501:]) == label
 
 
 def test_refined_lane_continues_the_scalar_orbit():
@@ -564,3 +567,24 @@ def test_split_caps_chunks_at_core_count(monkeypatch):
     for threads in (0, -5):  # refused, not run on one worker
         with pytest.raises(ValueError, match="threads must be >= 1"):
             _split(grid, threads)
+
+
+def test_benchmark_library_calls_still_bind():
+    # The call shapes of perfbench/child.py (resolve, layer_call, dump_rows
+    # and the probes of run_job) and perfbench/check.py (one_point, the
+    # spot checks and check_orbit_csv), on tiny inputs.
+    sc = get_scenario("naive-bif-b")
+    cfg = ScanConfig(*("b", 0.05, 0.09, 3, 20, 10, 30))  # ScanConfig(*spec["config"])
+    point = replace(cfg, lo=0.05, hi=math.nextafter(0.05, math.inf), grid_points=1)
+    for rows in (bifurcation_scan(cfg, sc, threads=1, refine=False),
+                 bifurcation_scan(point, sc)):
+        for r in rows:
+            assert isinstance(r.classification, str) and isinstance(r.param_value, float)
+            assert r.attractor_samples.astype("<f8").size == cfg.keep
+    for r in lyapunov_scan(cfg, get_scenario("naive-lyap"), threads=2):
+        assert isinstance(r.lam, float) and isinstance(r.defined, bool)
+    spec = OrbitSpec(steps=5, bounded=True)
+    for extra in ({"scenario": sc.name}, {}):
+        orbit = generate_orbit(sc.initial_state(), sc.market, sc.cost, sc.supplier,
+                               spec.steps, bounded=True, form=sc.form, **extra)
+        assert [s.collapsed for s in orbit.states] == [False] * 6
