@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     CostPricing,
@@ -211,6 +212,8 @@ def find_fixed_points(
 # Rows per block of the period test.  Its temporaries are then about
 # 0.5 MiB each at 500 samples a row, whatever the number of rows.
 _BLOCK = 128
+# Column pairs per row in the period test's screen of every k at once.
+_HEAD = 8
 
 
 def detect_periods(samples: np.ndarray, tolerance: float, max_period: int) -> np.ndarray:
@@ -218,8 +221,14 @@ def detect_periods(samples: np.ndarray, tolerance: float, max_period: int) -> np
     a 2-D array of tails, 0 where none: k holds when |x[i] - x[i+k]| <
     tolerance * max(1, |x[i]|) for every i, a tolerance relative on large values.
 
-    Rows are tested ``_BLOCK`` at a time, so the temporaries are a block's
-    size whatever the number of rows."""
+    The cap at half the row is the one rule for short tails: a row of
+    fewer than 2 * max_period samples is tested for the periods it can
+    show twice.  A head screen first tests every k at once on the first
+    ``_HEAD`` pairs (x[i], x[i+k]) of each row; the full test then runs,
+    k by k, only on the rows whose screen passed for k and which no
+    smaller k labelled.  The screen's pairs are among the full test's,
+    so it never changes a label.  Rows are tested ``_BLOCK`` at a time,
+    so the temporaries are a block's size whatever the number of rows."""
     X = np.asarray(samples, dtype=float)
     periods = np.zeros(X.shape[0], dtype=np.int64)
     for lo in range(0, X.shape[0], _BLOCK):
@@ -229,18 +238,25 @@ def detect_periods(samples: np.ndarray, tolerance: float, max_period: int) -> np
 
 def _block_periods(X: np.ndarray, tolerance: float, max_period: int) -> np.ndarray:
     periods = np.zeros(X.shape[0], dtype=np.int64)
-    open_idx = np.arange(X.shape[0])
+    top = min(max_period, X.shape[1] // 2)
+    if top == 0:
+        return periods
     scale = np.abs(X)
     np.maximum(scale, 1.0, out=scale)
     scale *= tolerance
-    for k in range(1, min(max_period, X.shape[1] // 2) + 1):
-        if open_idx.size == 0:
-            break
-        gap = X[:, k:] - X[:, :-k]
-        ok = np.all(np.abs(gap, out=gap) < scale[:, :-k], axis=1)
-        if ok.any():
-            periods[open_idx[ok]] = k
-            open_idx, X, scale = open_idx[~ok], X[~ok], scale[~ok]
+    # screen[r, k - 1]: the first `head` pairs of row r pass for k; every
+    # pair's i + k stays inside the row, as head <= width - top
+    head = min(_HEAD, X.shape[1] - top)
+    gap = sliding_window_view(X[:, 1:top + head], head, axis=1) - X[:, None, :head]
+    screen = np.all(np.abs(gap, out=gap) < scale[:, None, :head], axis=2)
+    for k in (np.flatnonzero(screen.any(axis=0)) + 1).tolist():
+        rows = np.flatnonzero(screen[:, k - 1])
+        if rows.size == 0:
+            continue
+        gap = X[rows, k:] - X[rows, :-k]
+        rows = rows[np.all(np.abs(gap, out=gap) < scale[rows, :-k], axis=1)]
+        periods[rows] = k
+        screen[rows] = False
     return periods
 
 
@@ -249,16 +265,9 @@ def detect_period(
     tolerance: float = PERIOD_TOLERANCE,
     max_period: int = MAX_PERIOD,
 ) -> int | None:
-    """Smallest period k <= max_period of an orbit tail, or None if aperiodic.
-
-    The test is ``detect_periods``' on one row.  The tail must hold at
-    least two full copies of the largest detectable period.
-    """
+    """Smallest period k <= max_period (and <= half the tail) of an orbit
+    tail, or None if aperiodic: ``detect_periods``' test on one row."""
     t = np.asarray(tail, dtype=float)
-    if t.size < 2 * max_period:
-        raise ValueError(
-            f"tail of {t.size} samples is too short to detect periods up to {max_period}"
-        )
     return int(detect_periods(t[None, :], tolerance, max_period)[0]) or None
 
 

@@ -20,15 +20,23 @@ or a newline, which puts it in double quotes with inner quotes doubled,
 and as a JSON string in JSON.  Each column has one kind, and a table is
 written block by block, one write per block: a block holds one list,
 tuple, range or ndarray per column (the column row by row) or one value
-repeated down the block (a block of repeats alone is one row).  A float
-column given as an ndarray has each distinct bit pattern formatted once.
+repeated down the block (a block of repeats alone is one row).
 ``bifurcate`` writes one block per grid point as the scan streams it,
 ``simulate`` and ``lyapunov`` fixed slices of their rows, the other
-commands one block.  Diagnostics go to
-stderr only.  Exit codes: 0 success; 1 stdout closed by its reader (a
-broken pipe, which ends the run quietly); 2 configuration or validation
-error, or an --out path that cannot be written; 3 numerical failure in
-unbounded mode.
+commands one block.
+
+A block is assembled column by column.  A listed column becomes its cell
+texts: a float ndarray from its distinct bit patterns, each formatted
+once; a float or int list by one %-operation for the whole column; bools
+and text through their distinct texts.  A repeated value is rendered
+once into the literal text between cells, with the separators and the
+JSON keys.  The block is then one ``str.join`` over cells and literals
+interleaved row by row.
+
+Diagnostics go to stderr only.  Exit codes: 0 success; 1 stdout closed
+by its reader (a broken pipe, which ends the run quietly); 2
+configuration or validation error, or an --out path that cannot be
+written; 3 numerical failure in unbounded mode.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -84,52 +91,73 @@ class Table:
         names = [name for name, _ in self.columns]
         if fmt == "csv":
             stream.write(",".join(names) + "\n")
-            row = lambda cells: ",".join(cells) + "\n"
+            keys, sep, head, end = [""] * len(names), ",", "", "\n"
         elif fmt == "jsonl":
-            keys = [json.dumps(name).replace("%", "%%") + ": " for name in names]
-            row = lambda cells: "{" + ", ".join(map(str.__add__, keys, cells)) + "}\n"
+            keys, sep, head, end = [json.dumps(name) + ": " for name in names], ", ", "{", "}\n"
         else:
             raise ConfigError(f"format must be csv or jsonl, got {fmt!r}")
         rendered = {}
         for block in self.blocks:
             if len(block) != len(names):
                 raise ValueError("block width does not match header")
-            cells, seqs = [], []
-            for k, ((_, kind), entry) in enumerate(zip(self.columns, block)):
+            # the listed columns' cell texts, and the literal text before,
+            # between and after them: separators, keys and repeated cells
+            cols, lits, lit = [], [], head
+            for k, ((_, kind), key, entry) in enumerate(zip(self.columns, keys, block)):
+                lit += (sep if k else "") + key
                 if not isinstance(entry, (list, tuple, range, np.ndarray)):
-                    conv, (arg,) = _column(kind, (entry,), fmt)
-                    cells.append((conv % arg).replace("%", "%%"))
+                    lit += _cells(kind, (entry,), fmt)[0]
                     continue
                 if rendered.get(k, (None,))[0] is not entry:
-                    rendered[k] = (entry, *_column(kind, entry, fmt))
-                cells.append(rendered[k][1])
-                seqs.append(rendered[k][2])
-            n = len(seqs[0]) if seqs else 1
-            if any(len(s) != n for s in seqs):
+                    rendered[k] = (entry, _cells(kind, entry, fmt))
+                cols.append(rendered[k][1])
+                lits.append(lit)
+                lit = ""
+            lits.append(lit + end)
+            if not cols:
+                stream.write(lits[0])
+                continue
+            n = len(cols[0])
+            if any(len(c) != n for c in cols):
                 raise ValueError("block columns differ in length")
-            args = seqs[0] if len(seqs) == 1 else chain.from_iterable(zip(*seqs))
-            stream.write(row(cells) * n % tuple(args))
+            if not n:
+                continue
+            # row after row: cell, literal, ..., cell, literal; a row's last
+            # literal ends it and leads the next row
+            lead, *inner, tail = lits
+            width = 2 * len(cols)
+            texts = [None] * (width * n)
+            for j, (col, text) in enumerate(zip(cols, inner + [tail + lead])):
+                texts[2 * j::width] = col
+                texts[2 * j + 1::width] = (text,) * n
+            texts[-1] = tail
+            stream.write(lead + "".join(texts))
 
 
-def _column(kind: type, values, fmt: str) -> tuple[str, Sequence]:
-    """The %-conversion and the arguments that render one block column."""
+def _cells(kind: type, values, fmt: str) -> list[str]:
+    """The cell texts of one block column."""
     if kind is float and isinstance(values, np.ndarray):
-        # each distinct bit pattern is formatted once; float equality would
-        # merge -0.0 into 0.0
-        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        conv, distinct = _column(kind, bits.view(np.float64).tolist(), fmt)
-        texts = [conv % x for x in distinct]
-        return "%s", list(map(texts.__getitem__, inverse.tolist()))
-    if kind is float:
-        if fmt == "csv" or all(map(math.isfinite, values)):
-            return "%.17g", values
-        return "%s", ["%.17g" % x if math.isfinite(x) else "null" for x in values]
+        # each distinct bit pattern is formatted once (float equality would
+        # merge -0.0 into 0.0); a sort and a search cost less here than
+        # np.unique's inverse
+        bits = values.view(np.int64)
+        ranked = np.sort(bits)
+        first = np.ones(ranked.size, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        distinct = ranked[first]
+        texts = _cells(kind, distinct.view(np.float64).tolist(), fmt)
+        return list(map(texts.__getitem__, np.searchsorted(distinct, bits).tolist()))
+    if kind is float or kind is int:
+        # one %-operation for the column; every cell follows a newline
+        text = ("\n%.17g" if kind is float else "\n%d") * len(values) % tuple(values)
+        if fmt == "jsonl":
+            for word in ("nan", "inf", "-inf"):
+                text = text.replace("\n" + word, "\nnull")
+        return text.split("\n")[1:]
     if kind is bool:
-        return "%s", ["true" if v else "false" for v in values]
-    if kind is int:
-        return "%s", list(map(str, values))
+        return list(map(("false", "true").__getitem__, values))
     texts = {t: _quote(str(t), fmt) for t in set(values)}
-    return "%s", [texts[t] for t in values]
+    return list(map(texts.__getitem__, values))
 
 
 def _slices(*cols: Sequence) -> Iterator[list[Sequence]]:
@@ -266,7 +294,7 @@ def _cmd_simulate(args) -> Table:
         [("step", int), ("demand", float), ("supply", float), ("price", float),
          ("signal", float), ("collapsed", bool)],
         ((index, d, s, p, [x / y if y > 0 else math.nan for x, y in zip(d, s)],
-          [dead is not None and k >= dead for k in index])
+          False if dead is None or dead >= index.stop else [k >= dead for k in index])
          for index, d, s, p in _slices(range(len(orbit.demands)), orbit.demands,
                                        orbit.supplies, orbit.prices)),
     )

@@ -20,10 +20,12 @@ twin.  Rows are labelled by the period test under one policy,
 The array loops allocate their lane buffers once per call: the bounded
 runs step through a ``model.LaneWorkspace``, and the Lyapunov sums take
 their log terms in place.  A lane that leaves the map's domain is not
-frozen: its ``defined`` (or ``alive``) flag drops and it runs on,
-unobserved, since its sum and state never reach a row (λ is NaN there,
-or +inf in the probe).  A lane that ends defined passed every check, so
-it got exactly the terms it would have got alone.
+frozen: it runs on, unobserved, since its sum and state never reach a
+row (λ is NaN there, or +inf in the probe).  The probe drops its
+``alive`` flag at once; the Lyapunov sweep keeps only a running minimum
+of the orbit and decides ``defined`` after the last step, from that
+minimum, the last value and the sum.  A lane that ends defined passed
+every check, so it got exactly the terms it would have got alone.
 
 A bifurcation scan streams: the grid runs in chunks of ``_CHUNK`` lanes,
 at most two per worker in flight, and each chunk's samples matrix is
@@ -37,7 +39,6 @@ import math
 import os
 from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -272,6 +273,9 @@ def _run_chunks(worker, chunks: list, workers: int) -> Iterator:
     if workers <= 1:
         yield from map(worker, chunks)
         return
+    # imported here: it loads multiprocessing, which a 1-worker run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         pending = deque()
@@ -330,8 +334,7 @@ def _lyapunov_chunk(
                      config.parameter, values)
     x0 = scenario.seed_demand if pars.m == 1.0 else scenario.seed_supply
     x = np.full(values.size, float(x0))
-    defined = np.ones(values.size, dtype=bool)
-    mask = np.empty(values.size, dtype=bool)
+    low = np.full(values.size, np.inf)
     acc = np.zeros(values.size)
     fd = finite_difference_derivative(lambda y: map_1d(y, pars)[0])
 
@@ -340,12 +343,16 @@ def _lyapunov_chunk(
             x_new, u = map_1d(x, pars)
             if it >= config.transient:
                 slope = slope_1d(x, x_new, u, pars) if method == "analytic" else fd(x)
-                defined &= np.isfinite(slope, out=mask)
                 _add_log_stretch(acc, slope)
-            defined &= np.isfinite(x_new, out=mask)
-            defined &= np.greater(x_new, 0.0, out=mask)
+            np.minimum(low, x_new, out=low)
             x = x_new
 
+    # A lane stayed in the domain iff its orbit's minimum is positive (NaN
+    # propagates) and it ends finite (the map sends +inf to NaN, so only
+    # the last value can be +inf).  Its slopes were all finite iff acc is:
+    # every term is at least ln(LOG_FLOOR), so only an inf or NaN slope
+    # makes the sum non-finite.
+    defined = (low > 0.0) & np.isfinite(x) & np.isfinite(acc)
     lam = np.where(defined, acc / config.keep, np.nan)
     return [
         LyapunovRow(x, y, ok)

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from marketdyn.analysis import (
     _BLOCK,
+    _HEAD,
+    MAX_PERIOD,
     FixedPointNotFound,
     OrbitDomainError,
     OrbitEscapeError,
@@ -209,8 +211,11 @@ def test_detect_period_basics():
     rng = random.Random(2)
     noise = [rng.uniform(0.0, 1.0) for _ in range(200)]
     assert detect_period(noise) is None
-    with pytest.raises(ValueError):
-        detect_period([1.0, 2.0, 3.0])
+    # a tail shorter than 2 * MAX_PERIOD is tested for periods up to half its length
+    assert detect_period([1.0, 2.0, 3.0]) is None
+    assert detect_period([1.0, 2.0, 1.0]) is None
+    assert detect_period([1.0, 2.0, 1.0, 2.0]) == 2
+    assert detect_period([5.0]) is None and detect_period([]) is None
 
 
 def test_detect_period_relative_tolerance():
@@ -235,6 +240,40 @@ def test_blocked_period_test_equals_the_per_row_test(rows, seed):
     X += jitter * rng.uniform(-1.0, 1.0, size=X.shape)
     want = [detect_period(row, 1e-6, 16) or 0 for row in X]
     assert detect_periods(X, 1e-6, 16).tolist() == want
+
+
+def _plain_period(row, tolerance, max_period):
+    """The period test without a screen: every k in order, on the whole row."""
+    x = np.asarray(row, dtype=float)
+    for k in range(1, min(max_period, x.size // 2) + 1):
+        if np.all(np.abs(x[k:] - x[:-k]) < np.maximum(np.abs(x[:-k]), 1.0) * tolerance):
+            return k
+    return 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 2 * _BLOCK + 3), width=st.integers(0, 2 * MAX_PERIOD + 40),
+       max_period=st.sampled_from([1, 3, 16, MAX_PERIOD]), seed=st.integers(0, 2**32 - 1))
+def test_screened_period_test_equals_the_plain_test(rows, width, max_period, seed):
+    # cycles of period 1..70 on scales 0.01..1000, jittered by nothing, by
+    # about the tolerance or by far more; a third of the rows then get a gap
+    # past the head screen's columns, so they pass the screen and fail the
+    # full test.  Widths run below and above 2 * MAX_PERIOD.
+    rng = np.random.default_rng(seed)
+    period = rng.integers(1, 71, size=rows)
+    scale = 10.0 ** rng.uniform(-2.0, 3.0, size=(rows, 1))
+    cycle = rng.uniform(-1.0, 1.0, size=(rows, 70)) * scale
+    X = cycle[np.arange(rows)[:, None], np.arange(width) % period[:, None]]
+    X += rng.choice([0.0, 1e-7, 1e-6, 1e-3], size=(rows, 1)) * scale * rng.uniform(
+        -1.0, 1.0, size=X.shape)
+    for r in np.flatnonzero(rng.random(rows) < 1 / 3):
+        if width > _HEAD + period[r]:
+            X[r, rng.integers(_HEAD + period[r], width)] += scale[r, 0]
+    want = [_plain_period(row, 1e-6, max_period) for row in X]
+    assert detect_periods(X, 1e-6, max_period).tolist() == want
+    for row, k in zip(X[:3], want):  # one-row calls, as refinement makes them
+        assert detect_periods(row[None, :], 1e-6, max_period).tolist() == [k]
+        assert (detect_period(row, 1e-6, max_period) or 0) == k
 
 
 def test_classify_labels():

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -18,7 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import marketdyn
 from marketdyn import scans
-from marketdyn.analysis import PERFECTLY_ELASTIC, detect_collapse, generate_orbit, ped
+from marketdyn.analysis import (
+    PERFECTLY_ELASTIC, classify_samples, detect_collapse, generate_orbit, ped,
+)
 from marketdyn.cli import Table, build_parser, run_cli
 from marketdyn.model import MapForm, MarketParams, demand
 from marketdyn.scans import ScanConfig, bifurcation_scan, lyapunov_scan
@@ -310,6 +313,47 @@ def test_closed_stdout_pipe_ends_quietly():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err == b""  # no traceback, no "Exception ignored" line
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # multiprocessing is loaded only when a sweep starts more than one worker
+    src = str(Path(marketdyn.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, marketdyn.cli; "
+             "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out == "[]\n"
+
+
+# Recorded table bytes.  Only m = 1 (naive-bif-b) and m = 2 (co-ts), whose
+# bytes do not follow numpy's SIMD level, so the pins hold on any host.  At
+# 150 points refinement labels three naive-bif-b rows the configured run
+# leaves aperiodic (periodic(2), (4) and (8)).
+@pytest.mark.parametrize("argv,digest", [
+    (["bifurcate", "--scenario", "naive-bif-b", "--points", "150"],
+     "1a51ecdf26edc79aa3b371e92bf609c837ec61bda83993b82b1b89aba33cbfbf"),
+    (["bifurcate", "--scenario", "naive-bif-b", "--points", "150", "--format", "jsonl"],
+     "e16e191249d180e366d2de99828efdfbe65140835928c5e472fc25e424170fb6"),
+    (["simulate", "--scenario", "co-ts", "--bounded", "--steps", "2000"],
+     "912401ae41271b9ffbe12cbf6736c4400033f2c835ae5a7d1e3c5b58d4f214eb"),
+], ids=["bifurcate-csv", "bifurcate-jsonl", "simulate-csv"])
+def test_pinned_tables_keep_their_bytes(argv, digest, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_short_tail_label_matches_the_sweep(capsys):
+    # one rule for tails shorter than 2 * MAX_PERIOD: periods up to half the tail
+    code, out, err = run(["bifurcate", "--scenario", "naive-bif-b", "--points", "1",
+                          "--min", "0.05", "--max", "0.0500001", "--keep", "64"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 64 and {r["classification"] for r in rows} == {"periodic(2)"}
+    assert classify_samples([float(r["demand"]) for r in rows]) == "periodic(2)"
+    assert classify_samples([1.0, 2.0] * 32) == "periodic(2)"
 
 
 @pytest.mark.parametrize("argv", [

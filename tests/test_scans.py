@@ -1,6 +1,7 @@
 """Tests for the grid sweep engines: scalar/vector parity, determinism,
 classification structure."""
 
+import concurrent.futures
 import math
 import os
 import tracemalloc
@@ -244,7 +245,7 @@ def _oracle_probe(D, S, P, idx, pars, steps):
 
 
 @pytest.mark.parametrize("method", ["analytic", "finite-difference"])
-@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0])
 @pytest.mark.parametrize("form", list(MapForm))
 @settings(max_examples=25, deadline=None)
 @given(**_BOX)
@@ -254,6 +255,14 @@ def _oracle_probe(D, S, P, idx, pars, steps):
 # kept window (steps 51 and 53)
 @example(a=10.0, b=0.09, fc=10.0, v=4.0, margin=0.5, seed_d=1.0, seed_s=1.0, parameter="b",
          fractions=[0.28, 0.30835, 0.30833333333333335, 0.3084166666666667])
+# for m = 1 canonical: the orbit is negative at step 1 only, then positive
+# and finite to the end
+@example(a=25.59, b=0.2851, fc=7.29, v=9.49, margin=0.28, seed_d=8.47, seed_s=16.56,
+         parameter="a", fractions=[0.0071])
+# for m = 0.5 canonical: the supply grows finite to step 99 and overflows
+# to +inf at step 100, the last
+@example(a=22.9, b=0.032, fc=2.0, v=6.7, margin=0.17, seed_d=1.0, seed_s=19.1,
+         parameter="b", fractions=[0.001])
 def test_in_place_lyapunov_loops_match_the_allocating_oracle(
     method, m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
 ):
@@ -544,7 +553,8 @@ def test_pool_keeps_at_most_two_chunks_per_worker_in_flight(monkeypatch):
         def shutdown(self, cancel_futures):
             pass
 
-    monkeypatch.setattr(scans, "ProcessPoolExecutor", InlinePool)
+    # _run_chunks imports the pool class from its package when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     got = []
     for result in scans._run_chunks(lambda chunk: -chunk, range(20), 3):
         got.append(result)
