@@ -1,57 +1,32 @@
-"""Demand-driven supply market model: iterated maps, sweeps and a CLI."""
+"""Demand-driven supply market model: iterated maps, sweeps and a CLI.
+
+The names from ``scans``, which loads numpy, are resolved on first access
+(PEP 562), so importing the package leaves numpy unloaded.
+"""
 
 from .model import (
-    CostPricing,
-    DomainError,
-    MapForm,
-    MarketParams,
-    MarketState,
-    NAIVE,
-    Signal,
-    SupplierBehavior,
-    atc,
-    bounded_step,
-    demand,
-    derivative_naive_1d,
-    expected_demand,
-    price,
-    signal_of_success,
-    step,
-    step_naive_demand_1d,
-    step_naive_price_1d,
-    step_supply_1d,
+    NAIVE, CostPricing, DomainError, MapForm, MarketParams, MarketState, Signal,
+    SupplierBehavior, atc, bounded_step, demand, derivative_naive_1d, expected_demand, price,
+    signal_of_success, step, step_naive_demand_1d, step_naive_price_1d, step_supply_1d,
 )
 from .analysis import (
-    CollapseReport,
-    FixedPointNotFound,
-    Orbit,
-    OrbitDomainError,
-    OrbitEscapeError,
-    PERFECTLY_ELASTIC,
-    classify_samples,
-    detect_collapse,
-    detect_period,
-    find_fixed_point,
-    find_fixed_points,
-    generate_orbit,
-    lyapunov_exponent,
-    ped,
-)
-from .scans import (
-    BifurcationRow,
-    LyapunovRow,
-    ScanConfig,
-    bifurcation_rows,
-    bifurcation_scan,
-    lyapunov_scan,
+    PERFECTLY_ELASTIC, CollapseReport, FixedPointNotFound, Orbit, OrbitDomainError,
+    OrbitEscapeError, classify_samples, detect_collapse, detect_period, find_fixed_point,
+    generate_orbit, lyapunov_exponent, ped,
 )
 from .scenarios import (
-    ConfigError,
-    Scenario,
-    builtin_scenarios,
-    get_scenario,
-    load_scenario,
+    ConfigError, ScanConfig, Scenario, builtin_scenarios, get_scenario, load_scenario,
     serialize_scenario,
 )
 
 __version__ = "0.1.0"
+
+_SCANS = ("BifurcationRow", "LyapunovRow", "bifurcation_rows", "bifurcation_scan",
+          "lyapunov_scan")
+
+
+def __getattr__(name: str):
+    if name in _SCANS:
+        from . import scans
+        return getattr(scans, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,16 +5,15 @@ Everything here is exact about indices.  An orbit's columns are filled
 by one ``model.bounded_run`` (or ``unbounded_run``) call.  The period test
 (``detect_periods``) and the finite-difference slope take one orbit or a
 matrix of lanes, so the grid-parallel sweeps in ``scans`` share them.
+Those two import numpy at first use; orbits, collapse reports and the
+elasticity do not, so the scalar commands run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .model import (
     CostPricing,
@@ -33,6 +32,9 @@ from .model import (
     step_supply_1d,
     unbounded_run,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Returned by ped() for a flat demand curve, where the elasticity has no
 # finite value.
@@ -191,24 +193,6 @@ def find_fixed_point(
     return x_star
 
 
-def find_fixed_points(
-    map_f: Callable[[float], float],
-    lo: float,
-    hi: float,
-) -> list[float]:
-    """All fixed points found by scanning [lo, hi] in 64 equal sub-intervals."""
-    edges = np.linspace(lo, hi, 65)
-    found: list[float] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        try:
-            x = find_fixed_point(map_f, float(a), float(b))
-        except (FixedPointNotFound, DomainError):
-            continue
-        if not any(abs(x - y) < 1e-9 for y in found):
-            found.append(x)
-    return found
-
-
 # Rows per block of the period test.  Its temporaries are then about
 # 0.5 MiB each at 500 samples a row, whatever the number of rows.
 _BLOCK = 128
@@ -229,6 +213,7 @@ def detect_periods(samples: np.ndarray, tolerance: float, max_period: int) -> np
     smaller k labelled.  The screen's pairs are among the full test's,
     so it never changes a label.  Rows are tested ``_BLOCK`` at a time,
     so the temporaries are a block's size whatever the number of rows."""
+    import numpy as np
     X = np.asarray(samples, dtype=float)
     periods = np.zeros(X.shape[0], dtype=np.int64)
     for lo in range(0, X.shape[0], _BLOCK):
@@ -237,6 +222,8 @@ def detect_periods(samples: np.ndarray, tolerance: float, max_period: int) -> np
 
 
 def _block_periods(X: np.ndarray, tolerance: float, max_period: int) -> np.ndarray:
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
     periods = np.zeros(X.shape[0], dtype=np.int64)
     top = min(max_period, X.shape[1] // 2)
     if top == 0:
@@ -267,6 +254,7 @@ def detect_period(
 ) -> int | None:
     """Smallest period k <= max_period (and <= half the tail) of an orbit
     tail, or None if aperiodic: ``detect_periods``' test on one row."""
+    import numpy as np
     t = np.asarray(tail, dtype=float)
     return int(detect_periods(t[None, :], tolerance, max_period)[0]) or None
 
@@ -296,6 +284,7 @@ def label_with_lyapunov(classification: str, lam: float) -> str:
 def finite_difference_derivative(f: Callable[[float], float]) -> Callable[[float], float]:
     """Central finite-difference derivative of f with step 1e-8*max(1,|x|),
     on a float or a lane array."""
+    import numpy as np
 
     def df(x):
         h = 1e-8 * np.maximum(1.0, np.abs(x))

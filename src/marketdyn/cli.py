@@ -33,6 +33,10 @@ once into the literal text between cells, with the separators and the
 JSON keys.  The block is then one ``str.join`` over cells and literals
 interleaved row by row.
 
+numpy is loaded where arrays are made: ``bifurcate`` and ``lyapunov``
+import ``scans`` when they start; ``simulate``, ``collapse``, ``ped`` and
+``scenarios`` run without it (``simulate`` loads it for m not in {1, 2}).
+
 Diagnostics go to stderr only.  Exit codes: 0 success; 1 stdout closed
 by its reader (a broken pipe, which ends the run quietly); 2
 configuration or validation error, or an --out path that cannot be
@@ -51,8 +55,6 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import (
     OrbitDomainError,
     OrbitEscapeError,
@@ -61,9 +63,9 @@ from .analysis import (
     ped,
 )
 from .model import DomainError, MapForm, demand
-from .scans import SCAN_PARAMETERS, bifurcation_rows, lyapunov_scan
 from .scenarios import (
     KEYS,
+    SCAN_PARAMETERS,
     ConfigError,
     Scenario,
     build_scenario,
@@ -100,12 +102,13 @@ class Table:
         for block in self.blocks:
             if len(block) != len(names):
                 raise ValueError("block width does not match header")
+            listed = (list, tuple, range, *_arrays())
             # the listed columns' cell texts, and the literal text before,
             # between and after them: separators, keys and repeated cells
             cols, lits, lit = [], [], head
             for k, ((_, kind), key, entry) in enumerate(zip(self.columns, keys, block)):
                 lit += (sep if k else "") + key
-                if not isinstance(entry, (list, tuple, range, np.ndarray)):
+                if not isinstance(entry, listed):
                     lit += _cells(kind, (entry,), fmt)[0]
                     continue
                 if rendered.get(k, (None,))[0] is not entry:
@@ -134,9 +137,16 @@ class Table:
             stream.write(lead + "".join(texts))
 
 
+def _arrays() -> tuple:
+    """numpy's ndarray type if numpy is loaded, else none: no ndarray exists before."""
+    np = sys.modules.get("numpy")
+    return () if np is None else (np.ndarray,)
+
+
 def _cells(kind: type, values, fmt: str) -> list[str]:
     """The cell texts of one block column."""
-    if kind is float and isinstance(values, np.ndarray):
+    if kind is float and isinstance(values, _arrays()):
+        import numpy as np
         # each distinct bit pattern is formatted once (float equality would
         # merge -0.0 into 0.0); a sort and a search cost less here than
         # np.unique's inverse
@@ -303,6 +313,7 @@ def _cmd_simulate(args) -> Table:
 def _cmd_bifurcate(args) -> Table:
     sc = _resolve(args, "bifurcation", points=1000)
     cfg = sc.analysis.config
+    from .scans import bifurcation_rows  # loads numpy, which the scalar commands never need
     rows = bifurcation_rows(cfg, sc, threads=args.threads)
     index = range(cfg.keep)
     return Table(
@@ -314,6 +325,7 @@ def _cmd_bifurcate(args) -> Table:
 def _cmd_lyapunov(args) -> Table:
     sc = _resolve(args, "lyapunov", points=1000)
     cfg = sc.analysis.config
+    from .scans import lyapunov_scan  # loads numpy, as in _cmd_bifurcate
     rows = lyapunov_scan(cfg, sc, method=args.method, threads=args.threads)
     return Table(
         [("param_value", float), ("lambda", float), ("method", str), ("defined", bool)],

@@ -14,6 +14,10 @@ they returned), and ``bounded_period_arrays`` writes every period into the
 preallocated buffers of a ``LaneWorkspace``.  Ufuncs give the same bits
 into ``out=`` as into a new array, so none of this moves a bit.
 
+numpy is imported at first use, only by the code that takes or builds
+lanes or calls a numpy routine on floats (the root at m not in {1, 2}, the
+checked 1-D maps): ``bounded_run`` at m in {1, 2} never loads it.
+
 Two algebraic variants of the map are provided (``MapForm``): CANONICAL
 composes the demand curve, the margin pricing and the cost function
 directly, while PAPER_LITERAL evaluates the simplified one-step formulas
@@ -29,8 +33,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
-
-import numpy as np
 
 
 class DomainError(ValueError):
@@ -209,6 +211,7 @@ def root_response(sig, s, m: float):
     both give the same bits (``float **`` can round the last bit differently
     and raises on overflow).  An array ``sig`` is overwritten with the
     result, so pass a temporary.  Callers own the floating-point error state."""
+    import numpy as np
     out = sig if isinstance(sig, np.ndarray) else None
     r = np.sqrt(sig, out=out) if m == 2.0 else np.power(sig, 1.0 / m, out=out)
     r *= s
@@ -221,6 +224,7 @@ def _root_float(sig: float, s: float, m: float) -> float:
     with m not in {1, 2} enters ``_power_errstate``."""
     if m == 2.0:
         return math.sqrt(sig) * s
+    import numpy as np
     return float(np.power(sig, 1.0 / m)) * s
 
 
@@ -228,7 +232,10 @@ def _power_errstate(m: float):
     """np.power's overflow silenced for a scalar loop with this m.  Python
     float arithmetic never warns, so for m in {1, 2}, where no numpy call
     is made, this enters nothing: np.errstate costs more than a period."""
-    return nullcontext() if m in (1.0, 2.0) else np.errstate(over="ignore")
+    if m in (1.0, 2.0):
+        return nullcontext()
+    import numpy as np
+    return np.errstate(over="ignore")
 
 
 class MapParams:
@@ -252,6 +259,7 @@ class MapParams:
 
     def take(self, idx) -> "MapParams":
         """The parameters of the lanes ``idx`` (an index array or one index)."""
+        import numpy as np
         sub = copy.copy(self)
         for name in ("a", "b", "one_minus_m", "coef"):
             x = getattr(self, name)
@@ -284,8 +292,8 @@ def step(
     return MarketState(d, s, p, trigger is not None, trigger)
 
 
-def _record(out, d: float, s: float, p: float, trigger: str | None = None):
-    """Append a period to ``out``'s three lists, if given, and return it with ``trigger``."""
+def _record(out, d: float, s: float, p: float, trigger: str):
+    """Append the collapsed period to ``out``'s lists, if given; return it with ``trigger``."""
     if out is not None:
         out[0].append(d)
         out[1].append(s)
@@ -298,6 +306,8 @@ def unbounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=Non
     except that a failure returns the values its period started from."""
     a, b, fc, v, one_minus_m = map(float, (pars.a, pars.b, pars.fc, pars.v, pars.one_minus_m))
     m, canonical = pars.m, pars.form is MapForm.CANONICAL
+    if out is not None:
+        add_d, add_s, add_p = out[0].append, out[1].append, out[2].append
     with _power_errstate(m):
         for _ in range(n):
             # s > 0, so the signal d/s is negative exactly where d is
@@ -315,7 +325,9 @@ def unbounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=Non
                 return d, s, p, TRIGGER_NON_FINITE
             d, s, p = d_new, s_new, p_new
             if out is not None:
-                _record(out, d, s, p)
+                add_d(d)
+                add_s(s)
+                add_p(p)
     return d, s, p, None
 
 
@@ -330,6 +342,10 @@ def bounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None)
     """
     a, b, fc, v, one_minus_m = map(float, (pars.a, pars.b, pars.fc, pars.v, pars.one_minus_m))
     m, canonical = pars.m, pars.form is MapForm.CANONICAL
+    if m not in (1.0, 2.0):
+        import numpy as np
+    if out is not None:
+        add_d, add_s, add_p = out[0].append, out[1].append, out[2].append
     with _power_errstate(m):
         for _ in range(n):
             # s > 0, so the signal d/s is negative exactly where d is
@@ -359,7 +375,9 @@ def bounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None)
                 return _record(out, 0.0, 0.0, p_new, TRIGGER_EXPECTED_DEMAND)
             s, p = s_new, p_new
             if out is not None:
-                _record(out, d, s, p)
+                add_d(d)
+                add_s(s)
+                add_p(p)
     return d, s, p, None
 
 
@@ -374,6 +392,7 @@ class LaneWorkspace:
     """
 
     def __init__(self, n: int):
+        import numpy as np
         self.spare = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
         self.atc, self.tmp = np.empty(n), np.empty(n)
         self.dead, self.mask = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
@@ -387,6 +406,7 @@ def bounded_period_arrays(D, S, P, alive, pars: MapParams, ws: LaneWorkspace):
     side fails dies at the new price.  The inputs are not written: the
     results are the spare arrays of ``ws``.
     """
+    import numpy as np
     D_new, S_new, P_new, ok = ws.spare
     ws.spare = (D, S, P, alive)
     atc, tmp, dead, mask = ws.atc, ws.tmp, ws.dead, ws.mask
@@ -504,6 +524,7 @@ def _map_1d_checked(x: float, p: MapParams, name: str) -> tuple[float, float]:
     """``map_1d`` on one float, with the scalar API's domain errors."""
     if not (x > 0.0):
         raise DomainError(f"{name} map undefined for {name[0]} {x} <= 0")
+    import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):
         f, u = map_1d(x, p)
     if p.m != 1.0 and u / x < 0.0:

@@ -31,11 +31,13 @@ A bifurcation scan streams: the grid runs in chunks of ``_CHUNK`` lanes,
 at most two per worker in flight, and each chunk's samples matrix is
 dropped once its rows are taken, so memory is set by a chunk, not by the
 grid.
+
+The one module that imports numpy at load, and so imported only to run a
+sweep.  It re-exports ``ScanConfig`` and ``SCAN_PARAMETERS`` from ``scenarios``.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from collections import deque
 from collections.abc import Iterator
@@ -50,8 +52,7 @@ from .model import (
 )
 from .analysis import (LOG_FLOOR, MAX_PERIOD, PERIOD_TOLERANCE, class_name, detect_periods,
                        finite_difference_derivative)
-
-SCAN_PARAMETERS = ("b", "M", "a")
+from .scenarios import SCAN_PARAMETERS, ScanConfig  # noqa: F401 (re-exported)
 
 # Attractor refinement: rows still unclassified after the configured
 # transient get a short Lyapunov probe; only non-stretching orbits
@@ -64,62 +65,6 @@ _REFINE_ROUNDS = 8
 # lane-step levels off near 4,096 lanes, and a chunk's samples matrix is
 # then 32 KiB per kept sample (16 MiB at keep = 500).
 _CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    """Grid and iteration budget for a one-parameter sweep.
-
-    ``parameter`` is one of "b" (demand slope), "M" (gross margin) or
-    "a" (demand intercept).  Each grid point runs ``transient + keep``
-    iterations and retains the last ``keep`` as samples; a bifurcation
-    scan labels them with the smallest period up to ``analysis.MAX_PERIOD``
-    (and ``keep // 2``) and refines unresolved points for at most
-    ``_REFINE_ROUNDS`` more rounds.  ``iterations_total`` (the config key
-    ``iters``) drives no iteration: it is only a validated bound that must
-    cover ``transient + keep``.
-    """
-
-    parameter: str
-    lo: float
-    hi: float
-    grid_points: int
-    transient: int = 2500
-    keep: int = 500
-    iterations_total: int = 3000
-
-    def __post_init__(self) -> None:
-        if self.parameter not in SCAN_PARAMETERS:
-            raise ValueError(
-                f"parameter must be one of {SCAN_PARAMETERS}, got {self.parameter!r}"
-            )
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"scan interval must be finite, got [{self.lo}, {self.hi}]")
-        if not (self.lo < self.hi):
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.grid_points < 1:
-            raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
-        if self.transient < 0:
-            raise ValueError(f"transient must be >= 0, got {self.transient}")
-        if self.keep < 1:
-            raise ValueError(f"keep must be >= 1, got {self.keep}")
-        if self.keep > self.iterations_total - self.transient:
-            raise ValueError(
-                f"keep ({self.keep}) exceeds iterations_total - transient "
-                f"({self.iterations_total} - {self.transient})"
-            )
-        if self.parameter == "M":
-            if not (0.0 <= self.lo and self.hi < 1.0):
-                raise ValueError(
-                    f"margin scan interval must lie in [0, 1), got [{self.lo}, {self.hi}]"
-                )
-        elif self.lo < 0.0:
-            raise ValueError(
-                f"{self.parameter} scan interval must be non-negative, got lo={self.lo}"
-            )
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.grid_points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,11 +127,14 @@ def _probe_lambda_grid(D, S, P, idx, pars: MapParams, steps: int) -> np.ndarray:
         for _ in range(steps):
             D_next, S_next, P, alive = bounded_period_arrays(D, S, P, alive, pars, ws)
             # the demand D is the u that supply S provoked
-            slope = slope_1d(S, S_next, D, pars)
-            alive &= np.isfinite(slope)
-            _add_log_stretch(acc, slope)
+            _add_log_stretch(acc, slope_1d(S, S_next, D, pars))
             D, S = D_next, S_next
-    return np.where(alive, acc / steps, np.inf)
+    # No per-step isfinite(slope): every term is at least ln(LOG_FLOOR), so
+    # acc is non-finite iff some slope was.  Such a lane is no longer
+    # zeroed by the stepper, but its acc stays non-finite and its λ +inf,
+    # as before; a lane with only finite slopes never had its alive flag
+    # touched, so it runs and sums exactly as before.
+    return np.where(alive & np.isfinite(acc), acc / steps, np.inf)
 
 
 def _refine_lane(d, s, p, pars: MapParams, keep: int):

@@ -8,7 +8,8 @@ schema: every key in document order with its value's type.  The parser
 reads text into typed entries by it, ``scenario_entries`` gives a
 scenario as typed entries in that order (which ``serialize_scenario``
 writes), and ``build_scenario`` turns typed entries into a validated
-scenario.  The command line's flags are the same keys.
+scenario.  The command line's flags are the same keys.  A scan's keys
+build a ``ScanConfig`` (re-exported by ``scans``), whose ``grid()`` loads numpy.
 
 Every builtin is registered in the form that reproduces its figure
 (canonical throughout; the paper-literal algebra diverges within a few
@@ -28,11 +29,62 @@ from .model import (
     MarketState,
     SupplierBehavior,
 )
-from .scans import ScanConfig
+
+SCAN_PARAMETERS = ("b", "M", "a")
 
 
 class ConfigError(ValueError):
     """A scenario config document failed validation."""
+
+
+@dataclass(frozen=True)
+class ScanConfig:
+    """Grid and iteration budget for a one-parameter sweep.
+
+    ``parameter`` is one of "b" (demand slope), "M" (gross margin) or
+    "a" (demand intercept).  Each grid point runs ``transient + keep``
+    iterations and retains the last ``keep`` as samples; a bifurcation
+    scan labels them with the smallest period up to ``analysis.MAX_PERIOD``
+    (and ``keep // 2``) and refines unresolved points for at most
+    ``scans._REFINE_ROUNDS`` more rounds.  ``iterations_total`` (the config
+    key ``iters``) drives no iteration: it is only a validated bound that
+    must cover ``transient + keep``.
+    """
+
+    parameter: str
+    lo: float
+    hi: float
+    grid_points: int
+    transient: int = 2500
+    keep: int = 500
+    iterations_total: int = 3000
+
+    def __post_init__(self) -> None:
+        if self.parameter not in SCAN_PARAMETERS:
+            raise ValueError(f"parameter must be one of {SCAN_PARAMETERS}, got {self.parameter!r}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"scan interval must be finite, got [{self.lo}, {self.hi}]")
+        if not (self.lo < self.hi):
+            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if self.grid_points < 1:
+            raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
+        if self.transient < 0:
+            raise ValueError(f"transient must be >= 0, got {self.transient}")
+        if self.keep < 1:
+            raise ValueError(f"keep must be >= 1, got {self.keep}")
+        if self.keep > self.iterations_total - self.transient:
+            raise ValueError(f"keep ({self.keep}) exceeds iterations_total - transient "
+                             f"({self.iterations_total} - {self.transient})")
+        if self.parameter == "M" and not (0.0 <= self.lo and self.hi < 1.0):
+            raise ValueError(f"margin scan interval must lie in [0, 1), got [{self.lo}, {self.hi}]")
+        if self.parameter != "M" and self.lo < 0.0:
+            raise ValueError(
+                f"{self.parameter} scan interval must be non-negative, got lo={self.lo}")
+
+    def grid(self):
+        """The grid values, an ndarray (numpy is imported here, at first use)."""
+        import numpy as np
+        return np.linspace(self.lo, self.hi, self.grid_points)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from marketdyn.analysis import (
     detect_period,
     detect_periods,
     find_fixed_point,
-    find_fixed_points,
     finite_difference_derivative,
     generate_orbit,
     label_with_lyapunov,
@@ -183,12 +182,13 @@ def test_find_fixed_point_requires_sign_change():
 def test_unstable_fixed_point_at_chaotic_b():
     f = demand_map_1d(NAIVE_MARKET, NAIVE_COST)
     df = demand_map_derivative_1d(NAIVE_MARKET, NAIVE_COST)
-    points = find_fixed_points(f, 1e-3, 10.0)
-    assert len(points) == 1
-    assert abs(df(points[0])) > 1.0
+    # f(x) - x falls from 7.02 at x = 1 to -11.7 at x = 10
+    x = find_fixed_point(f, 1.0, 10.0)
+    assert abs(f(x) - x) < 1e-12
+    assert abs(df(x)) > 1.0
     # iteration from D=1 does not settle onto it
     orbit = generate_orbit(SEED, NAIVE_MARKET, NAIVE_COST, NAIVE, steps=3000)
-    assert abs(orbit.demands[-1] - points[0]) > 1e-3
+    assert abs(orbit.demands[-1] - x) > 1e-3
 
 
 def test_stable_fixed_point_attracts_orbit():

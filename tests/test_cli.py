@@ -299,14 +299,25 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(marketdyn.__file__).parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _fresh_python(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=_fresh_env()).stdout
+
+
 def test_closed_stdout_pipe_ends_quietly():
     # the reader leaves after the first bytes, as in `marketdyn simulate | head -2`
-    src = str(Path(marketdyn.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-c", "from marketdyn.cli import main; main()",
          "simulate", "--steps", "200000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env(),
     )
     assert proc.stdout.read(64).startswith(b"step,demand")
     proc.stdout.close()
@@ -317,14 +328,60 @@ def test_closed_stdout_pipe_ends_quietly():
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
     # multiprocessing is loaded only when a sweep starts more than one worker
-    src = str(Path(marketdyn.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = ("import sys, marketdyn.cli; "
-             "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
-             "if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    out = _fresh_python("import sys, marketdyn.cli; "
+                        "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+                        "if m in sys.modules])")
     assert out == "[]\n"
+
+
+# Every scalar command: simulate bounded and unbounded at m = 1 (naive) and
+# m = 2 (co), in CSV and JSONL, then collapse, ped and scenarios.
+_SCALAR_RUNS = [
+    ["simulate", "--scenario", "co-ts", "--bounded", "--steps", "50"],
+    ["simulate", "--scenario", "co-ts", "--unbounded", "--steps", "20", "--format", "jsonl"],
+    ["simulate", "--scenario", "naive-ts", "--bounded", "--steps", "50", "--format", "jsonl"],
+    ["simulate", "--scenario", "naive-ts", "--unbounded", "--steps", "20"],
+    ["collapse", "--scenario", "collapse"],
+    ["ped", "--p1", "10", "--p2", "12"],
+    ["scenarios"],
+]
+
+# Runs each argv in turn and prints, as JSON, whether numpy was loaded
+# after the imports and after each run.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+loaded = {}
+import marketdyn
+loaded["import marketdyn"] = "numpy" in sys.modules
+from marketdyn.cli import run_cli
+loaded["import marketdyn.cli"] = "numpy" in sys.modules
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(argv) == 0, argv
+    loaded[" ".join(argv)] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scalar_commands_leave_numpy_unloaded():
+    # numpy is imported where arrays are made: the scans load it, the
+    # scalar commands at m in {1, 2} never do
+    bif = ["bifurcate", "--scenario", "naive-bif-b", "--points", "2", "--transient", "10",
+           "--keep", "10"]
+    loaded = json.loads(_fresh_python(_NUMPY_PROBE % (_SCALAR_RUNS + [bif])))
+    assert loaded == {"import marketdyn": False, "import marketdyn.cli": False,
+                      **{" ".join(argv): False for argv in _SCALAR_RUNS}, " ".join(bif): True}
+    # the names from scans still bind, and ScanConfig is one class
+    out = _fresh_python("import sys, marketdyn, marketdyn.scans, marketdyn.scenarios; "
+                        "from marketdyn import bifurcation_scan, ScanConfig; "
+                        "print(marketdyn.scans.ScanConfig is ScanConfig "
+                        "is marketdyn.scenarios.ScanConfig, bifurcation_scan.__module__)")
+    assert out == "True marketdyn.scans\n"
+    # at m = 3 the root is np.power's, so numpy loads at first use
+    m3 = ["simulate", "--scenario", "co-ts", "--m", "3", "--bounded", "--steps", "50"]
+    loaded = json.loads(_fresh_python(_NUMPY_PROBE % [m3]))
+    assert loaded == {"import marketdyn": False, "import marketdyn.cli": False,
+                      " ".join(m3): True}
 
 
 # Recorded table bytes.  Only m = 1 (naive-bif-b) and m = 2 (co-ts), whose

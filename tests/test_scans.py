@@ -230,6 +230,8 @@ def _oracle_lyapunov(values, sc, config, form, method):
     return np.where(defined, acc / config.keep, np.nan), defined
 
 
+# The probe's per-step rule: a lane is dropped, and frozen, in the step
+# its slope goes non-finite.
 def _oracle_probe(D, S, P, idx, pars, steps):
     pars = pars.take(idx)
     D, S, P = D[idx], S[idx], P[idx]
@@ -285,6 +287,37 @@ def test_in_place_lyapunov_loops_match_the_allocating_oracle(
             want = _oracle_probe(D, S, P, idx, pars, 100)
         got = _probe_lambda_grid(D, S, P, idx, pars, 100)
         assert [repr(x) for x in got.tolist()] == [repr(x) for x in want.tolist()]
+
+
+# Lane starts (D, S, P, fraction of the scanned range) for the probe
+# property: D = 0 dies at once, and S = 1e-200 overflows the slope's
+# fc / S**2 in the first step while the lane lives on at m = 1.
+_PROBE_LANES = st.lists(st.tuples(
+    st.floats(0.0, 50.0), st.one_of(st.floats(0.0, 20.0), st.just(1e-200)),
+    st.floats(0.0, 100.0), st.floats(0.0, 1.0)), min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("form", list(MapForm))
+@settings(max_examples=25, deadline=None)
+@given(**{k: _BOX[k] for k in ("a", "b", "fc", "v", "margin", "parameter")},
+       lanes=_PROBE_LANES)
+# the collapse scenario: a clamp collapse at step 68 for m = 1, and a lane
+# that dies at once and one whose slope overflows in step 1
+@example(a=10.0, b=0.095, fc=20.0, v=2.0, margin=0.5, parameter="b",
+         lanes=[(1.0, 1.0, 0.0, 0.095 / 0.3), (0.0, 1.0, 0.0, 0.3), (5.0, 1e-200, 0.0, 0.3)])
+def test_probe_lambda_equals_the_per_step_rule(m, form, a, b, fc, v, margin, parameter, lanes):
+    # the probe keeps no per-step alive flag for non-finite slopes and
+    # decides from the final sum; every λ keeps the per-step rule's bits
+    sc = _scenario(a, b, fc, v, margin, m, form)
+    D, S, P, fractions = (np.array(col) for col in zip(*lanes))
+    pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter,
+                     fractions * _SCAN_TOP[parameter])
+    idx = np.arange(len(lanes))
+    with np.errstate(all="ignore"):
+        want = _oracle_probe(D, S, P, idx, pars, 100)
+    got = _probe_lambda_grid(D, S, P, idx, pars, 100)
+    assert [repr(x) for x in got.tolist()] == [repr(x) for x in want.tolist()]
 
 
 def test_chunks_equal_the_concatenation_of_their_halves():
