@@ -5,9 +5,9 @@ The names from ``scans``, which loads numpy, are resolved on first access
 """
 
 from .model import (
-    NAIVE, CostPricing, DomainError, MapForm, MarketParams, MarketState, Signal,
-    SupplierBehavior, atc, bounded_step, demand, derivative_naive_1d, expected_demand, price,
-    signal_of_success, step, step_naive_demand_1d, step_naive_price_1d, step_supply_1d,
+    NAIVE, CostPricing, DomainError, MapForm, MarketParams, MarketState, SupplierBehavior,
+    atc, bounded_step, demand, derivative_naive_1d, expected_demand, price, step,
+    step_naive_demand_1d, step_naive_price_1d, step_supply_1d,
 )
 from .analysis import (
     PERFECTLY_ELASTIC, CollapseReport, FixedPointNotFound, Orbit, OrbitDomainError,
@@ -22,7 +22,7 @@ from .scenarios import (
 __version__ = "0.1.0"
 
 _SCANS = ("BifurcationRow", "LyapunovRow", "bifurcation_rows", "bifurcation_scan",
-          "lyapunov_scan")
+          "lyapunov_rows", "lyapunov_scan")
 
 
 def __getattr__(name: str):

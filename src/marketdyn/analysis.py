@@ -1,8 +1,11 @@
 """Orbit generation, fixed points, period detection, Lyapunov exponents,
 collapse detection and price elasticity for the market maps.
 
-Everything here is exact about indices.  An orbit's columns are filled
-by one ``model.bounded_run`` (or ``unbounded_run``) call.  The period test
+Everything here is exact about indices.  An orbit streams: its columns
+come in slices of ``_SLICE`` periods (``orbit_slices``), each one
+``model.bounded_run`` (or ``unbounded_run``) call resumed from where the
+last one ended, so its memory is set by a slice; ``generate_orbit``
+gathers the slices into one ``Orbit``.  The period test
 (``detect_periods``) and the finite-difference slope take one orbit or a
 matrix of lanes, so the grid-parallel sweeps in ``scans`` share them.
 Those two import numpy at first use; orbits, collapse reports and the
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .model import (
     CostPricing,
@@ -113,6 +116,54 @@ class CollapseReport:
     state: MarketState
 
 
+# Periods per slice of an orbit stream, and rows per block of the
+# ``simulate`` table: an orbit's memory is set by a slice, not its length.
+_SLICE = 1024
+
+
+def orbit_slices(
+    initial: MarketState,
+    market: MarketParams,
+    cost: CostPricing,
+    behavior: SupplierBehavior,
+    steps: int,
+    bounded: bool = False,
+    form: MapForm = MapForm.CANONICAL,
+) -> Iterator[tuple]:
+    """``generate_orbit``'s columns as a stream: (demands, supplies, prices,
+    collapse_step, trigger) for each slice of at most ``_SLICE`` periods,
+    the first from the seed, each run on from where the last one ended.
+    The last two are None but on a bounded orbit's last slice, which holds
+    the collapse (collapse_step indexes the whole orbit).  Unbounded mode
+    raises ``OrbitDomainError`` on the failing slice, after those before it.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    d, s, p = initial.demand, initial.supply, initial.price
+    if initial.collapsed:  # absorbing: a bounded step returns the seed unchanged
+        if steps and not bounded:
+            raise DomainError("cannot step a collapsed market state")
+        n = min(steps + 1, 2)
+        yield [d] * n, [s] * n, [p] * n, 0, initial.trigger
+        return
+    run = bounded_run if bounded else unbounded_run
+    pars = MapParams(market, cost, behavior, form)
+    start, cols = 0, ([d], [s], [p])
+    while True:
+        n = min(_SLICE - len(cols[0]), steps + 1 - start - len(cols[0]))
+        d, s, p, trigger = run(d, s, p, pars, n, cols)
+        end = start + len(cols[0])
+        if trigger is not None:
+            if not bounded:
+                raise OrbitDomainError(end, trigger)
+            yield (*cols, end - 1, trigger)
+            return
+        yield (*cols, None, None)
+        if end > steps:
+            return
+        start, cols = end, ([], [], [])
+
+
 def generate_orbit(
     initial: MarketState,
     market: MarketParams,
@@ -123,26 +174,18 @@ def generate_orbit(
     form: MapForm = MapForm.CANONICAL,
     scenario: str = "",
 ) -> Orbit:
-    """Iterate the period map ``steps`` times from ``initial``.
+    """Iterate the period map ``steps`` times from ``initial``: every
+    slice of ``orbit_slices``, gathered.
 
-    Bounded mode is one ``bounded_run`` call, which records the first
-    collapsed period and stops.  Unbounded mode is one ``unbounded_run``
-    call and raises ``OrbitDomainError`` with the failing period index
-    instead of returning a collapsed state.
+    Bounded mode records the first collapsed period and stops there.
+    Unbounded mode raises ``OrbitDomainError`` with the failing period
+    index instead of returning a collapsed state.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    cols = ([initial.demand], [initial.supply], [initial.price])
-    if initial.collapsed:  # absorbing: a bounded step returns the seed unchanged
-        if steps and not bounded:
-            raise DomainError("cannot step a collapsed market state")
-        return Orbit(*(c * min(steps + 1, 2) for c in cols), initial.trigger, 0, scenario)
-    run = bounded_run if bounded else unbounded_run
-    trigger = run(initial.demand, initial.supply, initial.price,
-                  MapParams(market, cost, behavior, form), steps, cols)[3]
-    if trigger is not None and not bounded:
-        raise OrbitDomainError(len(cols[0]), trigger)
-    dead = None if trigger is None else len(cols[0]) - 1
+    cols, dead, trigger = ([], [], []), None, None
+    for *part, dead, trigger in orbit_slices(initial, market, cost, behavior, steps,
+                                             bounded, form):
+        for col, values in zip(cols, part):
+            col.extend(values)
     return Orbit(*cols, trigger, dead, scenario)
 
 
@@ -162,12 +205,16 @@ def find_fixed_point(
     """Fixed point of a 1-D map by bracketing bisection on g(x) = f(x) - x.
 
     Requires a sign change of g on [lo, hi]; refines the bracket to a
-    width of 1e-13 and checks |f(x*) - x*| < 1e-12.
+    width of 1e-13 and checks |g(x*)| < 1e-12 * max(1, |g(lo)|, |g(hi)|),
+    a residual relative to g's size at the bracket's ends: a steep root
+    cannot get its |g| below |g'| times the bracket width, while a sign
+    change across a pole leaves a residual as large as the pole.
     """
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     g_lo = map_f(lo) - lo
     g_hi = map_f(hi) - hi
+    tolerance = 1e-12 * max(1.0, abs(g_lo), abs(g_hi))
     if g_lo == 0.0:
         return lo
     if g_hi == 0.0:
@@ -186,10 +233,9 @@ def find_fixed_point(
         else:
             hi, g_hi = mid, g_mid
     x_star = 0.5 * (lo + hi)
-    if abs(map_f(x_star) - x_star) >= 1e-12:
-        raise FixedPointNotFound(
-            f"bisection stalled: residual {abs(map_f(x_star) - x_star):.3e} at {x_star}"
-        )
+    residual = abs(map_f(x_star) - x_star)
+    if residual >= tolerance:
+        raise FixedPointNotFound(f"bisection stalled: residual {residual:.3e} at {x_star}")
     return x_star
 
 

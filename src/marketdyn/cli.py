@@ -22,8 +22,15 @@ written block by block, one write per block: a block holds one list,
 tuple, range or ndarray per column (the column row by row) or one value
 repeated down the block (a block of repeats alone is one row).
 ``bifurcate`` writes one block per grid point as the scan streams it,
-``simulate`` and ``lyapunov`` fixed slices of their rows, the other
+``simulate`` and ``lyapunov`` slices of ``_SLICE`` rows, the other
 commands one block.
+
+The tables of ``simulate``, ``bifurcate`` and ``lyapunov`` stream: the
+orbit is run slice by slice (``analysis.orbit_slices``) and the scans
+chunk by chunk, each block written as it is made, so memory is set by a
+slice or a chunk, not by --steps or --points.  An unbounded ``simulate``
+first runs its orbit to the end without writing, so that a domain
+failure exits 3 before any row is written and before --out is opened.
 
 A block is assembled column by column.  A listed column becomes its cell
 texts: a float ndarray from its distinct bit patterns, each formatted
@@ -50,16 +57,20 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 from .analysis import (
+    _SLICE,
     OrbitDomainError,
     OrbitEscapeError,
     detect_collapse,
     generate_orbit,
+    orbit_slices,
     ped,
 )
 from .model import DomainError, MapForm, demand
@@ -74,10 +85,6 @@ from .scenarios import (
     load_scenario,
     scenario_entries,
 )
-
-# Rows per block of the simulate and lyapunov tables; bounds the text one write holds.
-_SLICE = 1024
-
 
 @dataclass(frozen=True)
 class Table:
@@ -170,9 +177,10 @@ def _cells(kind: type, values, fmt: str) -> list[str]:
     return list(map(texts.__getitem__, values))
 
 
-def _slices(*cols: Sequence) -> Iterator[list[Sequence]]:
-    """Row slices of at most ``_SLICE`` rows, one from each column, covering them."""
-    return ([c[lo:lo + _SLICE] for c in cols] for lo in range(0, len(cols[0]), _SLICE))
+def _batches(rows: Iterable) -> Iterator[list]:
+    """Lists of ``_SLICE`` rows, the last one shorter, taken from ``rows`` in order."""
+    rows = iter(rows)
+    return iter(lambda: list(islice(rows, _SLICE)), [])
 
 
 def _quote(text: str, fmt: str) -> str:
@@ -295,19 +303,26 @@ def _resolve(args, analysis: str, **defaults) -> Scenario:
 
 def _cmd_simulate(args) -> Table:
     sc = _resolve(args, "orbit")
-    orbit = generate_orbit(
-        sc.initial_state(), sc.market, sc.cost, sc.supplier,
-        sc.analysis.steps, bounded=sc.analysis.bounded, form=sc.form, scenario=sc.name,
-    )
-    dead = orbit.collapse_step
+    slices = partial(orbit_slices, sc.initial_state(), sc.market, sc.cost, sc.supplier,
+                     sc.analysis.steps, sc.analysis.bounded, sc.form)
+    if not sc.analysis.bounded:
+        # a dry run, so a domain failure exits 3 before any row is written
+        deque(slices(), maxlen=0)
     return Table(
         [("step", int), ("demand", float), ("supply", float), ("price", float),
          ("signal", float), ("collapsed", bool)],
-        ((index, d, s, p, [x / y if y > 0 else math.nan for x, y in zip(d, s)],
-          False if dead is None or dead >= index.stop else [k >= dead for k in index])
-         for index, d, s, p in _slices(range(len(orbit.demands)), orbit.demands,
-                                       orbit.supplies, orbit.prices)),
+        _orbit_blocks(slices()),
     )
+
+
+def _orbit_blocks(slices: Iterable[tuple]) -> Iterator[tuple]:
+    """The ``simulate`` table's blocks, one per slice of the orbit stream."""
+    stop = 0
+    for d, s, p, dead, _ in slices:
+        index = range(stop, stop + len(d))
+        stop = index.stop
+        yield (index, d, s, p, [x / y if y > 0 else math.nan for x, y in zip(d, s)],
+               False if dead is None else [k >= dead for k in index])
 
 
 def _cmd_bifurcate(args) -> Table:
@@ -325,12 +340,12 @@ def _cmd_bifurcate(args) -> Table:
 def _cmd_lyapunov(args) -> Table:
     sc = _resolve(args, "lyapunov", points=1000)
     cfg = sc.analysis.config
-    from .scans import lyapunov_scan  # loads numpy, as in _cmd_bifurcate
-    rows = lyapunov_scan(cfg, sc, method=args.method, threads=args.threads)
+    from .scans import lyapunov_rows  # loads numpy, as in _cmd_bifurcate
+    rows = lyapunov_rows(cfg, sc, method=args.method, threads=args.threads)
     return Table(
         [("param_value", float), ("lambda", float), ("method", str), ("defined", bool)],
         (([r.param_value for r in part], [r.lam for r in part], args.method,
-          [r.defined for r in part]) for (part,) in _slices(rows)),
+          [r.defined for r in part]) for part in _batches(rows)),
     )
 
 

@@ -32,7 +32,6 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 
 class DomainError(ValueError):
@@ -55,13 +54,6 @@ TRIGGER_DEMAND_CLAMP = "negative demand clamp"
 TRIGGER_EXPECTED_DEMAND = "expected demand <= 0"
 TRIGGER_SUPPLY_FLOOR = "supply floor"
 TRIGGER_NON_FINITE = "non-finite value"
-
-# Signal-of-success regimes.
-REGIME_NO_MARKET = "no market"
-REGIME_OVERSUPPLY = "oversupply"
-REGIME_EQUILIBRIUM = "equilibrium"
-REGIME_STOCK_RUPTURE = "stock rupture"
-
 
 @dataclass(frozen=True)
 class MarketParams:
@@ -134,13 +126,6 @@ class MarketState:
     trigger: str | None = None
 
 
-class Signal(NamedTuple):
-    """Signal of success D/S together with its economic regime."""
-
-    value: float
-    regime: str
-
-
 def atc(q: float, cost: CostPricing) -> float:
     """Average total cost of producing quantity q: Fc/q + v - v*q + q^2.
 
@@ -164,27 +149,6 @@ def demand(p: float, market: MarketParams) -> float:
     the bounded stepper's job, not this function's.
     """
     return market.a - market.b * p
-
-
-def classify_signal(value: float) -> str:
-    """Name the economic regime of a signal-of-success value."""
-    if value == 0.0:
-        return REGIME_NO_MARKET
-    if value < 1.0:
-        return REGIME_OVERSUPPLY
-    if value == 1.0:
-        return REGIME_EQUILIBRIUM
-    return REGIME_STOCK_RUPTURE
-
-
-def signal_of_success(d: float, s: float) -> Signal:
-    """How fully the stock sold: D/S, tagged with its regime."""
-    if not (s > 0.0):
-        raise DomainError(f"signal of success undefined for supply {s} <= 0")
-    if d < 0.0:
-        raise DomainError(f"signal of success undefined for demand {d} < 0")
-    value = d / s
-    return Signal(value, classify_signal(value))
 
 
 def expected_demand(d: float, s: float, behavior: SupplierBehavior) -> float:

@@ -27,10 +27,13 @@ of the orbit and decides ``defined`` after the last step, from that
 minimum, the last value and the sum.  A lane that ends defined passed
 every check, so it got exactly the terms it would have got alone.
 
-A bifurcation scan streams: the grid runs in chunks of ``_CHUNK`` lanes,
-at most two per worker in flight, and each chunk's samples matrix is
-dropped once its rows are taken, so memory is set by a chunk, not by the
-grid.
+Both sweeps stream under one chunk plan (``_plan``): the grid runs in
+max(workers, ceil(n / C)) chunks of near-equal size, C being ``_CHUNK``
+lanes for a bifurcation scan and ``_LYAP_CHUNK`` for a Lyapunov scan, at
+most two chunks per worker in flight, and a chunk's rows (and a
+bifurcation chunk's samples matrix) are dropped once taken.  So memory is
+set by a chunk, not by the grid; only the grid itself, 8 bytes a point,
+is held whole.
 
 The one module that imports numpy at load, and so imported only to run a
 sweep.  It re-exports ``ScanConfig`` and ``SCAN_PARAMETERS`` from ``scenarios``.
@@ -61,10 +64,12 @@ _PROBE_STEPS = 2048
 _PROBE_LAMBDA_MAX = 0.02
 _REFINE_ROUNDS = 8
 
-# Lanes per chunk of a bifurcation scan.  The array step's cost per
-# lane-step levels off near 4,096 lanes, and a chunk's samples matrix is
-# then 32 KiB per kept sample (16 MiB at keep = 500).
+# Lanes per chunk, at most, of each sweep (``_plan``).  The bifurcation
+# step's cost per lane-step levels off near 4,096 lanes, where a chunk's
+# samples matrix is 32 KiB per kept sample (16 MiB at keep = 500); the
+# Lyapunov kernel's is least near 16,384 (9 ns against 12-14 at 5,000).
 _CHUNK = 4096
+_LYAP_CHUNK = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,17 +202,17 @@ def _rows(values: np.ndarray, part: tuple[np.ndarray, np.ndarray]) -> Iterator[B
         yield BifurcationRow(x, row.copy(), class_name(k))
 
 
-def _workers(threads: int, tasks: int) -> int:
-    """Worker processes for ``tasks`` chunks: at most ``threads``, the core
-    count and ``tasks``."""
+def _plan(grid: np.ndarray, threads: int, size: int) -> tuple[list[np.ndarray], int]:
+    """The grid's chunks and the worker processes to run them.
+
+    Workers: at most ``threads``, the core count and the grid's points.
+    Chunks: max(workers, ceil(n / size)) of near-equal size, so a chunk
+    holds at most ``size`` lanes and each worker gets one.
+    """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    return min(int(threads), os.cpu_count() or 1, tasks)
-
-
-def _split(values: np.ndarray, threads: int) -> list[np.ndarray]:
-    """Grid chunks, one per worker."""
-    return np.array_split(values, _workers(threads, values.size))
+    workers = min(int(threads), os.cpu_count() or 1, grid.size)
+    return np.array_split(grid, max(workers, -(-grid.size // size))), workers
 
 
 def _run_chunks(worker, chunks: list, workers: int) -> Iterator:
@@ -248,15 +253,15 @@ def bifurcation_rows(
     Each grid point seeds the scenario's initial quantities, discards
     the transient, keeps ``config.keep`` demand samples and classifies
     them.  Points whose orbit dies are classified "collapsed" rather
-    than aborting the sweep.  The grid runs in chunks of ``_CHUNK``
-    lanes, on up to ``threads`` worker processes, and rows come in grid
-    order, independent of ``threads``.  Memory is set by a chunk: a
-    chunk's samples matrix is dropped once its rows are taken.
+    than aborting the sweep.  The grid runs in chunks of at most
+    ``_CHUNK`` lanes (``_plan``), on up to ``threads`` worker processes,
+    and rows come in grid order, independent of ``threads``.  Memory is
+    set by a chunk: a chunk's samples matrix is dropped once its rows are
+    taken.
     """
     worker = partial(_bifurcation_chunk, scenario=scenario, config=config, refine=refine)
-    grid = config.grid()
-    chunks = [grid[lo:lo + _CHUNK] for lo in range(0, grid.size, _CHUNK)]
-    parts = _run_chunks(worker, chunks, _workers(threads, len(chunks)))
+    chunks, workers = _plan(config.grid(), threads, _CHUNK)
+    parts = _run_chunks(worker, chunks, workers)
     # chain drops each chunk's rows generator, and with it the chunk's
     # matrix, before it asks for the next chunk
     return chain.from_iterable(map(_rows, chunks, parts))
@@ -308,21 +313,34 @@ def _lyapunov_chunk(
     ]
 
 
+def lyapunov_rows(
+    config: ScanConfig,
+    scenario,
+    method: str = "analytic",
+    threads: int = 1,
+) -> Iterator[LyapunovRow]:
+    """Lyapunov exponent of the scenario's 1-D map at every grid value, as a stream.
+
+    ``config.transient`` iterations settle the orbit and ``config.keep``
+    log-derivative samples are averaged.  Grid points whose orbit
+    escapes the map's domain are emitted with ``defined=False`` and a
+    NaN exponent rather than dropped.  The grid runs in chunks of at
+    most ``_LYAP_CHUNK`` lanes (``_plan``), on up to ``threads`` worker
+    processes, and rows come in grid order, independent of ``threads``;
+    memory is set by a chunk, not by the grid.
+    """
+    if method not in ("analytic", "finite-difference"):
+        raise ValueError(f"method must be analytic or finite-difference, got {method!r}")
+    worker = partial(_lyapunov_chunk, scenario=scenario, config=config, method=method)
+    chunks, workers = _plan(config.grid(), threads, _LYAP_CHUNK)
+    return chain.from_iterable(_run_chunks(worker, chunks, workers))
+
+
 def lyapunov_scan(
     config: ScanConfig,
     scenario,
     method: str = "analytic",
     threads: int = 1,
 ) -> list[LyapunovRow]:
-    """Lyapunov exponent of the scenario's 1-D map at every grid value.
-
-    ``config.transient`` iterations settle the orbit and ``config.keep``
-    log-derivative samples are averaged.  Grid points whose orbit
-    escapes the map's domain are emitted with ``defined=False`` and a
-    NaN exponent rather than dropped.
-    """
-    if method not in ("analytic", "finite-difference"):
-        raise ValueError(f"method must be analytic or finite-difference, got {method!r}")
-    worker = partial(_lyapunov_chunk, scenario=scenario, config=config, method=method)
-    chunks = _split(config.grid(), threads)
-    return list(chain.from_iterable(_run_chunks(worker, chunks, len(chunks))))
+    """Every row of ``lyapunov_rows``, as a list."""
+    return list(lyapunov_rows(config, scenario, method, threads))

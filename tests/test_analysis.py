@@ -41,6 +41,7 @@ from marketdyn.model import (
     NAIVE,
     SupplierBehavior,
     bounded_run,
+    derivative_naive_1d,
     step_supply_1d,
 )
 from marketdyn.scenarios import get_scenario
@@ -177,6 +178,22 @@ def test_find_fixed_point_requires_sign_change():
     f = demand_map_1d(MarketParams(10.0, 0.03), NAIVE_COST)
     with pytest.raises(FixedPointNotFound):
         find_fixed_point(f, 8.5, 9.0)
+
+
+def test_find_fixed_point_accepts_a_steep_root():
+    # at naive-ts, |f'| is about 48 at the root: a 1e-13 bracket leaves
+    # |f(x) - x| near 1.4e-12, inside 1e-12 times g's size at the ends (3.55)
+    f = demand_map_1d(NAIVE_MARKET, NAIVE_COST)
+    x = find_fixed_point(f, 0.157, 0.32)
+    assert 0.1952 < x < 0.1954
+    assert abs(f(x) - x) < 1e-12 * max(abs(f(0.157) - 0.157), abs(f(0.32) - 0.32))
+    assert abs(derivative_naive_1d(x, NAIVE_MARKET, NAIVE_COST)) > 40.0
+
+
+def test_find_fixed_point_rejects_a_sign_change_across_a_pole():
+    # g(x) = 1 / (x - 1) changes sign on [0.5, 2] with no root
+    with pytest.raises(FixedPointNotFound, match="stalled"):
+        find_fixed_point(lambda x: x + 1.0 / (x - 1.0), 0.5, 2.0)
 
 
 def test_unstable_fixed_point_at_chaotic_b():

@@ -18,12 +18,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import marketdyn
-from marketdyn import scans
+from marketdyn import analysis, cli, scans
 from marketdyn.analysis import (
-    PERFECTLY_ELASTIC, classify_samples, detect_collapse, generate_orbit, ped,
+    PERFECTLY_ELASTIC, OrbitDomainError, classify_samples, detect_collapse, generate_orbit, ped,
 )
 from marketdyn.cli import Table, build_parser, run_cli
-from marketdyn.model import MapForm, MarketParams, demand
+from marketdyn.model import (
+    MapForm, MapParams, MarketParams, MarketState, bounded_run, demand, unbounded_run,
+)
 from marketdyn.scans import ScanConfig, bifurcation_scan, lyapunov_scan
 from marketdyn.scenarios import (
     KEYS,
@@ -250,15 +252,21 @@ def test_byte_identical_across_runs_and_threads(tmp_path):
 
 @pytest.mark.parametrize("chunk", [7, 64])
 def test_bifurcate_bytes_do_not_depend_on_the_chunk_size(chunk, tmp_path, monkeypatch):
-    # about 150 points: one chunk at the default size, 22 or 3 when patched
-    argv = ["bifurcate", "--scenario", "naive-bif-b", "--points", "151", "--transient", "600",
-            "--keep", "64"]
-    assert run_cli(argv + ["--out", str(tmp_path / "whole.csv")]) == 0
-    monkeypatch.setattr(scans, "_CHUNK", chunk)
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}.csv"
-        assert run_cli(argv + ["--threads", threads, "--out", str(out)]) == 0
-        assert out.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    # about 150 points: one chunk at the default sizes, 22 or 3 when patched;
+    # the Lyapunov table runs under the same chunk plan
+    scan = ["--points", "151", "--transient", "600", "--keep", "64"]
+    for name, argv in (("bif", ["bifurcate", "--scenario", "naive-bif-b"] + scan),
+                       ("lyap", ["lyapunov", "--scenario", "naive-lyap", "--min", "0.08",
+                                 "--max", "0.6", "--format", "jsonl"] + scan)):
+        whole = tmp_path / f"{name}-whole.out"
+        assert run_cli(argv + ["--out", str(whole)]) == 0
+        with monkeypatch.context() as patched:
+            patched.setattr(scans, "_CHUNK", chunk)
+            patched.setattr(scans, "_LYAP_CHUNK", chunk)
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}-t{threads}.out"
+                assert run_cli(argv + ["--threads", threads, "--out", str(out)]) == 0
+                assert out.read_bytes() == whole.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["simulate", "bifurcate", "lyapunov", "collapse", "ped",
@@ -400,6 +408,120 @@ def test_pinned_tables_keep_their_bytes(argv, digest, capsys):
     code, out, err = run(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _materialized_orbit(sc):
+    """Every period of ``sc``'s orbit from one ``bounded_run`` or
+    ``unbounded_run`` call, and the index of its collapse (None if none)."""
+    seed, spec = sc.initial_state(), sc.analysis
+    cols = ([seed.demand], [seed.supply], [seed.price])
+    run = bounded_run if spec.bounded else unbounded_run
+    trigger = run(seed.demand, seed.supply, seed.price,
+                  MapParams(sc.market, sc.cost, sc.supplier, sc.form), spec.steps, cols)[3]
+    if trigger is not None and not spec.bounded:
+        raise OrbitDomainError(len(cols[0]), trigger)
+    return cols, None if trigger is None else len(cols[0]) - 1
+
+
+def _materialized_simulate(cols, dead, fmt):
+    """The ``simulate`` table rendered the way it was before it streamed:
+    the whole orbit first, then sliced into blocks of 1,024 rows."""
+    blocks = []
+    for lo in range(0, len(cols[0]), 1024):
+        index = range(lo, min(lo + 1024, len(cols[0])))
+        d, s, p = (c[lo:index.stop] for c in cols)
+        blocks.append((index, d, s, p, [x / y if y > 0 else math.nan for x, y in zip(d, s)],
+                       False if dead is None or dead >= index.stop else [k >= dead for k in index]))
+    return written(Table(_SIMULATE_COLUMNS, blocks), fmt)
+
+
+_SIMULATE_COLUMNS = [("step", int), ("demand", float), ("supply", float), ("price", float),
+                     ("signal", float), ("collapsed", bool)]
+
+_CO_TS = ["simulate", "--scenario", "co-ts", "--bounded", "--steps"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("argv", [
+    _CO_TS + ["0"], _CO_TS + ["1"], _CO_TS + ["1023"], _CO_TS + ["1024"], _CO_TS + ["1025"],
+    _CO_TS + ["3000"],
+    # demand 0 at the seed: the market dies at step 1
+    ["simulate", "--scenario", "naive-ts", "--bounded", "--seed-d", "0", "--steps", "50"],
+    ["simulate", "--scenario", "naive-ts", "--bounded", "--steps", "3000"],
+    ["simulate", "--scenario", "naive-ts", "--unbounded", "--steps", "3000"],
+], ids=["co-0", "co-1", "co-1023", "co-1024", "co-1025", "co-3000", "seed-dies",
+        "naive-bounded", "naive-unbounded"])
+def test_streamed_simulate_matches_the_materialized_table(argv, fmt, capsys):
+    code, out, err = run(argv + ["--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    sc = cli._resolve(build_parser().parse_args(argv), "orbit")
+    assert out == _materialized_simulate(*_materialized_orbit(sc), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("where", ["last-row", "first-row"])
+def test_streamed_simulate_collapse_at_a_slice_edge(where, fmt, capsys, monkeypatch):
+    argv = ["simulate", "--scenario", "collapse", "--steps", "200", "--format", fmt]
+    sc = cli._resolve(build_parser().parse_args(argv), "orbit")
+    cols, dead = _materialized_orbit(sc)
+    assert dead == len(cols[0]) - 1 == 68
+    # slices of 69 periods end at the collapse; slices of 68 start with it
+    monkeypatch.setattr(analysis, "_SLICE", dead + 1 if where == "last-row" else dead)
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == _materialized_simulate(cols, dead, fmt)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 40])
+def test_simulate_blocks_of_a_collapsed_seed(steps):
+    # a seed already flagged collapsed repeats once, collapsed from step 0
+    dead = MarketState(0.0, 0.0, 3.0, True, "supply floor")
+    sc = get_scenario("naive-ts")
+    slices = analysis.orbit_slices(dead, sc.market, sc.cost, sc.supplier, steps, bounded=True)
+    blocks = list(cli._orbit_blocks(slices))
+    cols = tuple([x] * min(steps + 1, 2) for x in (0.0, 0.0, 3.0))
+    for fmt in ("csv", "jsonl"):
+        assert written(Table(_SIMULATE_COLUMNS, blocks), fmt) == \
+            _materialized_simulate(cols, 0, fmt)
+
+
+@pytest.mark.parametrize("size", [1024, 4])
+def test_unbounded_failure_writes_nothing(size, tmp_path, capsys, monkeypatch):
+    # the orbit fails at step 6: in the first slice, or in the second when
+    # slices hold 4 periods, so a slice would be ready before the failure
+    monkeypatch.setattr(analysis, "_SLICE", size)
+    argv = ["simulate", "--scenario", "co-ts", "--unbounded", "--steps", "100000", "--b", "0.2"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: orbit left the domain at step 6: expected demand <= 0\n"
+    target = tmp_path / "x.csv"
+    code, out, err = run(argv + ["--out", str(target)], capsys)
+    assert (code, out) == (3, "") and not target.exists()
+    target.write_text("kept\n")
+    code, out, err = run(argv + ["--out", str(target)], capsys)
+    assert (code, out) == (3, "") and target.read_text() == "kept\n"
+
+
+# Runs one command in a fresh interpreter and prints its peak RSS (VmHWM,
+# the process's high-water mark since exec) in KiB.
+_PEAK_PROBE = """
+from marketdyn.cli import run_cli
+assert run_cli(%r) == 0
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_streamed_tables_hold_peak_memory_flat(tmp_path):
+    # memory is set by a slice or a chunk, not by --steps or --points
+    out = str(tmp_path / "table.out")
+    peak = lambda argv: int(_fresh_python(_PEAK_PROBE % (argv + ["--out", out])))
+    sim = ["simulate", "--scenario", "co-ts", "--bounded", "--steps"]
+    assert abs(peak(sim + ["200000"]) - peak(sim + ["20000"])) < 2 * 1024
+    lyap = ["lyapunov", "--scenario", "naive-lyap", "--transient", "20", "--keep", "20",
+            "--points"]
+    assert abs(peak(lyap + ["100000"]) - peak(lyap + ["20000"])) < 5 * 1024
 
 
 def test_short_tail_label_matches_the_sweep(capsys):

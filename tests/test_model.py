@@ -19,7 +19,6 @@ from marketdyn.model import (
     derivative_naive_1d,
     expected_demand,
     price,
-    signal_of_success,
     step,
     step_naive_demand_1d,
     step_naive_price_1d,
@@ -79,20 +78,6 @@ def test_demand_strictly_decreasing_for_positive_slope():
         p1 = rng.uniform(-10.0, 100.0)
         p2 = p1 + rng.uniform(0.01, 50.0)
         assert demand(p2, NAIVE_MARKET) < demand(p1, NAIVE_MARKET)
-
-
-def test_signal_of_success_regimes():
-    assert signal_of_success(0.0, 5.0) == (0.0, "no market")
-    assert signal_of_success(6.0, 4.0) == (1.5, "stock rupture")
-    assert signal_of_success(3.0, 4.0) == (0.75, "oversupply")
-    assert signal_of_success(4.0, 4.0) == (1.0, "equilibrium")
-
-
-def test_signal_of_success_domain_errors():
-    with pytest.raises(DomainError):
-        signal_of_success(1.0, 0.0)
-    with pytest.raises(DomainError):
-        signal_of_success(-1.0, 2.0)
 
 
 def test_expected_demand_values():

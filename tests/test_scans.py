@@ -47,8 +47,8 @@ from marketdyn.scans import (
     _lyapunov_chunk,
     _probe_lambda_grid,
     _refine_lane,
+    _plan,
     _rows,
-    _split,
     bifurcation_rows,
     bifurcation_scan,
     lyapunov_scan,
@@ -595,21 +595,38 @@ def test_pool_keeps_at_most_two_chunks_per_worker_in_flight(monkeypatch):
     assert got == [-c for c in range(20)]
 
 
-def test_split_caps_chunks_at_core_count(monkeypatch):
+def test_chunk_plan_caps_workers_at_core_count(monkeypatch):
     # planning only: no worker process is started
     grid = np.linspace(0.0, 1.0, 50)
-    chunks = _split(grid, 10_000)
-    assert 1 <= len(chunks) <= (os.cpu_count() or 1)
+    chunks, workers = _plan(grid, 10_000, 4096)
+    assert 1 <= workers == len(chunks) <= (os.cpu_count() or 1)
     assert np.array_equal(np.concatenate(chunks), grid)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert len(_split(grid, 10_000)) == 3
-    assert len(_split(grid, 2)) == 2
-    assert len(_split(grid[:1], 3)) == 1
+    assert [len(c) for c in _plan(grid, 10_000, 4096)[0]] == [17, 17, 16]
+    assert _plan(grid, 10_000, 4096)[1] == 3
+    assert _plan(grid, 2, 4096)[1] == 2
+    assert _plan(grid[:1], 3, 4096)[1] == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert len(_split(grid, 8)) == 1
+    assert _plan(grid, 8, 4096)[1] == 1
     for threads in (0, -5):  # refused, not run on one worker
         with pytest.raises(ValueError, match="threads must be >= 1"):
-            _split(grid, threads)
+            _plan(grid, threads, 4096)
+
+
+def test_chunk_plan_sizes(monkeypatch):
+    # max(workers, ceil(n / size)) chunks of near-equal size, at most size lanes each
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sizes = lambda n, threads, size: [len(c) for c in _plan(np.zeros(n), threads, size)[0]]
+    # the benchmark's scans: bifurcation at 500 points on one worker,
+    # Lyapunov at 10,000 on one and on two
+    assert sizes(500, 1, scans._CHUNK) == [500]
+    assert sizes(10_000, 1, scans._LYAP_CHUNK) == [10_000]
+    assert sizes(10_000, 2, scans._LYAP_CHUNK) == [5_000, 5_000]
+    assert sizes(16_384, 1, scans._LYAP_CHUNK) == [16_384]
+    assert sizes(16_385, 1, scans._LYAP_CHUNK) == [8_193, 8_192]
+    assert sizes(10_000, 1, scans._CHUNK) == [3_334, 3_333, 3_333]
+    big = sizes(1_000_000, 2, scans._LYAP_CHUNK)
+    assert len(big) == 62 and max(big) - min(big) <= 1 and max(big) <= scans._LYAP_CHUNK
 
 
 def test_benchmark_library_calls_still_bind():
