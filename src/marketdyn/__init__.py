@@ -6,8 +6,7 @@ The names from ``scans``, which loads numpy, are resolved on first access
 
 from .model import (
     NAIVE, CostPricing, DomainError, MapForm, MarketParams, MarketState, SupplierBehavior,
-    atc, bounded_step, demand, derivative_naive_1d, expected_demand, price, step,
-    step_naive_demand_1d, step_naive_price_1d, step_supply_1d,
+    bounded_step, demand, derivative_naive_1d, step, step_naive_demand_1d, step_supply_1d,
 )
 from .analysis import (
     PERFECTLY_ELASTIC, CollapseReport, FixedPointNotFound, Orbit, OrbitDomainError,

@@ -7,12 +7,14 @@ plus a gross margin, and the market responds through a linear demand
 curve.  Composing those three mechanisms gives the period-to-period map.
 This module owns all of its arithmetic, on floats and, for the sweeps in
 ``scans``, on numpy arrays with one lane per grid point (``MapParams``,
-``map_1d``, ``slope_1d``, ``bounded_period_arrays``).  On lanes the
-arithmetic runs in place where it can: ``map_1d`` and ``slope_1d`` update
-their own intermediates (never ``x``, the ``MapParams`` arrays or a ``u``
-they returned), and ``bounded_period_arrays`` writes every period into the
-preallocated buffers of a ``LaneWorkspace``.  Ufuncs give the same bits
-into ``out=`` as into a new array, so none of this moves a bit.
+``map_1d``, ``slope_1d``, ``BoundedLanes``).  On lanes the arithmetic
+runs in place where it can: ``map_1d`` and ``slope_1d`` update their own
+intermediates (never ``x``, the ``MapParams`` arrays or a ``u`` they
+returned), and ``BoundedLanes`` steps in buffers it holds, reading collapse
+from running minima instead of masking it.  The bounded period thus has
+one scalar definition (``bounded_run``, which also defines collapse) and
+one array definition.  Ufuncs give the same bits into ``out=`` as into a
+new array, so none of this moves a bit.
 
 numpy is imported at first use, only by the code that takes or builds
 lanes or calls a numpy routine on floats (the root at m not in {1, 2}, the
@@ -126,22 +128,6 @@ class MarketState:
     trigger: str | None = None
 
 
-def atc(q: float, cost: CostPricing) -> float:
-    """Average total cost of producing quantity q: Fc/q + v - v*q + q^2.
-
-    Parabolic in q: unit cost first falls with scale, then rises again.
-    Undefined for q <= 0 (no production to spread the fixed cost over).
-    """
-    if not (q > 0.0):
-        raise DomainError(f"atc undefined for quantity {q} <= 0")
-    return cost.fc / q + cost.v - cost.v * q + q * q
-
-
-def price(q: float, cost: CostPricing) -> float:
-    """Sale price for quantity q: average total cost marked up by 1/(1-M)."""
-    return atc(q, cost) / (1.0 - cost.margin)
-
-
 def demand(p: float, market: MarketParams) -> float:
     """Quantity demanded at price p: a - b*p.
 
@@ -149,25 +135,6 @@ def demand(p: float, market: MarketParams) -> float:
     the bounded stepper's job, not this function's.
     """
     return market.a - market.b * p
-
-
-def expected_demand(d: float, s: float, behavior: SupplierBehavior) -> float:
-    """Next-period production decision: (d/s)^(1/m) * s.
-
-    m = 1 returns d exactly (the naive supplier); a signal of exactly 1
-    returns s exactly.  For m != 1 a negative signal has no real m-th
-    root and is a domain error.
-    """
-    if not (s > 0.0):
-        raise DomainError(f"expected demand undefined for supply {s} <= 0")
-    m = behavior.m
-    if m == 1.0:
-        return d
-    sig = d / s
-    if sig < 0.0:
-        raise DomainError(f"no real {m}-th root of negative signal {sig}")
-    with _power_errstate(m):
-        return _root_float(sig, s, m)
 
 
 def root_response(sig, s, m: float):
@@ -301,8 +268,8 @@ def bounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None)
     ``MapParams.take(i)``; each period is appended to ``out``'s three lists,
     if given.  Returns the last (demand, supply, price, trigger).  A collapse
     names its trigger, ends the run and reads (0, 0, price), at the new price
-    when the demand side failed.  ``bounded_period_arrays`` does the same
-    operations in the same order, so both give the same bits.
+    when the demand side failed.  ``BoundedLanes`` does the same operations
+    in the same order on lanes, so both give the same bits.
     """
     a, b, fc, v, one_minus_m = map(float, (pars.a, pars.b, pars.fc, pars.v, pars.one_minus_m))
     m, canonical = pars.m, pars.form is MapForm.CANONICAL
@@ -345,67 +312,80 @@ def bounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None)
     return d, s, p, None
 
 
-class LaneWorkspace:
-    """Preallocated buffers for ``bounded_period_arrays`` on n lanes.
+class BoundedLanes:
+    """``bounded_run`` on n lanes at once, without masks.
 
-    A period writes its D, S, P and alive into the ``spare`` arrays and
-    keeps the four arrays it was given as the next spares.  So the loop
-    ``D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars, ws)``
-    allocates nothing, and the previous period's arrays stay as they were
-    until the next call overwrites them.
+    ``period`` does ``bounded_run``'s operations in its order on every lane,
+    so a lane's ``D``, ``S`` and ``P`` equal the scalar run's bits in every
+    period before its collapse.  Collapse is read, not applied: running
+    minima of the new supply and demand (and, in the paper-literal form,
+    the lowest and highest price) make ``alive()`` exactly ``bounded_run``'s
+    survival after every period, for lanes seeded with positive supply.  A
+    collapsed lane runs on with undefined values, which cannot revive it: a
+    minimum only falls and NaN sticks.  Replay it with ``bounded_run``.
+
+    The arrays given are copied, never written, and ``period`` allocates
+    nothing.  Callers own the floating-point error state.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, D, S, P, pars: MapParams):
         import numpy as np
-        self.spare = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
-        self.atc, self.tmp = np.empty(n), np.empty(n)
-        self.dead, self.mask = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        n = len(D)
+        self.pars = pars
+        self.D, self.S, self.P = (np.array(x, dtype=float) for x in (D, S, P))
+        # the new D and S go to spares; at m = 1 the new supply is the old demand
+        self._spare = [np.empty(n) for _ in range(1 if pars.m == 1.0 else 2)]
+        self._atc, self._low_s = np.empty(n), np.full(n, np.inf)
+        # the seed demand counts: bounded_run refuses a negative one (a zero
+        # one leaves no supply)
+        self._low_d = self.D.copy()
+        if pars.form is MapForm.PAPER_LITERAL:
+            self._low_p, self._high_p = np.full(n, np.inf), np.full(n, -np.inf)
 
-
-def bounded_period_arrays(D, S, P, alive, pars: MapParams, ws: LaneWorkspace):
-    """One bounded period for every lane; mirrors ``bounded_run``.
-
-    Collapsed lanes hold zero demand and supply.  A lane that fails
-    before its new price is known keeps the old price; one whose demand
-    side fails dies at the new price.  The inputs are not written: the
-    results are the spare arrays of ``ws``.
-    """
-    import numpy as np
-    D_new, S_new, P_new, ok = ws.spare
-    ws.spare = (D, S, P, alive)
-    atc, tmp, dead, mask = ws.atc, ws.tmp, ws.dead, ws.mask
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if pars.m == 1.0:
-            np.copyto(S_new, D)
+    def period(self):
+        """Advance every lane one period.  Returns the (D, S) it started
+        from, which stay as they are until the next call."""
+        import numpy as np
+        p, D, S, P, atc = self.pars, self.D, self.S, self.P, self._atc
+        if p.m == 1.0:
+            (D_new,), S_new = self._spare, D
+            self._spare = [S]
         else:
-            root_response(np.divide(D, S, out=S_new), S, pars.m)
+            D_new, S_new = self._spare
+            root_response(np.divide(D, S, out=S_new), S, p.m)
+            self._spare = [D, S]
         # fc/S + v - v*S + S*S, as in bounded_run
-        np.divide(pars.fc, S_new, out=atc)
-        atc += pars.v
-        atc -= np.multiply(pars.v, S_new, out=tmp)
-        atc += np.multiply(S_new, S_new, out=tmp)
-        np.divide(atc, pars.one_minus_m, out=P_new)
-        # dead = ~live, the lanes that fail before their new price; a
-        # non-finite supply leaves a non-finite price
-        np.logical_not(alive, out=dead)
-        dead |= np.less(D, 0.0, out=mask)
-        dead |= np.less(S_new, SUPPLY_FLOOR, out=mask)
-        dead |= np.logical_not(np.isfinite(P_new, out=mask), out=mask)
-        np.copyto(P_new, P, where=dead)
-        # then the demand side: clamp or no expected demand (b*P = P*b)
-        np.multiply(P_new, pars.b, out=tmp)
-        dead |= np.greater(tmp, pars.a, out=mask)
-        if pars.form is MapForm.CANONICAL:
-            np.subtract(pars.a, tmp, out=D_new)
+        np.divide(p.fc, S_new, out=atc)
+        atc += p.v
+        atc -= np.multiply(p.v, S_new, out=D_new)
+        atc += np.multiply(S_new, S_new, out=D_new)
+        np.divide(atc, p.one_minus_m, out=P)
+        if p.form is MapForm.CANONICAL:
+            # D = a - b*P <= 0 is both the clamp P*b > a and the expected-
+            # demand trigger; a price of +inf or NaN gives D = -inf or NaN
+            np.subtract(p.a, np.multiply(p.b, P, out=D_new), out=D_new)
         else:
-            np.multiply(pars.b, atc, out=D_new)
-            np.subtract(pars.a, D_new, out=D_new)
-            D_new /= pars.one_minus_m
-        dead |= np.less_equal(D_new, 0.0, out=mask)
-        np.logical_not(dead, out=ok)
-        np.copyto(D_new, 0.0, where=dead)
-        np.copyto(S_new, 0.0, where=dead)
-    return D_new, S_new, P_new, ok
+            # the clamp is max(P)*b > a, since b >= 0 keeps the order of P*b
+            np.minimum(self._low_p, P, out=self._low_p)
+            np.maximum(self._high_p, P, out=self._high_p)
+            np.subtract(p.a, np.multiply(p.b, atc, out=D_new), out=D_new)
+            D_new /= p.one_minus_m
+        np.minimum(self._low_s, S_new, out=self._low_s)
+        np.minimum(self._low_d, D_new, out=self._low_d)
+        self.D, self.S = D_new, S_new
+        return D, S
+
+    def alive(self):
+        """The lanes ``bounded_run`` has not collapsed, a new bool array."""
+        import numpy as np
+        p = self.pars
+        ok = (self._low_s >= SUPPLY_FLOOR) & (self._low_d > 0.0)
+        if p.form is MapForm.CANONICAL:
+            # A price of -inf (v*S overflowed, S*S did not) gives D = +inf,
+            # whose supply prices to NaN next period: so the last price
+            # flags that lane in its period and the demand's minimum after.
+            return ok & np.isfinite(self.P)
+        return ok & (self._low_p > -np.inf) & (self._high_p * p.b <= p.a)
 
 
 def bounded_step(
@@ -511,18 +491,6 @@ def step_naive_demand_1d(
     form.
     """
     return _map_1d_checked(d, MapParams(market, cost, NAIVE, form), "demand")[0]
-
-
-def step_naive_price_1d(p: float, market: MarketParams, cost: CostPricing) -> float:
-    """One-dimensional price map of the naive supplier.
-
-    Conjugate to the demand map through D = a - b*P: the whole demanded
-    quantity is produced next period and repriced.
-    """
-    q = market.a - market.b * p
-    if not (q > 0.0):
-        raise DomainError(f"price map undefined: quantity a - b*p = {q} <= 0")
-    return price(q, cost)
 
 
 def step_supply_1d(

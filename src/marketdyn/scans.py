@@ -18,22 +18,22 @@ twin.  Rows are labelled by the period test under one policy,
 ``analysis.PERIOD_TOLERANCE`` and ``analysis.MAX_PERIOD``.
 
 The array loops allocate their lane buffers once per call: the bounded
-runs step through a ``model.LaneWorkspace``, and the Lyapunov sums take
-their log terms in place.  A lane that leaves the map's domain is not
-frozen: it runs on, unobserved, since its sum and state never reach a
-row (λ is NaN there, or +inf in the probe).  The probe drops its
-``alive`` flag at once; the Lyapunov sweep keeps only a running minimum
-of the orbit and decides ``defined`` after the last step, from that
-minimum, the last value and the sum.  A lane that ends defined passed
-every check, so it got exactly the terms it would have got alone.
+runs step a ``model.BoundedLanes``, and the Lyapunov sums take their log
+terms in place.  No loop masks a lane that leaves the map's domain: it
+runs on, unobserved, and running minima decide afterwards which lanes
+stayed in.  A bifurcation chunk replays each collapsed lane through
+``bounded_run`` for its row, and the probe gives it λ = +inf; the
+Lyapunov sweep decides ``defined`` from the orbit's minimum, the last
+value and the sum.  A lane that ends alive or defined passed every
+check, so it got exactly the values it would have got alone.
 
 Both sweeps stream under one chunk plan (``_plan``): the grid runs in
 max(workers, ceil(n / C)) chunks of near-equal size, C being ``_CHUNK``
 lanes for a bifurcation scan and ``_LYAP_CHUNK`` for a Lyapunov scan, at
 most two chunks per worker in flight, and a chunk's rows (and a
-bifurcation chunk's samples matrix) are dropped once taken.  So memory is
-set by a chunk, not by the grid; only the grid itself, 8 bytes a point,
-is held whole.
+bifurcation chunk's samples matrix) are dropped once taken.  Each chunk
+computes its own grid points when it is taken, so memory is set by a
+chunk, not by the grid.
 
 The one module that imports numpy at load, and so imported only to run a
 sweep.  It re-exports ``ScanConfig`` and ``SCAN_PARAMETERS`` from ``scenarios``.
@@ -43,16 +43,14 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, tee
 
 import numpy as np
 
-from .model import (
-    LaneWorkspace, MapParams, bounded_period_arrays, bounded_run, map_1d, slope_1d,
-)
+from .model import BoundedLanes, MapParams, bounded_run, map_1d, slope_1d
 from .analysis import (LOG_FLOOR, MAX_PERIOD, PERIOD_TOLERANCE, class_name, detect_periods,
                        finite_difference_derivative)
 from .scenarios import SCAN_PARAMETERS, ScanConfig  # noqa: F401 (re-exported)
@@ -92,18 +90,30 @@ class LyapunovRow:
 
 
 def _simulate_grid(pars: MapParams, scenario, config: ScanConfig, n: int):
-    """Seed n lanes and run transient + keep bounded periods, recording demand samples."""
+    """Seed n lanes and run transient + keep bounded periods, recording demand
+    samples; stop early once every lane has collapsed.  ``bounded_run``
+    replays each collapsed lane: its row keeps its demands, then zeros."""
     transient, keep = config.transient, config.keep
-    D = np.full(n, float(scenario.seed_demand))
-    S = np.full(n, float(scenario.seed_supply))
-    P = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
+    d0, s0 = float(scenario.seed_demand), float(scenario.seed_supply)
+    lanes = BoundedLanes(np.full(n, d0), np.full(n, s0), np.zeros(n), pars)
     samples = np.empty((n, keep))
-    ws = LaneWorkspace(n)
-    for it in range(transient + keep):
-        D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars, ws)
-        if it >= transient:
-            samples[:, it - transient] = D
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(transient + keep):
+            lanes.period()
+            if it >= transient:
+                samples[:, it - transient] = lanes.D
+            if it % 64 == 63 and not lanes.alive().any():
+                break
+        alive = lanes.alive()
+    D, S, P = lanes.D, lanes.S, lanes.P
+    dead = np.flatnonzero(~alive)
+    samples[dead] = 0.0
+    for i in dead.tolist():
+        out = ([], [], [])
+        D[i], S[i], P[i], _ = bounded_run(d0, s0, 0.0, pars.take(i), transient + keep, out)
+        kept = out[0][transient:]
+        if kept:
+            samples[i, :len(kept)] = kept
     return D, S, P, alive, samples
 
 
@@ -124,21 +134,17 @@ def _probe_lambda_grid(D, S, P, idx, pars: MapParams, steps: int) -> np.ndarray:
     come back as +inf so the caller will not waste refinement on them.
     """
     pars = pars.take(idx)
-    D, S, P = D[idx], S[idx], P[idx]
-    alive = np.ones(idx.size, dtype=bool)
+    lanes = BoundedLanes(D[idx], S[idx], P[idx], pars)
     acc = np.zeros(idx.size)
-    ws = LaneWorkspace(idx.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(steps):
-            D_next, S_next, P, alive = bounded_period_arrays(D, S, P, alive, pars, ws)
+            D, S = lanes.period()
             # the demand D is the u that supply S provoked
-            _add_log_stretch(acc, slope_1d(S, S_next, D, pars))
-            D, S = D_next, S_next
+            _add_log_stretch(acc, slope_1d(S, lanes.S, D, pars))
+        alive = lanes.alive()
     # No per-step isfinite(slope): every term is at least ln(LOG_FLOOR), so
-    # acc is non-finite iff some slope was.  Such a lane is no longer
-    # zeroed by the stepper, but its acc stays non-finite and its λ +inf,
-    # as before; a lane with only finite slopes never had its alive flag
-    # touched, so it runs and sums exactly as before.
+    # acc is non-finite iff some slope was.  A collapsed lane runs on with
+    # undefined values, but its alive flag stays down and its λ is +inf.
     return np.where(alive & np.isfinite(acc), acc / steps, np.inf)
 
 
@@ -202,20 +208,26 @@ def _rows(values: np.ndarray, part: tuple[np.ndarray, np.ndarray]) -> Iterator[B
         yield BifurcationRow(x, row.copy(), class_name(k))
 
 
-def _plan(grid: np.ndarray, threads: int, size: int) -> tuple[list[np.ndarray], int]:
+def _plan(config: ScanConfig, threads: int, size: int) -> tuple[Iterator[np.ndarray], int]:
     """The grid's chunks and the worker processes to run them.
 
     Workers: at most ``threads``, the core count and the grid's points.
     Chunks: max(workers, ceil(n / size)) of near-equal size, so a chunk
-    holds at most ``size`` lanes and each worker gets one.
+    holds at most ``size`` lanes and each worker gets one.  Each chunk's
+    points are computed when it is taken, so no sweep holds the whole grid.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    workers = min(int(threads), os.cpu_count() or 1, grid.size)
-    return np.array_split(grid, max(workers, -(-grid.size // size))), workers
+    n = config.grid_points
+    workers = min(int(threads), os.cpu_count() or 1, n)
+    count = max(workers, -(-n // size))
+    # np.array_split's sizes: the first n % count chunks hold one more
+    q, r = divmod(n, count)
+    bounds = [j * q + min(j, r) for j in range(count + 1)]
+    return (config.grid(i0, i1) for i0, i1 in zip(bounds, bounds[1:])), workers
 
 
-def _run_chunks(worker, chunks: list, workers: int) -> Iterator:
+def _run_chunks(worker, chunks: Iterable, workers: int) -> Iterator:
     """``worker``'s result on each chunk, in chunk order, from ``workers`` processes
     when more than one.
 
@@ -260,11 +272,12 @@ def bifurcation_rows(
     taken.
     """
     worker = partial(_bifurcation_chunk, scenario=scenario, config=config, refine=refine)
-    chunks, workers = _plan(config.grid(), threads, _CHUNK)
+    chunks, workers = _plan(config, threads, _CHUNK)
+    chunks, values = tee(chunks)  # holds only the chunks in flight
     parts = _run_chunks(worker, chunks, workers)
     # chain drops each chunk's rows generator, and with it the chunk's
     # matrix, before it asks for the next chunk
-    return chain.from_iterable(map(_rows, chunks, parts))
+    return chain.from_iterable(map(_rows, values, parts))
 
 
 def bifurcation_scan(
@@ -332,7 +345,7 @@ def lyapunov_rows(
     if method not in ("analytic", "finite-difference"):
         raise ValueError(f"method must be analytic or finite-difference, got {method!r}")
     worker = partial(_lyapunov_chunk, scenario=scenario, config=config, method=method)
-    chunks, workers = _plan(config.grid(), threads, _LYAP_CHUNK)
+    chunks, workers = _plan(config, threads, _LYAP_CHUNK)
     return chain.from_iterable(_run_chunks(worker, chunks, workers))
 
 

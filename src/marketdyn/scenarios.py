@@ -81,10 +81,21 @@ class ScanConfig:
             raise ValueError(
                 f"{self.parameter} scan interval must be non-negative, got lo={self.lo}")
 
-    def grid(self):
-        """The grid values, an ndarray (numpy is imported here, at first use)."""
+    def grid(self, start: int = 0, stop: int | None = None):
+        """Grid values ``start`` to ``stop`` (default: all), an ndarray equal
+        bit for bit to that slice of ``np.linspace(lo, hi, grid_points)``,
+        whose arithmetic it repeats (numpy is imported here, at first use)."""
         import numpy as np
-        return np.linspace(self.lo, self.hi, self.grid_points)
+        n = self.grid_points
+        stop = n if stop is None else stop
+        y = np.arange(start, stop, dtype=float)
+        if n > 1:  # with linspace's own path for a step that underflows to 0
+            step = (self.hi - self.lo) / (n - 1)
+            y = y / (n - 1) * (self.hi - self.lo) if step == 0.0 else y * step
+        y += self.lo
+        if n > 1 and start < stop == n:
+            y[-1] = self.hi
+        return y
 
 
 @dataclass(frozen=True)

@@ -313,16 +313,16 @@ def test_named_cycles_at_published_parameters():
 
 
 def test_demand_price_orbit_conjugacy():
-    # the demand and price recurrences track each other through D = a - b*P
-    # (at contracting parameters, where roundoff cannot amplify)
-    from marketdyn.model import step_naive_demand_1d, step_naive_price_1d, demand
+    # the demand recurrence tracks the bounded orbit's prices through
+    # D = a - b*P (at contracting parameters, where roundoff cannot amplify)
+    from marketdyn.model import step_naive_demand_1d, demand
 
     for b in (0.03, 0.05):
         market = MarketParams(10.0, b)
-        d, p = 1.0, (10.0 - 1.0) / b  # same starting point in both charts
-        for _ in range(500):
+        orbit = generate_orbit(SEED, market, NAIVE_COST, NAIVE, steps=500, bounded=True)
+        d = SEED.demand
+        for p in orbit.prices[1:]:
             d = step_naive_demand_1d(d, market, NAIVE_COST)
-            p = step_naive_price_1d(p, market, NAIVE_COST)
             assert abs(demand(p, market) - d) < 1e-9
 
 

@@ -395,7 +395,10 @@ def test_scalar_commands_leave_numpy_unloaded():
 # Recorded table bytes.  Only m = 1 (naive-bif-b) and m = 2 (co-ts), whose
 # bytes do not follow numpy's SIMD level, so the pins hold on any host.  At
 # 150 points refinement labels three naive-bif-b rows the configured run
-# leaves aperiodic (periodic(2), (4) and (8)).
+# leaves aperiodic (periodic(2), (4) and (8)).  The collapse grids, recorded
+# when the lane engine still masked collapsed lanes: every lane of the two
+# paper-literal grids dies in the transient (so m = 0.5 writes only zeros),
+# and the collapse b-scan has 1,408 collapsed rows of 2,000.
 @pytest.mark.parametrize("argv,digest", [
     (["bifurcate", "--scenario", "naive-bif-b", "--points", "150"],
      "1a51ecdf26edc79aa3b371e92bf609c837ec61bda83993b82b1b89aba33cbfbf"),
@@ -403,7 +406,15 @@ def test_scalar_commands_leave_numpy_unloaded():
      "e16e191249d180e366d2de99828efdfbe65140835928c5e472fc25e424170fb6"),
     (["simulate", "--scenario", "co-ts", "--bounded", "--steps", "2000"],
      "912401ae41271b9ffbe12cbf6736c4400033f2c835ae5a7d1e3c5b58d4f214eb"),
-], ids=["bifurcate-csv", "bifurcate-jsonl", "simulate-csv"])
+    (["bifurcate", "--scenario", "naive-bif-b-paper-literal", "--points", "2000"],
+     "465ee25535481a06f33df98ca8ff710e2085dd82bd27fc92af249b8e4a01e90b"),
+    (["bifurcate", "--scenario", "co-bif-b-paper-literal", "--m", "0.5", "--points", "1000"],
+     "a0144152d5a9273b18f789a21ffb95cbd32939dfc37c260112dd7b5724d5572c"),
+    (["bifurcate", "--scenario", "collapse", "--param", "b", "--min", "0.05", "--max", "0.2",
+      "--points", "2000"],
+     "930c37580aba60b396c44603501e177cbdf972ffb6717003fbcfec6e80fcd6d0"),
+], ids=["bifurcate-csv", "bifurcate-jsonl", "simulate-csv", "all-collapsed-m1",
+        "all-collapsed-m0.5", "collapse-b-scan"])
 def test_pinned_tables_keep_their_bytes(argv, digest, capsys):
     code, out, err = run(argv, capsys)
     assert code == 0
@@ -522,6 +533,9 @@ def test_streamed_tables_hold_peak_memory_flat(tmp_path):
     lyap = ["lyapunov", "--scenario", "naive-lyap", "--transient", "20", "--keep", "20",
             "--points"]
     assert abs(peak(lyap + ["100000"]) - peak(lyap + ["20000"])) < 5 * 1024
+    # each chunk computes its own grid points: the whole grid, 8 B a point,
+    # is never held (it read 2.3 MiB of a 3.6 MiB rise here)
+    assert abs(peak(lyap + ["400000"]) - peak(lyap + ["100000"])) < 2 * 1024
 
 
 def test_short_tail_label_matches_the_sweep(capsys):

@@ -13,15 +13,11 @@ from marketdyn.model import (
     MarketState,
     NAIVE,
     SupplierBehavior,
-    atc,
     bounded_step,
     demand,
     derivative_naive_1d,
-    expected_demand,
-    price,
     step,
     step_naive_demand_1d,
-    step_naive_price_1d,
     step_supply_1d,
     TRIGGER_DEMAND_CLAMP,
     TRIGGER_EXPECTED_DEMAND,
@@ -36,22 +32,31 @@ CO_COST = CostPricing(fc=30.0, v=6.0, margin=0.5)
 M2 = SupplierBehavior(m=2.0)
 
 
+def _price_of(q, cost, market=MarketParams(a=10.0, b=0.0)):
+    """The price bounded_step gives supplying q: the naive supplier produces
+    the seed demand, and a flat market never clamps."""
+    return bounded_step(MarketState(q, 1.0, 0.0), market, cost, NAIVE).price
+
+
 def test_atc_hand_values():
-    assert atc(1.0, NAIVE_COST) == pytest.approx(11.0)  # 10 + 4 - 4 + 1
-    assert atc(2.0, NAIVE_COST) == pytest.approx(5.0)   # 5 + 4 - 8 + 4
-    assert atc(1.0, CO_COST) == pytest.approx(31.0)     # 30 + 6 - 6 + 1
+    # at zero margin the price is the average total cost Fc/q + v - v*q + q^2
+    assert _price_of(1.0, CostPricing(10.0, 4.0, 0.0)) == pytest.approx(11.0)  # 10 + 4 - 4 + 1
+    assert _price_of(2.0, CostPricing(10.0, 4.0, 0.0)) == pytest.approx(5.0)   # 5 + 4 - 8 + 4
+    assert _price_of(1.0, CostPricing(30.0, 6.0, 0.0)) == pytest.approx(31.0)  # 30 + 6 - 6 + 1
 
 
 def test_atc_rejects_nonpositive_quantity():
+    # the cost is never spread over no production: a period that would
+    # produce q <= 0 collapses before pricing and keeps the old price
     for q in (0.0, -1.0):
-        with pytest.raises(DomainError):
-            atc(q, NAIVE_COST)
+        out = bounded_step(MarketState(q, 1.0, 2.0), NAIVE_MARKET, NAIVE_COST, NAIVE)
+        assert out == MarketState(0.0, 0.0, 2.0, True, TRIGGER_EXPECTED_DEMAND)
 
 
 def test_price_hand_values():
-    assert price(1.0, NAIVE_COST) == pytest.approx(22.0)
-    assert price(1.0, CostPricing(10.0, 4.0, 0.0)) == pytest.approx(11.0)
-    assert price(1.0, CostPricing(10.0, 4.0, 0.8)) == pytest.approx(55.0)
+    assert _price_of(1.0, NAIVE_COST) == pytest.approx(22.0)
+    assert _price_of(1.0, CostPricing(10.0, 4.0, 0.0)) == pytest.approx(11.0)
+    assert _price_of(1.0, CostPricing(10.0, 4.0, 0.8)) == pytest.approx(55.0)
 
 
 def test_price_increases_with_margin():
@@ -61,7 +66,7 @@ def test_price_increases_with_margin():
         m1, m2 = sorted((rng.uniform(0.0, 0.99), rng.uniform(0.0, 0.99)))
         if m1 == m2:
             continue
-        assert price(q, CostPricing(10.0, 4.0, m1)) < price(q, CostPricing(10.0, 4.0, m2))
+        assert _price_of(q, CostPricing(10.0, 4.0, m1)) < _price_of(q, CostPricing(10.0, 4.0, m2))
 
 
 def test_demand_hand_values():
@@ -81,27 +86,36 @@ def test_demand_strictly_decreasing_for_positive_slope():
 
 
 def test_expected_demand_values():
-    assert expected_demand(8.02, 5.0, NAIVE) == 8.02  # m=1 returns d exactly
-    assert expected_demand(4.0, 1.0, M2) == pytest.approx(2.0)
-    assert expected_demand(0.5, 1.0, M2) == pytest.approx(0.7071067811865476)
+    # the next supply is (d/s)^(1/m) * s: d itself for the naive supplier
+    assert step(MarketState(8.02, 5.0, 0.0), NAIVE_MARKET, NAIVE_COST, NAIVE).supply == 8.02
+    assert step(MarketState(4.0, 1.0, 0.0), NAIVE_MARKET, NAIVE_COST, M2).supply == pytest.approx(2.0)
+    assert step(MarketState(0.5, 1.0, 0.0), NAIVE_MARKET, NAIVE_COST, M2).supply == pytest.approx(
+        0.7071067811865476)
 
 
 def test_expected_demand_exactness():
+    flat = MarketParams(a=10.0, b=0.0)  # never clamps, so bounded_step keeps the supply
     rng = random.Random(3)
     for _ in range(500):
         d = rng.uniform(0.01, 50.0)
         s = rng.uniform(0.01, 50.0)
-        assert expected_demand(d, s, NAIVE) == d
+        assert step(MarketState(d, s, 0.0), NAIVE_MARKET, NAIVE_COST, NAIVE).supply == d
+        assert bounded_step(MarketState(d, s, 0.0), flat, NAIVE_COST, NAIVE).supply == d
         m = SupplierBehavior(rng.uniform(0.2, 6.0))
         # signal exactly 1 leaves the production unchanged for any m
-        assert expected_demand(s, s, m) == s
+        assert step(MarketState(s, s, 0.0), NAIVE_MARKET, NAIVE_COST, m).supply == s
+        assert bounded_step(MarketState(s, s, 0.0), flat, NAIVE_COST, m).supply == s
 
 
 def test_expected_demand_negative_signal():
-    with pytest.raises(DomainError):
-        expected_demand(-1.0, 2.0, M2)
-    # the naive supplier has no root to take; a negative value passes through
-    assert expected_demand(-1.0, 2.0, NAIVE) == -1.0
+    # a negative signal has no real root: the market collapses with its
+    # input frozen (step) or zeroed (bounded_step), for every m
+    for behavior in (M2, NAIVE):
+        state = MarketState(-1.0, 2.0, 3.0)
+        assert step(state, NAIVE_MARKET, NAIVE_COST, behavior) == MarketState(
+            -1.0, 2.0, 3.0, True, TRIGGER_EXPECTED_DEMAND)
+        assert bounded_step(state, NAIVE_MARKET, NAIVE_COST, behavior) == MarketState(
+            0.0, 0.0, 3.0, True, TRIGGER_EXPECTED_DEMAND)
 
 
 def test_step_naive_hand_composition():
@@ -173,26 +187,25 @@ def test_m1_reduction_matches_naive_map():
 
 
 def test_price_map_value_and_conjugacy():
-    # independent scalar evaluation of price(a - b*p)
+    # the naive orbit reprices the whole demanded quantity: its second price
+    # is the independent evaluation of price(a - b*p) at p = 22
     q = 10.0 - 0.09 * 22.0
     oracle = (10.0 / q + 4.0 - 4.0 * q + q * q) / 0.5
-    assert step_naive_price_1d(22.0, NAIVE_MARKET, NAIVE_COST) == pytest.approx(oracle)
     assert oracle == pytest.approx(74.97456558603491)
-    # a - b*p == 1 reduces to price(1)
-    p_at_one = (10.0 - 1.0) / 0.09
-    assert step_naive_price_1d(p_at_one, NAIVE_MARKET, NAIVE_COST) == pytest.approx(22.0)
-    # change of variables: demand(price map) == demand map(demand)
+    first = bounded_step(MarketState(1.0, 1.0, 0.0), NAIVE_MARKET, NAIVE_COST, NAIVE)
+    second = bounded_step(first, NAIVE_MARKET, NAIVE_COST, NAIVE)
+    assert first.price == pytest.approx(22.0)
+    assert second.price == pytest.approx(oracle)
+    # change of variables: demand(price) == demand map(demand), each period
     rng = random.Random(5)
     for _ in range(100):
-        p = rng.uniform(0.0, 100.0)
-        q = demand(p, NAIVE_MARKET)
-        if q <= 0:
+        d = rng.uniform(0.1, 10.0)
+        out = bounded_step(MarketState(d, 1.0, 0.0), NAIVE_MARKET, NAIVE_COST, NAIVE)
+        if out.collapsed:  # a price beyond a/b: the clamp, not the demand curve
             continue
-        lhs = demand(step_naive_price_1d(p, NAIVE_MARKET, NAIVE_COST), NAIVE_MARKET)
-        rhs = step_naive_demand_1d(q, NAIVE_MARKET, NAIVE_COST)
-        assert lhs == pytest.approx(rhs, abs=1e-9)
-    with pytest.raises(DomainError):
-        step_naive_price_1d(1000.0, NAIVE_MARKET, NAIVE_COST)
+        assert demand(out.price, NAIVE_MARKET) == out.demand
+        assert out.demand == pytest.approx(step_naive_demand_1d(d, NAIVE_MARKET, NAIVE_COST),
+                                           abs=1e-12)
 
 
 def test_supply_map_forms():
@@ -212,7 +225,7 @@ def test_supply_map_fixed_point():
     lo, hi = 1.0, 25.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        d_mid = 30.0 - 0.125 * price(mid, CO_COST)
+        d_mid = 30.0 - 0.125 * (30.0 / mid + 6.0 - 6.0 * mid + mid * mid) / 0.5
         if d_mid > mid:
             lo = mid
         else:
@@ -229,7 +242,7 @@ def test_bounded_step_clamps_and_collapses():
     assert out.collapsed
     assert out.demand == 0.0 and out.supply == 0.0
     assert out.trigger == TRIGGER_DEMAND_CLAMP
-    assert out.price == pytest.approx(price(1.0, cost))  # frozen at the new high price
+    assert out.price == pytest.approx(202.0)  # frozen at the new high price
 
 
 def test_bounded_step_absorbing():
@@ -256,7 +269,6 @@ def test_bounded_step_failures_before_the_price_keep_it(state, m, trigger):
 def test_raw_overflow_is_a_collapse_without_a_warning():
     # (2e4)^100 overflows; with warnings as errors a numpy warning would raise
     m = SupplierBehavior(0.01)
-    assert expected_demand(20.0, 1e-3, m) == math.inf
     state = MarketState(20.0, 1e-3, 2.0)
     assert step(state, NAIVE_MARKET, NAIVE_COST, m) == MarketState(
         20.0, 1e-3, 2.0, True, TRIGGER_NON_FINITE)

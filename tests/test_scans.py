@@ -4,6 +4,7 @@ classification structure."""
 import concurrent.futures
 import math
 import os
+import sys
 import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
@@ -22,15 +23,14 @@ from marketdyn.analysis import (
     supply_map_derivative_1d,
 )
 from marketdyn.model import (
+    BoundedLanes,
     CostPricing,
     DomainError,
     MapForm,
-    LaneWorkspace,
     MapParams,
     MarketParams,
     SUPPLY_FLOOR,
     SupplierBehavior,
-    bounded_period_arrays,
     bounded_run,
     bounded_step,
     derivative_naive_1d,
@@ -85,6 +85,11 @@ _BOX = dict(
 # the paper-literal form
 _COLLAPSE = example(a=10.0, b=0.095, fc=20.0, v=2.0, margin=0.5, seed_d=1.0, seed_s=1.0,
                     parameter="b", fractions=[0.095 / 0.3])
+# far outside the box: at period 2 (m = 1) v*S overflows and S*S does
+# not, so the price is -inf and the demand +inf; only the price shows the
+# collapse in that period
+_PRICE_OVERFLOW = example(a=10.0, b=0.3, fc=1.0, v=1e200, margin=0.5, seed_d=2.0, seed_s=1.0,
+                          parameter="b", fractions=[1e-80 / 0.3])
 
 
 @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
@@ -92,17 +97,18 @@ _COLLAPSE = example(a=10.0, b=0.095, fc=20.0, v=2.0, margin=0.5, seed_d=1.0, see
 @settings(max_examples=40, deadline=None)
 @given(**_BOX)
 @_COLLAPSE
+@_PRICE_OVERFLOW
 def test_vector_engine_matches_scalar_bitwise(
     m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
 ):
-    # every lane of the grid engine reproduces bounded_step exactly,
-    # through and after a collapse
+    # every lane of the grid engine reproduces bounded_step exactly in
+    # every period before its collapse, and alive() is bounded_step's
+    # survival after every period
     sc = _scenario(a, b, fc, v, margin, m, form, seed_d, seed_s)
     values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
     pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter, values)
     n = values.size
-    D = np.full(n, seed_d); S = np.full(n, seed_s); P = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
+    engine = BoundedLanes(np.full(n, seed_d), np.full(n, seed_s), np.zeros(n), pars)
     lanes = []
     for x in values.tolist():
         lane = _scenario(
@@ -110,15 +116,18 @@ def test_vector_engine_matches_scalar_bitwise(
             x if parameter == "M" else margin, m, form, seed_d, seed_s,
         )
         lanes.append([lane.market, lane.cost, sc.initial_state()])
-    for _ in range(120):
-        D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars, LaneWorkspace(n))
-        for i, lane in enumerate(lanes):
-            market, cost, state = lane
-            state = lane[2] = bounded_step(state, market, cost, sc.supplier, form)
-            assert D[i] == state.demand
-            assert S[i] == state.supply
-            assert P[i] == state.price
-            assert alive[i] == (not state.collapsed)
+    with np.errstate(all="ignore"):
+        for _ in range(120):
+            engine.period()
+            alive = engine.alive()
+            for i, lane in enumerate(lanes):
+                market, cost, state = lane
+                state = lane[2] = bounded_step(state, market, cost, sc.supplier, form)
+                assert alive[i] == (not state.collapsed)
+                if not state.collapsed:
+                    assert engine.D[i] == state.demand
+                    assert engine.S[i] == state.supply
+                    assert engine.P[i] == state.price
 
 
 @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
@@ -126,31 +135,35 @@ def test_vector_engine_matches_scalar_bitwise(
 @settings(max_examples=40, deadline=None)
 @given(**_BOX)
 @_COLLAPSE
+@_PRICE_OVERFLOW
 def test_bounded_run_matches_vector_engine_bitwise(
     m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
 ):
     # one 120-period bounded_run call per lane records the grid engine's
-    # periods up to its collapse, which the engine then holds at (0, 0, price)
+    # periods up to its collapse, and the engine's alive() falls in the
+    # period that bounded_run names a trigger
     sc = _scenario(a, b, fc, v, margin, m, form, seed_d, seed_s)
     values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
     pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter, values)
     n = values.size
-    D = np.full(n, seed_d); S = np.full(n, seed_s); P = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
+    engine = BoundedLanes(np.full(n, seed_d), np.full(n, seed_s), np.zeros(n), pars)
     history = []
-    for _ in range(120):
-        D, S, P, alive = bounded_period_arrays(D, S, P, alive, pars, LaneWorkspace(n))
-        history.append((D, S, P, alive))
+    with np.errstate(all="ignore"):
+        for _ in range(120):
+            engine.period()
+            history.append((engine.D.copy(), engine.S.copy(), engine.P.copy(), engine.alive()))
     for i in range(n):
         out = ([], [], [])
         d, s, p, trigger = bounded_run(seed_d, seed_s, 0.0, pars.take(i), 120, out)
-        assert (d, s, p) == (D[i], S[i], P[i])
-        assert (trigger is None) == alive[i]
         assert len(out[0]) == len(out[1]) == len(out[2])
+        lived = len(out[0]) - (trigger is not None)  # periods before the collapse
+        assert (trigger is None) == history[-1][3][i]
+        if trigger is None:
+            assert (d, s, p) == (engine.D[i], engine.S[i], engine.P[i])
         for t, (Dt, St, Pt, alive_t) in enumerate(history):
-            got = tuple(col[t] for col in out) if t < len(out[0]) else (0.0, 0.0, p)
-            assert got == (Dt[i], St[i], Pt[i])
-            assert alive_t[i] == (t < len(out[0]) - (trigger is not None))
+            assert alive_t[i] == (t < lived)
+            if t < lived:
+                assert tuple(col[t] for col in out) == (Dt[i], St[i], Pt[i])
 
 
 @pytest.mark.parametrize("window_before_death", [10, 1, 0, -5])
@@ -320,6 +333,57 @@ def test_probe_lambda_equals_the_per_step_rule(m, form, a, b, fc, v, margin, par
     assert [repr(x) for x in got.tolist()] == [repr(x) for x in want.tolist()]
 
 
+def _count_replays(monkeypatch):
+    """The bounded_run calls made by _simulate_grid, which replays the
+    lanes BoundedLanes flags as collapsed (refinement's calls not counted)."""
+    calls = []
+    real = scans.bounded_run
+
+    def counted(*args):
+        if sys._getframe(1).f_code.co_name == "_simulate_grid":
+            calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scans, "bounded_run", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,config,collapsed", [
+    ("naive-bif-b", None, 0),
+    ("co-bif-b", None, 0),
+    ("collapse", ScanConfig("b", 0.05, 0.2, 2000), 1408),
+])
+def test_only_collapsed_lanes_are_replayed(name, config, collapsed, monkeypatch):
+    # a lane flagged without collapsing would still get exact bytes from its
+    # replay, only slowly; so the replays are exactly the collapsed rows
+    sc = get_scenario(name)
+    config = config or replace(sc.analysis.config, grid_points=500)
+    calls = _count_replays(monkeypatch)
+    rows = bifurcation_scan(config, sc)
+    assert sum(r.classification == "collapsed" for r in rows) == len(calls) == collapsed
+
+
+def test_one_point_sweep_of_a_collapsed_lane_equals_its_orbit(monkeypatch):
+    # the collapse scenario dies at period 68: the replayed row keeps the
+    # orbit's demands from period 41 on and zeros after the collapse, and
+    # the lane ends at the orbit's (0, 0, price)
+    sc = get_scenario("collapse")
+    b = sc.market.b
+    cfg = ScanConfig("b", b, math.nextafter(b, math.inf), 1, 40, 60, 100)
+    calls = _count_replays(monkeypatch)
+    [row] = bifurcation_scan(cfg, sc)
+    orbit = generate_orbit(sc.initial_state(), sc.market, sc.cost, sc.supplier, 100,
+                           bounded=True, form=sc.form)
+    assert detect_collapse(orbit).step == 68 and len(calls) == 1
+    kept = orbit.demands[41:]
+    assert row.classification == "collapsed"
+    assert row.attractor_samples.tolist() == kept + [0.0] * (60 - len(kept))
+    pars = MapParams(sc.market, sc.cost, sc.supplier, sc.form, "b", np.array([b]))
+    D, S, P, alive, _ = scans._simulate_grid(pars, sc, cfg, 1)
+    assert not alive[0]
+    assert (D[0], S[0], P[0]) == (0.0, 0.0, orbit.prices[-1])
+
+
 def test_chunks_equal_the_concatenation_of_their_halves():
     # lane buffers are per call: nothing leaks between calls or depends on
     # the lane count, refined and collapsed rows included
@@ -346,23 +410,29 @@ def test_chunks_equal_the_concatenation_of_their_halves():
     assert {True, False} == {d for _, d in whole}
 
 
-def test_bounded_period_arrays_workspace_keeps_the_inputs():
-    # a period returns the workspace's spare arrays and leaves its inputs
-    # intact until the next call; a fresh workspace gives the same bits
+def test_bounded_lanes_never_write_their_inputs():
+    # the stepper copies the arrays it is given and steps in its own
+    # buffers; a second stepper from the same arrays gives the same bits
     sc = get_scenario("collapse")
     values = np.linspace(0.05, 0.2, 7)
-    pars = MapParams(sc.market, sc.cost, sc.supplier, sc.form, "b", values)
-    D, S, P, alive = np.full(7, 1.0), np.full(7, 1.0), np.zeros(7), np.ones(7, dtype=bool)
-    ws = LaneWorkspace(7)
-    before = [x.copy() for x in (D, S, P, alive)]
-    got = bounded_period_arrays(D, S, P, alive, pars, ws)
-    want = bounded_period_arrays(D, S, P, alive, pars, LaneWorkspace(7))
-    for x, y in zip(before, (D, S, P, alive)):
-        assert np.array_equal(x, y)
-    for x, y in zip(got, want):
-        assert x.tobytes() == y.tobytes()
-    assert not any(np.shares_memory(x, y) for x in got for y in (D, S, P, alive))
-    assert all(x is y for x, y in zip(ws.spare, (D, S, P, alive)))
+    for m in (2.0, 1.0):
+        pars = MapParams(sc.market, sc.cost, SupplierBehavior(m), sc.form, "b", values)
+        given = (np.full(7, 1.0), np.full(7, 1.0), np.zeros(7))
+        before = [x.copy() for x in given]
+        first, second = BoundedLanes(*given, pars), BoundedLanes(*given, pars)
+        with np.errstate(all="ignore"):
+            for _ in range(80):
+                D, S = first.period()
+                assert not any(np.shares_memory(x, y) for x in (D, S, first.D, first.S, first.P)
+                               for y in given)
+                second.period()
+        for x, y in zip(before, given):
+            assert x.tobytes() == y.tobytes()
+        for x, y in zip((first.D, first.S, first.P), (second.D, second.S, second.P)):
+            assert x.tobytes() == y.tobytes()
+        assert first.alive().tolist() == second.alive().tolist()
+    # at the collapse scenario's own m = 1, lanes on both sides
+    assert {True, False} == set(first.alive().tolist())
 
 
 def _same_bits(lane_value, scalar_call):
@@ -595,28 +665,34 @@ def test_pool_keeps_at_most_two_chunks_per_worker_in_flight(monkeypatch):
     assert got == [-c for c in range(20)]
 
 
+def _chunks(n, threads, size):
+    """The chunk arrays ``_plan`` gives an n-point grid on [0, 1], and its workers."""
+    chunks, workers = _plan(ScanConfig("b", 0.0, 1.0, n), threads, size)
+    return list(chunks), workers
+
+
 def test_chunk_plan_caps_workers_at_core_count(monkeypatch):
     # planning only: no worker process is started
     grid = np.linspace(0.0, 1.0, 50)
-    chunks, workers = _plan(grid, 10_000, 4096)
+    chunks, workers = _chunks(50, 10_000, 4096)
     assert 1 <= workers == len(chunks) <= (os.cpu_count() or 1)
-    assert np.array_equal(np.concatenate(chunks), grid)
+    assert np.concatenate(chunks).tobytes() == grid.tobytes()
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert [len(c) for c in _plan(grid, 10_000, 4096)[0]] == [17, 17, 16]
-    assert _plan(grid, 10_000, 4096)[1] == 3
-    assert _plan(grid, 2, 4096)[1] == 2
-    assert _plan(grid[:1], 3, 4096)[1] == 1
+    assert [len(c) for c in _chunks(50, 10_000, 4096)[0]] == [17, 17, 16]
+    assert _chunks(50, 10_000, 4096)[1] == 3
+    assert _chunks(50, 2, 4096)[1] == 2
+    assert _chunks(1, 3, 4096)[1] == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _plan(grid, 8, 4096)[1] == 1
+    assert _chunks(50, 8, 4096)[1] == 1
     for threads in (0, -5):  # refused, not run on one worker
         with pytest.raises(ValueError, match="threads must be >= 1"):
-            _plan(grid, threads, 4096)
+            _plan(ScanConfig("b", 0.0, 1.0, 50), threads, 4096)
 
 
 def test_chunk_plan_sizes(monkeypatch):
     # max(workers, ceil(n / size)) chunks of near-equal size, at most size lanes each
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    sizes = lambda n, threads, size: [len(c) for c in _plan(np.zeros(n), threads, size)[0]]
+    sizes = lambda n, threads, size: [len(c) for c in _chunks(n, threads, size)[0]]
     # the benchmark's scans: bifurcation at 500 points on one worker,
     # Lyapunov at 10,000 on one and on two
     assert sizes(500, 1, scans._CHUNK) == [500]
@@ -627,6 +703,25 @@ def test_chunk_plan_sizes(monkeypatch):
     assert sizes(10_000, 1, scans._CHUNK) == [3_334, 3_333, 3_333]
     big = sizes(1_000_000, 2, scans._LYAP_CHUNK)
     assert len(big) == 62 and max(big) - min(big) <= 1 and max(big) <= scans._LYAP_CHUNK
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.05, 0.2), (0.0418, 0.0918), (1e-3, 7.3),
+                                   (0.1, 0.1000000001), (0.0, 5e-324)])
+def test_chunk_points_equal_the_linspace_slices(lo, hi, monkeypatch):
+    # each chunk computes its own points, bit-equal to the same slice of the
+    # whole np.linspace grid, at every chunk boundary; (0, 5e-324) takes
+    # linspace's path for a step that underflows to zero
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for n in (1, 2, 3, 4, 5, 7, 50, 1000, 4097):
+        whole = np.linspace(lo, hi, n)
+        cfg = ScanConfig("b", lo, hi, n)
+        assert cfg.grid().tobytes() == whole.tobytes()
+        for threads, size in ((1, 4096), (4, 4096), (1, 3), (4, 2), (1, 1)):
+            chunks = list(_plan(cfg, threads, size)[0])
+            assert all(c.size for c in chunks)
+            assert np.concatenate(chunks).tobytes() == whole.tobytes()
+        assert all(cfg.grid(i, j).tobytes() == whole[i:j].tobytes()
+                   for i in range(min(n, 8)) for j in range(i + 1, n + 1))
 
 
 def test_benchmark_library_calls_still_bind():
