@@ -8,8 +8,11 @@ last one ended, so its memory is set by a slice; ``generate_orbit``
 gathers the slices into one ``Orbit``.  The period test
 (``detect_periods``) and the finite-difference slope take one orbit or a
 matrix of lanes, so the grid-parallel sweeps in ``scans`` share them.
-Those two import numpy at first use; orbits, collapse reports and the
-elasticity do not, so the scalar commands run without it.
+So does the λ term (``add_log_stretch``): ``lyapunov_exponent``, the
+Lyapunov sweep and the refinement probe all sum it in order, so a
+one-lane sweep's λ is ``lyapunov_exponent``'s, bit for bit.  Those
+import numpy at first use; orbits, collapse reports and the elasticity
+do not, so the scalar commands run without it.
 """
 
 from __future__ import annotations
@@ -29,10 +32,8 @@ from .model import (
     _map_1d_checked,
     bounded_run,
     demand,
-    derivative_naive_1d,
     slope_1d,
     step_naive_demand_1d,
-    step_supply_1d,
     unbounded_run,
 )
 
@@ -328,20 +329,43 @@ def label_with_lyapunov(classification: str, lam: float) -> str:
 
 
 def finite_difference_derivative(f: Callable[[float], float]) -> Callable[[float], float]:
-    """Central finite-difference derivative of f with step 1e-8*max(1,|x|),
-    on a float or a lane array."""
+    """Central finite-difference derivative of f with step h = 1e-8*max(1,|x|),
+    on a float or a lane array.
+
+    The 1-D maps live on x > 0: the scalar ones raise ``DomainError`` at
+    x - h <= 0, while the lane map runs on there unchecked.  So a lane
+    whose x - h is not positive gets NaN, and a sweep's λ is undefined
+    wherever the scalar estimator's orbit escapes."""
     import numpy as np
 
     def df(x):
         h = 1e-8 * np.maximum(1.0, np.abs(x))
-        return (f(x + h) - f(x - h)) / (2.0 * h)
+        d = (f(x + h) - f(x - h)) / (2.0 * h)
+        if isinstance(d, np.ndarray):
+            d[x <= h] = np.nan  # x <= h exactly where x - h <= 0
+        return d
 
     return df
 
 
-# ln|f'| is floored here, and in the sweeps, so an exact critical-point
-# hit contributes a huge negative term instead of -inf.
+# ln|f'| is floored, so an exact critical-point hit contributes a huge
+# negative term instead of -inf.
 LOG_FLOOR = 1e-300
+
+
+def add_log_stretch(acc, slope):
+    """acc + ln(max(|slope|, LOG_FLOOR)), the one λ term, on floats or lanes.
+
+    On lanes the term is computed in ``slope``'s buffer, so pass a
+    temporary, and added to ``acc`` in place.  The log is numpy's on
+    floats too: ``math.log`` can round the last bit differently, and
+    this term summed in order is what makes a one-lane sweep's λ equal
+    ``lyapunov_exponent``'s.  Callers own the floating-point error state."""
+    import numpy as np
+    out = slope if isinstance(slope, np.ndarray) else None
+    term = np.log(np.maximum(np.abs(slope, out=out), LOG_FLOOR, out=out), out=out)
+    acc += term
+    return acc
 
 
 def lyapunov_exponent(
@@ -356,6 +380,8 @@ def lyapunov_exponent(
     ``deriv_f`` is the analytic derivative; passing None falls back to a
     central finite difference.  Raises ``OrbitEscapeError`` if the orbit
     leaves the map's domain before ``transient + samples`` applications.
+    The terms are ``add_log_stretch``'s, summed in order, as the sweeps
+    sum them: this is a one-lane Lyapunov sweep, bit for bit.
     """
     if transient < 0 or samples <= 0:
         raise ValueError("need transient >= 0 and samples > 0")
@@ -369,7 +395,7 @@ def lyapunov_exponent(
             raise OrbitEscapeError(n + 1) from None
         if not math.isfinite(x):
             raise OrbitEscapeError(n + 1)
-    terms = []
+    acc = 0.0
     for n in range(samples):
         try:
             slope = deriv_f(x)
@@ -378,8 +404,8 @@ def lyapunov_exponent(
             raise OrbitEscapeError(transient + n + 1) from None
         if not (math.isfinite(x) and math.isfinite(slope)):
             raise OrbitEscapeError(transient + n + 1)
-        terms.append(math.log(max(abs(slope), LOG_FLOOR)))
-    return math.fsum(terms) / samples
+        acc = add_log_stretch(acc, slope)
+    return float(acc / samples)
 
 
 def demand_map_1d(
@@ -390,30 +416,6 @@ def demand_map_1d(
     """The naive supplier's demand recurrence as a plain 1-D map handle."""
     def f(d: float) -> float:
         return step_naive_demand_1d(d, market, cost, form)
-
-    return f
-
-
-def demand_map_derivative_1d(
-    market: MarketParams,
-    cost: CostPricing,
-    form: MapForm = MapForm.CANONICAL,
-) -> Callable[[float], float]:
-    def df(d: float) -> float:
-        return derivative_naive_1d(d, market, cost, form)
-
-    return df
-
-
-def supply_map_1d(
-    market: MarketParams,
-    cost: CostPricing,
-    behavior: SupplierBehavior,
-    form: MapForm = MapForm.CANONICAL,
-) -> Callable[[float], float]:
-    """The m-root supplier's supply recurrence as a 1-D map handle."""
-    def f(s: float) -> float:
-        return step_supply_1d(s, market, cost, behavior, form)
 
     return f
 

@@ -28,9 +28,11 @@ commands one block.
 The tables of ``simulate``, ``bifurcate`` and ``lyapunov`` stream: the
 orbit is run slice by slice (``analysis.orbit_slices``) and the scans
 chunk by chunk, each block written as it is made, so memory is set by a
-slice or a chunk, not by --steps or --points.  An unbounded ``simulate``
-first runs its orbit to the end without writing, so that a domain
-failure exits 3 before any row is written and before --out is opened.
+slice or a chunk, not by --steps or --points.  ``collapse`` runs the
+same orbit stream and keeps only its last slice, which names the
+collapse.  An unbounded ``simulate`` first runs its orbit to the end
+without writing, so that a domain failure exits 3 before any row is
+written and before --out is opened.
 
 A block is assembled column by column.  A listed column becomes its cell
 texts: a float ndarray from its distinct bit patterns, each formatted
@@ -68,8 +70,6 @@ from .analysis import (
     _SLICE,
     OrbitDomainError,
     OrbitEscapeError,
-    detect_collapse,
-    generate_orbit,
     orbit_slices,
     ped,
 )
@@ -351,12 +351,11 @@ def _cmd_lyapunov(args) -> Table:
 
 def _cmd_collapse(args) -> Table:
     sc = _resolve(args, "orbit", steps=3000)
-    orbit = generate_orbit(
-        sc.initial_state(), sc.market, sc.cost, sc.supplier,
-        sc.analysis.steps, bounded=True, form=sc.form, scenario=sc.name,
-    )
-    report = detect_collapse(orbit)
-    row = (False, -1, "") if report is None else (True, report.step, report.trigger)
+    # only the last slice names the collapse, so only it is kept
+    [(*_, step, trigger)] = deque(orbit_slices(sc.initial_state(), sc.market, sc.cost,
+                                               sc.supplier, sc.analysis.steps, True, sc.form),
+                                  maxlen=1)
+    row = (False, -1, "") if step is None else (True, step, trigger or "unknown")
     return Table([("collapsed", bool), ("step", int), ("trigger", str)], [row])
 
 

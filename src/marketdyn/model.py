@@ -29,7 +29,6 @@ coincide exactly when the margin M is zero and differ otherwise.
 
 from __future__ import annotations
 
-import copy
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -175,6 +174,8 @@ class MapParams:
     1 - M for the gross margin M, and ``coef`` = b / (1 - M)."""
 
     def __init__(self, market, cost, behavior, form: MapForm, scan=None, values=None):
+        self._given = (market, cost, behavior, form, scan)
+        self._values = values
         self.a, self.b = market.a, market.b
         self.fc, self.v = cost.fc, cost.v
         margin = cost.margin
@@ -189,14 +190,9 @@ class MapParams:
         self.m, self.form = behavior.m, form
 
     def take(self, idx) -> "MapParams":
-        """The parameters of the lanes ``idx`` (an index array or one index)."""
-        import numpy as np
-        sub = copy.copy(self)
-        for name in ("a", "b", "one_minus_m", "coef"):
-            x = getattr(self, name)
-            if isinstance(x, np.ndarray):
-                setattr(sub, name, x[idx])
-        return sub
+        """The parameters of the lanes ``idx`` (an index array or one index),
+        rebuilt from that part of ``values``, with the same bits."""
+        return MapParams(*self._given, self._values[idx])
 
 
 def step(

@@ -3,14 +3,14 @@
 The sweeps only drive lanes: one numpy lane per grid point, with every
 piece of map arithmetic taken from ``model`` (the bounded period, the
 1-D maps and their slopes, on a ``MapParams`` with per-lane values) and
-the period test from ``analysis``, the same definitions the scalar API
-uses.  So a one-point sweep reproduces a scalar orbit bit for bit.  Grid
-points still unclassified after the configured run get a short Lyapunov
-probe on the array stepper; those that do not stretch are refined one
-lane at a time with the scalar loop ``model.bounded_run``, which is far
-cheaper per step than numpy on a few lanes.  Rows are pure functions of
-their own grid value, which makes chunked multithreading safe and the
-output independent of the chunking.
+the period test and the λ term from ``analysis``, the same definitions
+the scalar API uses.  So a one-point sweep reproduces a scalar orbit,
+and its λ, bit for bit.  Grid points still unclassified after the
+configured run get a short Lyapunov probe on the array stepper; those
+that do not stretch are refined one lane at a time with the scalar loop
+``model.bounded_run``, which is far cheaper per step than numpy on a few
+lanes.  Rows are pure functions of their own grid value, which makes
+chunked multithreading safe and the output independent of the chunking.
 
 A sweep runs the scenario's map form; the other form is a sweep of
 ``dataclasses.replace(scenario, form=...)`` or of the ``-paper-literal``
@@ -18,14 +18,16 @@ twin.  Rows are labelled by the period test under one policy,
 ``analysis.PERIOD_TOLERANCE`` and ``analysis.MAX_PERIOD``.
 
 The array loops allocate their lane buffers once per call: the bounded
-runs step a ``model.BoundedLanes``, and the Lyapunov sums take their log
-terms in place.  No loop masks a lane that leaves the map's domain: it
-runs on, unobserved, and running minima decide afterwards which lanes
-stayed in.  A bifurcation chunk replays each collapsed lane through
-``bounded_run`` for its row, and the probe gives it λ = +inf; the
-Lyapunov sweep decides ``defined`` from the orbit's minimum, the last
-value and the sum.  A lane that ends alive or defined passed every
-check, so it got exactly the values it would have got alone.
+runs step a ``model.BoundedLanes``, and the Lyapunov sums add
+``analysis.add_log_stretch``'s terms, in the slope's buffer, in order,
+as ``lyapunov_exponent`` does on floats.  No loop masks a lane that
+leaves the map's domain: it runs on, unobserved, and running minima
+decide afterwards which lanes stayed in.  A bifurcation chunk replays
+each collapsed lane through ``bounded_run`` for its row, and the probe
+gives it λ = +inf; the Lyapunov sweep decides ``defined`` from the
+orbit's minimum, the last value and the sum.  A lane that ends alive or
+defined passed every check, so it got exactly the values it would have
+got alone.
 
 Both sweeps stream under one chunk plan (``_plan``): the grid runs in
 max(workers, ceil(n / C)) chunks of near-equal size, C being ``_CHUNK``
@@ -51,8 +53,8 @@ from itertools import chain, tee
 import numpy as np
 
 from .model import BoundedLanes, MapParams, bounded_run, map_1d, slope_1d
-from .analysis import (LOG_FLOOR, MAX_PERIOD, PERIOD_TOLERANCE, class_name, detect_periods,
-                       finite_difference_derivative)
+from .analysis import (MAX_PERIOD, PERIOD_TOLERANCE, add_log_stretch, class_name,
+                       detect_periods, finite_difference_derivative)
 from .scenarios import SCAN_PARAMETERS, ScanConfig  # noqa: F401 (re-exported)
 
 # Attractor refinement: rows still unclassified after the configured
@@ -117,14 +119,6 @@ def _simulate_grid(pars: MapParams, scenario, config: ScanConfig, n: int):
     return D, S, P, alive, samples
 
 
-def _add_log_stretch(acc, slope):
-    """acc += ln(max(|slope|, LOG_FLOOR)), computed in ``slope``'s buffer."""
-    np.abs(slope, out=slope)
-    np.maximum(slope, LOG_FLOOR, out=slope)
-    np.log(slope, out=slope)
-    acc += slope
-
-
 def _probe_lambda_grid(D, S, P, idx, pars: MapParams, steps: int) -> np.ndarray:
     """Short Lyapunov estimates continued from the selected lanes.
 
@@ -140,7 +134,7 @@ def _probe_lambda_grid(D, S, P, idx, pars: MapParams, steps: int) -> np.ndarray:
         for _ in range(steps):
             D, S = lanes.period()
             # the demand D is the u that supply S provoked
-            _add_log_stretch(acc, slope_1d(S, lanes.S, D, pars))
+            add_log_stretch(acc, slope_1d(S, lanes.S, D, pars))
         alive = lanes.alive()
     # No per-step isfinite(slope): every term is at least ln(LOG_FLOOR), so
     # acc is non-finite iff some slope was.  A collapsed lane runs on with
@@ -181,13 +175,15 @@ def _bifurcation_chunk(
     refine: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The samples matrix and the periods of one chunk of the grid."""
-    pars = MapParams(scenario.market, scenario.cost, scenario.supplier, scenario.form,
-                     config.parameter, values)
-    D, S, P, alive, samples = _simulate_grid(pars, scenario, config, values.size)
-    periods = detect_periods(samples, PERIOD_TOLERANCE, MAX_PERIOD)
-    periods[~alive] = -1
-
-    if refine:
+    # b / (1 - M) can overflow, in MapParams and in each of its takes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pars = MapParams(scenario.market, scenario.cost, scenario.supplier, scenario.form,
+                         config.parameter, values)
+        D, S, P, alive, samples = _simulate_grid(pars, scenario, config, values.size)
+        periods = detect_periods(samples, PERIOD_TOLERANCE, MAX_PERIOD)
+        periods[~alive] = -1
+        if not refine:
+            return samples, periods
         open_idx = np.flatnonzero(periods == 0)
         if open_idx.size:
             lams = _probe_lambda_grid(D, S, P, open_idx, pars, _PROBE_STEPS)
@@ -296,20 +292,21 @@ def _lyapunov_chunk(
     config: ScanConfig,
     method: str,
 ) -> list[LyapunovRow]:
-    pars = MapParams(scenario.market, scenario.cost, scenario.supplier, scenario.form,
-                     config.parameter, values)
-    x0 = scenario.seed_demand if pars.m == 1.0 else scenario.seed_supply
+    x0 = scenario.seed_demand if scenario.supplier.m == 1.0 else scenario.seed_supply
     x = np.full(values.size, float(x0))
     low = np.full(values.size, np.inf)
     acc = np.zeros(values.size)
-    fd = finite_difference_derivative(lambda y: map_1d(y, pars)[0])
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # b / (1 - M) can overflow
+        pars = MapParams(scenario.market, scenario.cost, scenario.supplier, scenario.form,
+                         config.parameter, values)
+        fd = finite_difference_derivative(lambda y: map_1d(y, pars)[0])
         for it in range(config.transient + config.keep):
             x_new, u = map_1d(x, pars)
             if it >= config.transient:
                 slope = slope_1d(x, x_new, u, pars) if method == "analytic" else fd(x)
-                _add_log_stretch(acc, slope)
+                add_log_stretch(acc, slope)
             np.minimum(low, x_new, out=low)
             x = x_new
 

@@ -18,7 +18,6 @@ from marketdyn.analysis import (
     PERFECTLY_ELASTIC,
     classify_samples,
     demand_map_1d,
-    demand_map_derivative_1d,
     detect_collapse,
     detect_period,
     detect_periods,
@@ -28,7 +27,6 @@ from marketdyn.analysis import (
     label_with_lyapunov,
     lyapunov_exponent,
     ped,
-    supply_map_1d,
     supply_map_derivative_1d,
 )
 from marketdyn.model import (
@@ -198,7 +196,7 @@ def test_find_fixed_point_rejects_a_sign_change_across_a_pole():
 
 def test_unstable_fixed_point_at_chaotic_b():
     f = demand_map_1d(NAIVE_MARKET, NAIVE_COST)
-    df = demand_map_derivative_1d(NAIVE_MARKET, NAIVE_COST)
+    df = lambda d: derivative_naive_1d(d, NAIVE_MARKET, NAIVE_COST)
     # f(x) - x falls from 7.02 at x = 1 to -11.7 at x = 10
     x = find_fixed_point(f, 1.0, 10.0)
     assert abs(f(x) - x) < 1e-12
@@ -210,7 +208,7 @@ def test_unstable_fixed_point_at_chaotic_b():
 
 def test_stable_fixed_point_attracts_orbit():
     f = demand_map_1d(MarketParams(10.0, 0.03), NAIVE_COST)
-    df = demand_map_derivative_1d(MarketParams(10.0, 0.03), NAIVE_COST)
+    df = lambda d: derivative_naive_1d(d, MarketParams(10.0, 0.03), NAIVE_COST)
     x = find_fixed_point(f, 0.1, 10.0)
     assert abs(df(x)) < 1.0
     orbit = generate_orbit(
@@ -342,7 +340,7 @@ def test_lyapunov_logistic_oracle():
 
 def test_lyapunov_positive_in_chaotic_band():
     f = demand_map_1d(NAIVE_MARKET, NAIVE_COST)
-    df = demand_map_derivative_1d(NAIVE_MARKET, NAIVE_COST)
+    df = lambda d: derivative_naive_1d(d, NAIVE_MARKET, NAIVE_COST)
     lam = lyapunov_exponent(f, df, 1.0)
     assert lam > 0.01
 
@@ -356,7 +354,7 @@ def test_lyapunov_escape_carries_step():
 
 def test_finite_difference_matches_analytic():
     f = demand_map_1d(NAIVE_MARKET, NAIVE_COST)
-    df = demand_map_derivative_1d(NAIVE_MARKET, NAIVE_COST)
+    df = lambda d: derivative_naive_1d(d, NAIVE_MARKET, NAIVE_COST)
     fd = finite_difference_derivative(f)
     rng = random.Random(13)
     for _ in range(100):
@@ -365,7 +363,7 @@ def test_finite_difference_matches_analytic():
 
 
 def test_supply_map_derivative_analytic():
-    f = supply_map_1d(CO_MARKET, CO_COST, M2)
+    f = lambda s: step_supply_1d(s, CO_MARKET, CO_COST, M2)
     df = supply_map_derivative_1d(CO_MARKET, CO_COST, M2)
     fd = finite_difference_derivative(f)
     rng = random.Random(19)
@@ -385,7 +383,8 @@ def test_underflowing_slope_escapes_the_lyapunov_estimate():
     # below about 1e-162 the slope's x * x underflows to 0
     with pytest.raises(OrbitEscapeError) as err:
         lyapunov_exponent(demand_map_1d(NAIVE_MARKET, NAIVE_COST),
-                          demand_map_derivative_1d(NAIVE_MARKET, NAIVE_COST), 1e-170, 0, 5)
+                          lambda d: derivative_naive_1d(d, NAIVE_MARKET, NAIVE_COST),
+                          1e-170, 0, 5)
     assert err.value.step == 1
 
 
@@ -395,7 +394,7 @@ def test_overflowing_root_escapes_the_lyapunov_estimate():
     market, cost = MarketParams(50.0, 0.0), CostPricing(10.0, 4.0, 0.5)
     m = SupplierBehavior(0.01)
     assert step_supply_1d(0.001, market, cost, m) == math.inf
-    f = supply_map_1d(market, cost, m)
+    f = lambda s: step_supply_1d(s, market, cost, m)
     for df in (supply_map_derivative_1d(market, cost, m), None):
         with pytest.raises(OrbitEscapeError):
             lyapunov_exponent(f, df, 0.001, transient=0, samples=10)
@@ -404,7 +403,7 @@ def test_overflowing_root_escapes_the_lyapunov_estimate():
 def test_estimator_methods_agree():
     # analytic vs finite-difference Lyapunov on the naive map
     f = demand_map_1d(NAIVE_MARKET, NAIVE_COST)
-    df = demand_map_derivative_1d(NAIVE_MARKET, NAIVE_COST)
+    df = lambda d: derivative_naive_1d(d, NAIVE_MARKET, NAIVE_COST)
     analytic = lyapunov_exponent(f, df, 1.0, transient=500, samples=4000)
     numeric = lyapunov_exponent(f, None, 1.0, transient=500, samples=4000)
     assert abs(analytic - numeric) < 1e-4

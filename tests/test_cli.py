@@ -30,6 +30,7 @@ from marketdyn.scans import ScanConfig, bifurcation_scan, lyapunov_scan
 from marketdyn.scenarios import (
     KEYS,
     OrbitSpec,
+    Scenario,
     builtin_scenarios,
     get_scenario,
     serialize_scenario,
@@ -149,6 +150,49 @@ def test_collapse_subcommand(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1][0] == "false" and rows[1][1] == "-1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "collapse"], ["--scenario", "collapse-paper-literal"],
+    ["--scenario", "collapse-m2"], ["--scenario", "collapse-m2-paper-literal"],
+    ["--scenario", "co-ts"], ["--scenario", "co-ts", "--m", "3"],
+    ["--scenario", "co-ts", "--seed-d", "0", "--m", "3"], ["--steps", "0"],
+])
+def test_collapse_row_is_the_orbit_report(argv, capsys):
+    # the streamed command reports what the gathered orbit reports
+    code, out, err = run(["collapse"] + argv, capsys)
+    assert (code, err) == (0, "")
+    sc = cli._resolve(build_parser().parse_args(["collapse"] + argv), "orbit", steps=3000)
+    report = detect_collapse(generate_orbit(sc.initial_state(), sc.market, sc.cost, sc.supplier,
+                                            sc.analysis.steps, bounded=True, form=sc.form))
+    row = "false,-1," if report is None else f"true,{report.step},{report.trigger}"
+    assert out == "collapsed,step,trigger\n" + row + "\n"
+
+
+@pytest.mark.parametrize("trigger,named", [(None, "unknown"), ("supply floor", "supply floor")])
+def test_collapse_of_a_collapsed_seed(trigger, named, capsys, monkeypatch):
+    # a seed already flagged collapsed dies at step 0, by its own trigger
+    seed = MarketState(0.0, 0.0, 3.0, True, trigger)
+    monkeypatch.setattr(Scenario, "initial_state", lambda self: seed)
+    code, out, err = run(["collapse", "--scenario", "co-ts"], capsys)
+    assert (code, err) == (0, "")
+    assert out == f"collapsed,step,trigger\ntrue,0,{named}\n"
+
+
+@pytest.mark.parametrize("command", ["bifurcate", "lyapunov"])
+def test_overflowing_lane_parameters_warn_nothing(command, capsys):
+    # b / (1 - M) overflows to inf in every lane; the sweep runs on, with
+    # every row collapsed or undefined, and no numpy warning reaches stderr
+    code, out, err = run([command, "--scenario", "naive-bif-b", "--param", "b",
+                          "--min", "1e300", "--max", "1e308", "--margin", "0.99",
+                          "--points", "3", "--transient", "2", "--keep", "2", "--iters", "4"],
+                         capsys)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    if command == "bifurcate":
+        assert len(rows) == 6 and {r["classification"] for r in rows} == {"collapsed"}
+    else:
+        assert len(rows) == 3 and {r["defined"] for r in rows} == {"false"}
 
 
 def test_ped_perfectly_elastic(capsys):
@@ -530,6 +574,9 @@ def test_streamed_tables_hold_peak_memory_flat(tmp_path):
     peak = lambda argv: int(_fresh_python(_PEAK_PROBE % (argv + ["--out", out])))
     sim = ["simulate", "--scenario", "co-ts", "--bounded", "--steps"]
     assert abs(peak(sim + ["200000"]) - peak(sim + ["20000"])) < 2 * 1024
+    # co-ts never collapses, so its report comes after the last step
+    col = ["collapse", "--scenario", "co-ts", "--steps"]
+    assert abs(peak(col + ["200000"]) - peak(col + ["20000"])) < 2 * 1024
     lyap = ["lyapunov", "--scenario", "naive-lyap", "--transient", "20", "--keep", "20",
             "--points"]
     assert abs(peak(lyap + ["100000"]) - peak(lyap + ["20000"])) < 5 * 1024

@@ -15,11 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from marketdyn.analysis import (
     LOG_FLOOR,
+    OrbitEscapeError,
     classify_samples,
+    demand_map_1d,
     detect_collapse,
     detect_period,
     finite_difference_derivative,
     generate_orbit,
+    lyapunov_exponent,
     supply_map_derivative_1d,
 )
 from marketdyn.model import (
@@ -474,6 +477,54 @@ def test_1d_maps_match_scalar_bitwise(m, form, a, b, fc, v, margin, x, parameter
         if m == 1.0:
             assert _same_bits(f[i], lambda: step_naive_demand_1d(x, market, cost, form))
             assert _same_bits(slope[i], lambda: derivative_naive_1d(x, market, cost, form))
+
+
+@pytest.mark.parametrize("method", ["analytic", "finite-difference"])
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("form", list(MapForm))
+@settings(max_examples=25, deadline=None)
+@given(**{k: _BOX[k] for k in ("a", "b", "fc", "v", "margin", "seed_d", "seed_s", "parameter",
+                               "fractions")})
+# for m = 1 canonical: the orbit first leaves the domain at the 100th and
+# last map application.  lyapunov_exponent never applies the map to that
+# value, so it returns a λ; only the sweep, through its minimum, sees the
+# escape and leaves the lane undefined.
+@example(a=10.0, b=0.09, fc=10.0, v=4.0, margin=0.5, seed_d=1.0, seed_s=1.0, parameter="b",
+         fractions=[0.092178 / 0.3, 0.09 / 0.3])
+# for m = 1: a flat map (b = 0, M = 0) holds the orbit at a = 2.2e-298,
+# where the finite difference's lower point x - h is negative.  The
+# scalar map refuses it, and the lane's difference is NaN.
+@example(a=2.2482425130911924e-298, b=0.0, fc=1.0, v=1.0, margin=0.0, seed_d=1.0, seed_s=1.0,
+         parameter="M", fractions=[0.0])
+def test_one_lane_sweep_lambda_is_lyapunov_exponent(
+    method, m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
+):
+    # λ has one definition: every lane of a multi-lane sweep that is defined
+    # has the scalar estimator's bits, and every lane whose scalar orbit
+    # escapes is undefined
+    sc = _scenario(a, b, fc, v, margin, m, form, seed_d, seed_s)
+    values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
+    cfg = ScanConfig(parameter, 0.0, _SCAN_TOP[parameter], values.size, 40, 60, 100)
+    rows = _lyapunov_chunk(values, sc, cfg, method)
+    for value, row in zip(values.tolist(), rows):
+        lane = _scenario(
+            value if parameter == "a" else a, value if parameter == "b" else b, fc, v,
+            value if parameter == "M" else margin, m, form,
+        )
+        market, cost, behavior = lane.market, lane.cost, lane.supplier
+        if m == 1.0:
+            f, x0 = demand_map_1d(market, cost, form), seed_d
+            df = lambda x: derivative_naive_1d(x, market, cost, form)
+        else:
+            f, x0 = (lambda x: step_supply_1d(x, market, cost, behavior, form)), seed_s
+            df = supply_map_derivative_1d(market, cost, behavior, form)
+        try:
+            lam = lyapunov_exponent(f, df if method == "analytic" else None, x0, 40, 60)
+        except OrbitEscapeError:
+            assert not row.defined
+            continue
+        if row.defined:
+            assert row.lam.hex() == lam.hex()
 
 
 def test_degenerate_scan_equals_orbit_classification():
