@@ -6,12 +6,12 @@ The names from ``scans``, which loads numpy, are resolved on first access
 
 from .model import (
     NAIVE, CostPricing, DomainError, MapForm, MarketParams, MarketState, SupplierBehavior,
-    bounded_step, demand, derivative_naive_1d, step, step_naive_demand_1d, step_supply_1d,
+    bounded_step, demand, map_1d_handles, step, step_naive_demand_1d,
 )
 from .analysis import (
     PERFECTLY_ELASTIC, CollapseReport, FixedPointNotFound, Orbit, OrbitDomainError,
-    OrbitEscapeError, classify_samples, detect_collapse, detect_period, find_fixed_point,
-    generate_orbit, lyapunov_exponent, ped,
+    OrbitEscapeError, detect_collapse, detect_period, find_fixed_point, generate_orbit,
+    lyapunov_exponent, ped,
 )
 from .scenarios import (
     ConfigError, ScanConfig, Scenario, builtin_scenarios, get_scenario, load_scenario,

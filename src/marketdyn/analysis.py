@@ -1,18 +1,13 @@
-"""Orbit generation, fixed points, period detection, Lyapunov exponents,
-collapse detection and price elasticity for the market maps.
+"""Orbits, fixed points, period detection, Lyapunov exponents, collapse
+detection and price elasticity for the market maps (README.md tells the
+design).
 
-Everything here is exact about indices.  An orbit streams: its columns
-come in slices of ``_SLICE`` periods (``orbit_slices``), each one
-``model.bounded_run`` (or ``unbounded_run``) call resumed from where the
-last one ended, so its memory is set by a slice; ``generate_orbit``
-gathers the slices into one ``Orbit``.  The period test
-(``detect_periods``) and the finite-difference slope take one orbit or a
-matrix of lanes, so the grid-parallel sweeps in ``scans`` share them.
-So does the λ term (``add_log_stretch``): ``lyapunov_exponent``, the
-Lyapunov sweep and the refinement probe all sum it in order, so a
-one-lane sweep's λ is ``lyapunov_exponent``'s, bit for bit.  Those
-import numpy at first use; orbits, collapse reports and the elasticity
-do not, so the scalar commands run without it.
+An orbit streams in slices of ``_SLICE`` periods (``orbit_slices``).  The
+period test, the finite-difference slope and the λ term
+(``add_log_stretch``) take one orbit or a matrix of lanes, so the sweeps
+in ``scans`` share them, and a one-lane sweep's λ is
+``lyapunov_exponent``'s, bit for bit.  Only those import numpy, at first
+use.
 """
 
 from __future__ import annotations
@@ -29,11 +24,9 @@ from .model import (
     MapParams,
     MarketState,
     SupplierBehavior,
-    _map_1d_checked,
     bounded_run,
     demand,
-    slope_1d,
-    step_naive_demand_1d,
+    map_1d_handles,
     unbounded_run,
 )
 
@@ -49,8 +42,8 @@ CLASS_APERIODIC = "aperiodic"
 CLASS_COLLAPSED = "collapsed"
 _CLASS_NAMES = {-1: CLASS_COLLAPSED, 0: CLASS_APERIODIC, 1: CLASS_FIXED_POINT}
 
-# The period test's policy, for the sweeps' labels and for
-# ``classify_samples``: the relative tolerance and the largest period.
+# The period test's policy, for the sweeps' labels and ``detect_period``:
+# the relative tolerance and the largest period.
 PERIOD_TOLERANCE = 1e-6
 MAX_PERIOD = 64
 
@@ -311,12 +304,6 @@ def class_name(k: int) -> str:
     return _CLASS_NAMES[k] if k < 2 else f"periodic({k})"
 
 
-def classify_samples(samples: Sequence[float]) -> str:
-    """Attractor label for a sampled tail: fixed-point, periodic(k) or aperiodic,
-    by ``detect_period`` under the sweeps' policy."""
-    return class_name(detect_period(samples) or 0)
-
-
 def label_with_lyapunov(classification: str, lam: float) -> str:
     """Refine an aperiodic label with a Lyapunov estimate.
 
@@ -332,10 +319,10 @@ def finite_difference_derivative(f: Callable[[float], float]) -> Callable[[float
     """Central finite-difference derivative of f with step h = 1e-8*max(1,|x|),
     on a float or a lane array.
 
-    The 1-D maps live on x > 0: the scalar ones raise ``DomainError`` at
-    x - h <= 0, while the lane map runs on there unchecked.  So a lane
-    whose x - h is not positive gets NaN, and a sweep's λ is undefined
-    wherever the scalar estimator's orbit escapes."""
+    The 1-D maps live on x > 0: the float one (``map_1d_handles``) raises
+    ``DomainError`` at x - h <= 0, while the lane map runs on there
+    unchecked.  So a lane whose x - h is not positive gets NaN, and a
+    sweep's λ is undefined wherever the scalar estimator's orbit escapes."""
     import numpy as np
 
     def df(x):
@@ -413,34 +400,8 @@ def demand_map_1d(
     cost: CostPricing,
     form: MapForm = MapForm.CANONICAL,
 ) -> Callable[[float], float]:
-    """The naive supplier's demand recurrence as a plain 1-D map handle."""
-    def f(d: float) -> float:
-        return step_naive_demand_1d(d, market, cost, form)
-
-    return f
-
-
-def supply_map_derivative_1d(
-    market: MarketParams,
-    cost: CostPricing,
-    behavior: SupplierBehavior,
-    form: MapForm = MapForm.CANONICAL,
-) -> Callable[[float], float]:
-    """Analytic derivative of the supply recurrence (``model.slope_1d``).
-
-    For f(s) = (u(s)/s)^(1/m) * s the log-derivative gives
-    f'(s) = f(s) * (u'(s)/(m u(s)) + (m-1)/(m s)), where u is the
-    demand provoked by supplying s; u' is the same in both map forms.
-    """
-    p = MapParams(market, cost, behavior, form)
-
-    def df(s: float) -> float:
-        f_s, u = _map_1d_checked(s, p, "supply")
-        if u <= 0.0:
-            raise DomainError(f"supply map derivative undefined: demand {u} <= 0")
-        return slope_1d(s, f_s, u, p)
-
-    return df
+    """The naive supplier's demand recurrence: ``map_1d_handles``' f at m = 1."""
+    return map_1d_handles(market, cost, form=form)[0]
 
 
 def ped(p1: float, p2: float, market: MarketParams) -> float | str:

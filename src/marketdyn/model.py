@@ -1,30 +1,16 @@
-"""Core market model: domain types and single-period map evaluations.
+"""Core market model: domain types and all of the map's arithmetic, on
+floats and on numpy lane arrays, one lane per grid point (README.md tells
+the design).  A change here keeps these invariants:
 
-The market evolves in discrete sales periods.  Each period the supplier
-looks at how well the previous stock sold (the signal of success D/S),
-decides the next production quantity, prices it by average total cost
-plus a gross margin, and the market responds through a linear demand
-curve.  Composing those three mechanisms gives the period-to-period map.
-This module owns all of its arithmetic, on floats and, for the sweeps in
-``scans``, on numpy arrays with one lane per grid point (``MapParams``,
-``map_1d``, ``slope_1d``, ``BoundedLanes``).  On lanes the arithmetic
-runs in place where it can: ``map_1d`` and ``slope_1d`` update their own
-intermediates (never ``x``, the ``MapParams`` arrays or a ``u`` they
-returned), and ``BoundedLanes`` steps in buffers it holds, reading collapse
-from running minima instead of masking it.  The bounded period thus has
-one scalar definition (``bounded_run``, which also defines collapse) and
-one array definition.  Ufuncs give the same bits into ``out=`` as into a
-new array, so none of this moves a bit.
-
-numpy is imported at first use, only by the code that takes or builds
-lanes or calls a numpy routine on floats (the root at m not in {1, 2}, the
-checked 1-D maps): ``bounded_run`` at m in {1, 2} never loads it.
-
-Two algebraic variants of the map are provided (``MapForm``): CANONICAL
-composes the demand curve, the margin pricing and the cost function
-directly, while PAPER_LITERAL evaluates the simplified one-step formulas
-with the 1/(1-M) factor spread over the whole demand bracket.  The two
-coincide exactly when the margin M is zero and differ otherwise.
+- ``bounded_run`` is the one scalar definition of the bounded period and
+  of collapse; ``BoundedLanes`` does its operations in its order on lanes
+  and reads collapse from running minima, so both give the same bits.
+- ``map_1d`` and ``slope_1d`` are the one definition of the 1-D map and
+  its slope; ``map_1d_handles`` is their float face.  On lanes they update
+  their own intermediates, never ``x``, the ``MapParams`` arrays or a
+  ``u`` they returned.
+- numpy is imported at first use: ``bounded_run`` at m in {1, 2} never
+  loads it, nor does building ``map_1d_handles``.
 """
 
 from __future__ import annotations
@@ -460,16 +446,41 @@ def slope_1d(x, f, u, p: MapParams):
     return du
 
 
-def _map_1d_checked(x: float, p: MapParams, name: str) -> tuple[float, float]:
-    """``map_1d`` on one float, with the scalar API's domain errors."""
-    if not (x > 0.0):
-        raise DomainError(f"{name} map undefined for {name[0]} {x} <= 0")
-    import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):
-        f, u = map_1d(x, p)
-    if p.m != 1.0 and u / x < 0.0:
-        raise DomainError(f"negative radicand {u / x}: demand went negative")
-    return float(f), u
+def map_1d_handles(
+    market: MarketParams,
+    cost: CostPricing,
+    behavior: SupplierBehavior = NAIVE,
+    form: MapForm = MapForm.CANONICAL,
+):
+    """``map_1d`` and ``slope_1d`` on one float, as the handles (f, df).
+
+    Both live on x > 0, and at m != 1 on a non-negative radicand u(x)/x;
+    df also needs u(x) > 0, so it refuses wherever the next iterate leaves
+    the domain.  Outside, they raise ``DomainError``.  A root that
+    overflows gives inf.
+    """
+    p = MapParams(market, cost, behavior, form)
+
+    def f_u(x: float) -> tuple[float, float]:
+        if not (x > 0.0):
+            raise DomainError(f"1-D map undefined for x = {x} <= 0")
+        import numpy as np
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, u = map_1d(x, p)
+        if p.m != 1.0 and u / x < 0.0:
+            raise DomainError(f"negative radicand {u / x}: demand went negative")
+        return float(f), u
+
+    def f(x: float) -> float:
+        return f_u(x)[0]
+
+    def df(x: float) -> float:
+        f_x, u = f_u(x)
+        if u <= 0.0:
+            raise DomainError(f"1-D map slope undefined: demand {u} <= 0")
+        return slope_1d(x, f_x, u, p)
+
+    return f, df
 
 
 def step_naive_demand_1d(
@@ -478,46 +489,5 @@ def step_naive_demand_1d(
     cost: CostPricing,
     form: MapForm = MapForm.CANONICAL,
 ) -> float:
-    """One-dimensional demand map of the naive supplier (m = 1).
-
-    CANONICAL:      a - (b/(1-M)) * atc(d)
-    PAPER_LITERAL:  (a - b * atc(d)) / (1-M)
-
-    Equals the demand component of ``step`` with m = 1 in the matching
-    form.
-    """
-    return _map_1d_checked(d, MapParams(market, cost, NAIVE, form), "demand")[0]
-
-
-def step_supply_1d(
-    s: float,
-    market: MarketParams,
-    cost: CostPricing,
-    behavior: SupplierBehavior,
-    form: MapForm = MapForm.CANONICAL,
-) -> float:
-    """One-dimensional supply map: production reacting to its own echo.
-
-    With the demand the current supply provoked, the next quantity is
-    (D(s)/s)^(1/m) * s.  CANONICAL takes D(s) = a - b*price(s);
-    PAPER_LITERAL takes D(s) = (a - b*atc(s)) / (1-M).  A negative
-    radicand (demand went negative) is a domain error and doubles as the
-    collapse signal for callers.  A root that overflows gives inf.
-    """
-    return _map_1d_checked(s, MapParams(market, cost, behavior, form), "supply")[0]
-
-
-def derivative_naive_1d(
-    d: float,
-    market: MarketParams,
-    cost: CostPricing,
-    form: MapForm = MapForm.CANONICAL,
-) -> float:
-    """Analytic derivative of the naive demand map at d.
-
-    Both forms share the same slope -(b/(1-M)) * atc'(d); they differ
-    only in the constant term.
-    """
-    if not (d > 0.0):
-        raise DomainError(f"atc derivative undefined for quantity {d} <= 0")
-    return slope_1d(d, None, None, MapParams(market, cost, NAIVE, form))
+    """The naive supplier's demand map at d: ``map_1d_handles``' f at m = 1."""
+    return map_1d_handles(market, cost, form=form)[0](d)

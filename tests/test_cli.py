@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import marketdyn
 from marketdyn import analysis, cli, scans
 from marketdyn.analysis import (
-    PERFECTLY_ELASTIC, OrbitDomainError, classify_samples, detect_collapse, generate_orbit, ped,
+    PERFECTLY_ELASTIC, OrbitDomainError, detect_collapse, detect_period, generate_orbit, ped,
 )
 from marketdyn.cli import Table, build_parser, run_cli
 from marketdyn.model import (
@@ -436,6 +436,28 @@ def test_scalar_commands_leave_numpy_unloaded():
                       " ".join(m3): True}
 
 
+# Builds the 1-D map handles of every builtin scenario, then resolves every
+# lazy name of the package, printing whether numpy was loaded before that.
+_LAZY_PROBE = """
+import json, sys
+import marketdyn
+for sc in marketdyn.builtin_scenarios():
+    marketdyn.map_1d_handles(sc.market, sc.cost, sc.supplier, sc.form)
+before = "numpy" in sys.modules
+got = {n: getattr(marketdyn, n) for n in marketdyn._SCANS}
+scans = sys.modules["marketdyn.scans"]
+print(json.dumps({"numpy before": before,
+                  "resolved": [n for n, v in got.items() if v is getattr(scans, n)]}))
+"""
+
+
+def test_lazy_names_resolve_and_the_handles_leave_numpy_unloaded():
+    # a stale name in _SCANS fails only when someone accesses it; building
+    # the handles must not load numpy
+    out = json.loads(_fresh_python(_LAZY_PROBE))
+    assert out == {"numpy before": False, "resolved": list(marketdyn._SCANS)}
+
+
 # Recorded table bytes.  Only m = 1 (naive-bif-b) and m = 2 (co-ts), whose
 # bytes do not follow numpy's SIMD level, so the pins hold on any host.  At
 # 150 points refinement labels three naive-bif-b rows the configured run
@@ -592,8 +614,8 @@ def test_short_tail_label_matches_the_sweep(capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 64 and {r["classification"] for r in rows} == {"periodic(2)"}
-    assert classify_samples([float(r["demand"]) for r in rows]) == "periodic(2)"
-    assert classify_samples([1.0, 2.0] * 32) == "periodic(2)"
+    assert detect_period([float(r["demand"]) for r in rows]) == 2
+    assert detect_period([1.0, 2.0] * 32) == 2
 
 
 @pytest.mark.parametrize("argv", [

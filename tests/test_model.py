@@ -15,10 +15,9 @@ from marketdyn.model import (
     SupplierBehavior,
     bounded_step,
     demand,
-    derivative_naive_1d,
+    map_1d_handles,
     step,
     step_naive_demand_1d,
-    step_supply_1d,
     TRIGGER_DEMAND_CLAMP,
     TRIGGER_EXPECTED_DEMAND,
     TRIGGER_NON_FINITE,
@@ -209,15 +208,15 @@ def test_price_map_value_and_conjugacy():
 
 
 def test_supply_map_forms():
-    got = step_supply_1d(1.0, CO_MARKET, CO_COST, M2)
-    assert got == pytest.approx(math.sqrt(22.25))
-    got = step_supply_1d(1.0, CO_MARKET, CO_COST, M2, MapForm.PAPER_LITERAL)
-    assert got == pytest.approx(math.sqrt(52.25))
-    with pytest.raises(DomainError):
-        step_supply_1d(0.0, CO_MARKET, CO_COST, M2)
+    f, df = map_1d_handles(CO_MARKET, CO_COST, M2)
+    assert f(1.0) == pytest.approx(math.sqrt(22.25))
+    f_literal, _ = map_1d_handles(CO_MARKET, CO_COST, M2, MapForm.PAPER_LITERAL)
+    assert f_literal(1.0) == pytest.approx(math.sqrt(52.25))
     # demand negative at huge supply: even root undefined
-    with pytest.raises(DomainError):
-        step_supply_1d(200.0, CO_MARKET, CO_COST, M2)
+    for x in (0.0, 200.0):
+        for handle in (f, df):
+            with pytest.raises(DomainError):
+                handle(x)
 
 
 def test_supply_map_fixed_point():
@@ -231,7 +230,8 @@ def test_supply_map_fixed_point():
         else:
             hi = mid
     s_star = 0.5 * (lo + hi)
-    assert step_supply_1d(s_star, CO_MARKET, CO_COST, M2) == pytest.approx(s_star, abs=1e-9)
+    f, _ = map_1d_handles(CO_MARKET, CO_COST, M2)
+    assert f(s_star) == pytest.approx(s_star, abs=1e-9)
 
 
 def test_bounded_step_clamps_and_collapses():
@@ -299,24 +299,34 @@ def test_form_divergence_only_from_margin():
 
 
 def test_derivative_naive_hand_value():
-    assert derivative_naive_1d(1.0, NAIVE_MARKET, NAIVE_COST) == pytest.approx(2.16)
-    flat = MarketParams(a=10.0, b=0.0)
-    assert derivative_naive_1d(3.7, flat, NAIVE_COST) == 0.0
+    _, df = map_1d_handles(NAIVE_MARKET, NAIVE_COST)
+    assert df(1.0) == pytest.approx(2.16)
+    _, df_flat = map_1d_handles(MarketParams(a=10.0, b=0.0), NAIVE_COST)
+    assert df_flat(3.7) == 0.0
     with pytest.raises(DomainError):
-        derivative_naive_1d(0.0, NAIVE_MARKET, NAIVE_COST)
+        df(0.0)
+    # at d = 9.5 the next demand is negative: the slope's domain ends where
+    # the map's next iterate leaves x > 0
+    with pytest.raises(DomainError):
+        df(9.5)
 
 
 def test_derivative_matches_finite_difference():
+    # the slope is undefined above d of about 9.4, where u(d) <= 0
+    f, df = map_1d_handles(NAIVE_MARKET, NAIVE_COST)
     rng = random.Random(17)
     h = 1e-7
+    checked = 0
     for _ in range(100):
         d = rng.uniform(0.5, 10.0)
-        exact = derivative_naive_1d(d, NAIVE_MARKET, NAIVE_COST)
-        fd = (
-            step_naive_demand_1d(d + h, NAIVE_MARKET, NAIVE_COST)
-            - step_naive_demand_1d(d - h, NAIVE_MARKET, NAIVE_COST)
-        ) / (2.0 * h)
+        try:
+            exact = df(d)
+        except DomainError:
+            continue
+        fd = (f(d + h) - f(d - h)) / (2.0 * h)
         assert abs(exact - fd) / max(1.0, abs(exact)) < 1e-6
+        checked += 1
+    assert checked > 80
 
 
 def test_type_invariants_rejected():

@@ -16,14 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 from marketdyn.analysis import (
     LOG_FLOOR,
     OrbitEscapeError,
-    classify_samples,
-    demand_map_1d,
+    class_name,
     detect_collapse,
     detect_period,
     finite_difference_derivative,
     generate_orbit,
     lyapunov_exponent,
-    supply_map_derivative_1d,
 )
 from marketdyn.model import (
     BoundedLanes,
@@ -36,11 +34,10 @@ from marketdyn.model import (
     SupplierBehavior,
     bounded_run,
     bounded_step,
-    derivative_naive_1d,
     map_1d,
+    map_1d_handles,
     slope_1d,
     step_naive_demand_1d,
-    step_supply_1d,
 )
 from marketdyn import scans
 from marketdyn.scans import (
@@ -458,7 +455,7 @@ def _same_bits(lane_value, scalar_call):
 )
 def test_1d_maps_match_scalar_bitwise(m, form, a, b, fc, v, margin, x, parameter, fractions):
     # map_1d and slope_1d on lane arrays give every lane the bits of the
-    # scalar 1-D maps and their derivatives, wherever those are defined
+    # float handles, wherever those are defined
     sc = _scenario(a, b, fc, v, margin, m, form)
     values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
     pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter, values)
@@ -471,12 +468,11 @@ def test_1d_maps_match_scalar_bitwise(m, form, a, b, fc, v, margin, x, parameter
             value if parameter == "a" else a, value if parameter == "b" else b, fc, v,
             value if parameter == "M" else margin, m, form,
         )
-        market, cost, behavior = lane.market, lane.cost, lane.supplier
-        assert _same_bits(f[i], lambda: step_supply_1d(x, market, cost, behavior, form))
-        assert _same_bits(slope[i], lambda: supply_map_derivative_1d(market, cost, behavior, form)(x))
+        f_x, df_x = map_1d_handles(lane.market, lane.cost, lane.supplier, form)
+        assert _same_bits(f[i], lambda: f_x(x))
+        assert _same_bits(slope[i], lambda: df_x(x))
         if m == 1.0:
-            assert _same_bits(f[i], lambda: step_naive_demand_1d(x, market, cost, form))
-            assert _same_bits(slope[i], lambda: derivative_naive_1d(x, market, cost, form))
+            assert _same_bits(f[i], lambda: step_naive_demand_1d(x, lane.market, lane.cost, form))
 
 
 @pytest.mark.parametrize("method", ["analytic", "finite-difference"])
@@ -486,9 +482,10 @@ def test_1d_maps_match_scalar_bitwise(m, form, a, b, fc, v, margin, x, parameter
 @given(**{k: _BOX[k] for k in ("a", "b", "fc", "v", "margin", "seed_d", "seed_s", "parameter",
                                "fractions")})
 # for m = 1 canonical: the orbit first leaves the domain at the 100th and
-# last map application.  lyapunov_exponent never applies the map to that
-# value, so it returns a λ; only the sweep, through its minimum, sees the
-# escape and leaves the lane undefined.
+# last map application.  The sweep sees it through its minimum; the
+# analytic slope sees it as u(x) <= 0 at the last sample, so both leave
+# the lane undefined.  The finite difference never checks the last
+# iterate, so with it lyapunov_exponent still returns a λ.
 @example(a=10.0, b=0.09, fc=10.0, v=4.0, margin=0.5, seed_d=1.0, seed_s=1.0, parameter="b",
          fractions=[0.092178 / 0.3, 0.09 / 0.3])
 # for m = 1: a flat map (b = 0, M = 0) holds the orbit at a = 2.2e-298,
@@ -501,7 +498,7 @@ def test_one_lane_sweep_lambda_is_lyapunov_exponent(
 ):
     # λ has one definition: every lane of a multi-lane sweep that is defined
     # has the scalar estimator's bits, and every lane whose scalar orbit
-    # escapes is undefined
+    # escapes is undefined; with the analytic slope, also the converse
     sc = _scenario(a, b, fc, v, margin, m, form, seed_d, seed_s)
     values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
     cfg = ScanConfig(parameter, 0.0, _SCAN_TOP[parameter], values.size, 40, 60, 100)
@@ -511,25 +508,21 @@ def test_one_lane_sweep_lambda_is_lyapunov_exponent(
             value if parameter == "a" else a, value if parameter == "b" else b, fc, v,
             value if parameter == "M" else margin, m, form,
         )
-        market, cost, behavior = lane.market, lane.cost, lane.supplier
-        if m == 1.0:
-            f, x0 = demand_map_1d(market, cost, form), seed_d
-            df = lambda x: derivative_naive_1d(x, market, cost, form)
-        else:
-            f, x0 = (lambda x: step_supply_1d(x, market, cost, behavior, form)), seed_s
-            df = supply_map_derivative_1d(market, cost, behavior, form)
+        f, df = map_1d_handles(lane.market, lane.cost, lane.supplier, form)
+        x0 = seed_d if m == 1.0 else seed_s
         try:
             lam = lyapunov_exponent(f, df if method == "analytic" else None, x0, 40, 60)
         except OrbitEscapeError:
             assert not row.defined
             continue
+        assert row.defined or method == "finite-difference"
         if row.defined:
             assert row.lam.hex() == lam.hex()
 
 
 def test_degenerate_scan_equals_orbit_classification():
     # the literal labels pin the period test's policy, which the sweep and
-    # classify_samples share: periodic(20) needs a cap above 16
+    # detect_period share: periodic(20) needs a cap above 16
     sc = get_scenario("naive-bif-b")
     for b, label in ((0.05, "periodic(2)"), (0.0843999995, "periodic(20)"),
                      (0.09, "aperiodic")):
@@ -539,7 +532,7 @@ def test_degenerate_scan_equals_orbit_classification():
             sc.initial_state(), MarketParams(sc.market.a, b), sc.cost,
             sc.supplier, 3000, bounded=True, form=sc.form,
         )
-        assert row.classification == classify_samples(orbit.demands[2501:]) == label
+        assert row.classification == class_name(detect_period(orbit.demands[2501:]) or 0) == label
 
 
 def test_refined_lane_continues_the_scalar_orbit():
