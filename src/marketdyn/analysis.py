@@ -387,7 +387,7 @@ def lyapunov_exponent(
         try:
             slope = deriv_f(x)
             x = map_f(x)
-        except (DomainError, ZeroDivisionError):  # the slope's x * x can underflow to 0
+        except DomainError:
             raise OrbitEscapeError(transient + n + 1) from None
         if not (math.isfinite(x) and math.isfinite(slope)):
             raise OrbitEscapeError(transient + n + 1)

@@ -6,9 +6,12 @@ config entries, each over the one before: the command's defaults
 (``collapse`` 3000 steps, the scans 1000 points); the base scenario
 (``--scenario``, a builtin name or a config file, else a bounded 100-step
 orbit of the naive market) with its analysis set to the command's; and
-the flags given.  A flag is the config key of the same name, with a dash
-for the underscore (``--seed-d`` is ``seed_d``), so ``scenarios.KEYS``
-defines both; a flag is spelled in full, never abbreviated.  ``--transient``
+the flags given.  ``build_parser`` generates every key flag from
+``scenarios.KEYS``, for the keys ``_FLAG_KEYS`` names for the command: the
+flag is the key with a dash for the underscore (``--seed-d`` is
+``seed_d``), its value is parsed by the key's type, and the bool key is
+the pair ``--bounded``/``--unbounded``.  So ``KEYS`` defines both files and
+flags.  A flag is spelled in full, never abbreviated.  ``--transient``
 or ``--keep`` without ``--iters`` makes ``iters`` follow ``transient + keep``.
 
 Tables go to stdout (or --out) as CSV with a header line, or as JSON
@@ -207,24 +210,18 @@ def _threads(text: str) -> int:
     return n
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", help="builtin scenario name or path to a config file")
-    p.add_argument("--form", choices=sorted(f.value for f in MapForm), help="map form override")
-    _output_flags(p)
-    p.add_argument("--threads", type=_threads, default=1,
-                   help="worker processes (at most the core count)")
-    for flag in ("--a", "--b", "--v", "--fc", "--margin", "--m", "--seed-d", "--seed-s"):
-        p.add_argument(flag, type=float, default=None)
-
-
-def _scan_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--param", choices=SCAN_PARAMETERS)
-    p.add_argument("--min", type=float, default=None)
-    p.add_argument("--max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--transient", type=int, default=None)
-    p.add_argument("--keep", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
+# The config keys each analysis command takes as flags: the map's, then its analysis's.
+_MAP_KEYS = ("a", "b", "v", "fc", "margin", "m", "seed_d", "seed_s", "form")
+_SCAN_KEYS = ("param", "min", "max", "points", "transient", "keep", "iters")
+_FLAG_KEYS = {
+    "simulate": _MAP_KEYS + ("steps", "bounded"),
+    "bifurcate": _MAP_KEYS + _SCAN_KEYS,
+    "lyapunov": _MAP_KEYS + _SCAN_KEYS,
+    "collapse": _MAP_KEYS + ("steps",),
+    "ped": _MAP_KEYS + ("p1", "p2"),
+}
+# The keys whose flags take one of a few values, as config texts.
+_CHOICES = {"form": [form.value for form in MapForm], "param": list(SCAN_PARAMETERS)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,35 +232,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     add = partial(sub.add_parser, allow_abbrev=False)  # subparsers do not inherit it
-
-    p = add("simulate", help="iterate a scenario and emit its time series")
-    _common_flags(p)
-    p.add_argument("--steps", type=int, default=None)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--bounded", dest="bounded", action="store_true", default=None)
-    mode.add_argument("--unbounded", dest="bounded", action="store_false")
-
-    p = add("bifurcate", help="bifurcation diagram over a parameter grid")
-    _common_flags(p)
-    _scan_flags(p)
-
-    p = add("lyapunov", help="Lyapunov exponent spectrum over a grid")
-    _common_flags(p)
-    _scan_flags(p)
-    p.add_argument("--method", choices=("analytic", "finite-difference"), default="analytic")
-
-    p = add("collapse", help="run bounded dynamics and report the collapse")
-    _common_flags(p)
-    p.add_argument("--steps", type=int, default=None)
-
-    p = add("ped", help="arc price elasticity of demand between two prices")
-    _common_flags(p)
-    p.add_argument("--p1", type=float, default=None)
-    p.add_argument("--p2", type=float, default=None)
-
-    p = add("scenarios", help="list the builtin scenarios")
-    _output_flags(p)
-
+    for command, text in (
+        ("simulate", "iterate a scenario and emit its time series"),
+        ("bifurcate", "bifurcation diagram over a parameter grid"),
+        ("lyapunov", "Lyapunov exponent spectrum over a grid"),
+        ("collapse", "run bounded dynamics and report the collapse"),
+        ("ped", "arc price elasticity of demand between two prices"),
+    ):
+        p = add(command, help=text)
+        p.add_argument("--scenario", help="builtin scenario name or path to a config file")
+        _output_flags(p)
+        p.add_argument("--threads", type=_threads, default=1,
+                       help="worker processes (at most the core count)")
+        for key in _FLAG_KEYS[command]:  # --key, a dash for an underscore, typed by KEYS
+            flag, kind, texts = "--" + key.replace("_", "-"), KEYS[key], _CHOICES.get(key)
+            if kind is bool:  # the pair --key, --unkey
+                pair = p.add_mutually_exclusive_group()
+                pair.add_argument(flag, dest=key, action="store_true", default=None)
+                pair.add_argument("--un" + key, dest=key, action="store_false")
+            else:
+                p.add_argument(flag, type=kind, choices=texts and list(map(kind, texts)),
+                               metavar=texts and "{%s}" % ",".join(texts))
+    sub.choices["lyapunov"].add_argument(
+        "--method", choices=("analytic", "finite-difference"), default="analytic")
+    _output_flags(add("scenarios", help="list the builtin scenarios"))
     return parser
 
 

@@ -428,16 +428,15 @@ def map_1d(x, p: MapParams):
 def slope_1d(x, f, u, p: MapParams):
     """Analytic slope of ``map_1d`` at x, given its (f, u) there.
 
-    u'(x) = -(b/(1-M)) * atc'(x) in both forms; that is the slope for
+    u'(x) = coef * (fc/x^2 + v - 2x) in both forms; that is the slope for
     m = 1 (f and u are then unused).  Otherwise the log-derivative of
     f = (u/x)^(1/m) * x gives f * (u'/(m u) + (m-1)/(m x)).  The result
     is a new object; x, f and u are only read.
     """
-    du = -p.fc / (x * x)
-    du -= p.v
-    du += 2.0 * x
+    du = p.fc / (x * x)
+    du += p.v
+    du -= 2.0 * x
     du *= p.coef
-    du *= -1.0  # -coef * (...): negation is exact
     if p.m == 1.0:
         return du
     du /= p.m * u
@@ -478,6 +477,8 @@ def map_1d_handles(
         f_x, u = f_u(x)
         if u <= 0.0:
             raise DomainError(f"1-D map slope undefined: demand {u} <= 0")
+        if x * x == 0.0:
+            raise DomainError(f"1-D map slope undefined: x * x underflows to 0 at x = {x}")
         return slope_1d(x, f_x, u, p)
 
     return f, df

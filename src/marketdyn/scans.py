@@ -48,7 +48,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, tee
+from itertools import chain
 
 import numpy as np
 
@@ -173,8 +173,8 @@ def _bifurcation_chunk(
     scenario,
     config: ScanConfig,
     refine: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The samples matrix and the periods of one chunk of the grid."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk of the grid: its values, samples matrix and periods."""
     # b / (1 - M) can overflow, in MapParams and in each of its takes
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pars = MapParams(scenario.market, scenario.cost, scenario.supplier, scenario.form,
@@ -183,7 +183,7 @@ def _bifurcation_chunk(
         periods = detect_periods(samples, PERIOD_TOLERANCE, MAX_PERIOD)
         periods[~alive] = -1
         if not refine:
-            return samples, periods
+            return values, samples, periods
         open_idx = np.flatnonzero(periods == 0)
         if open_idx.size:
             lams = _probe_lambda_grid(D, S, P, open_idx, pars, _PROBE_STEPS)
@@ -192,14 +192,14 @@ def _bifurcation_chunk(
                 periods[i], samples[i] = _refine_lane(
                     float(D[i]), float(S[i]), float(P[i]), pars.take(i), config.keep,
                 )
-    return samples, periods
+    return values, samples, periods
 
 
-def _rows(values: np.ndarray, part: tuple[np.ndarray, np.ndarray]) -> Iterator[BifurcationRow]:
-    """The rows of one chunk's (samples, periods), each with its own copy of
-    its samples: a row kept by the caller then does not hold the chunk's
-    whole matrix."""
-    samples, periods = part
+def _rows(part: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Iterator[BifurcationRow]:
+    """The rows of one chunk's (values, samples, periods), each with its own
+    copy of its samples: a row kept by the caller then does not hold the
+    chunk's whole matrix."""
+    values, samples, periods = part
     for x, row, k in zip(values.tolist(), samples, periods.tolist()):
         yield BifurcationRow(x, row.copy(), class_name(k))
 
@@ -268,12 +268,10 @@ def bifurcation_rows(
     taken.
     """
     worker = partial(_bifurcation_chunk, scenario=scenario, config=config, refine=refine)
-    chunks, workers = _plan(config, threads, _CHUNK)
-    chunks, values = tee(chunks)  # holds only the chunks in flight
-    parts = _run_chunks(worker, chunks, workers)
+    parts = _run_chunks(worker, *_plan(config, threads, _CHUNK))
     # chain drops each chunk's rows generator, and with it the chunk's
     # matrix, before it asks for the next chunk
-    return chain.from_iterable(map(_rows, values, parts))
+    return chain.from_iterable(map(_rows, parts))
 
 
 def bifurcation_scan(
@@ -342,8 +340,7 @@ def lyapunov_rows(
     if method not in ("analytic", "finite-difference"):
         raise ValueError(f"method must be analytic or finite-difference, got {method!r}")
     worker = partial(_lyapunov_chunk, scenario=scenario, config=config, method=method)
-    chunks, workers = _plan(config, threads, _LYAP_CHUNK)
-    return chain.from_iterable(_run_chunks(worker, chunks, workers))
+    return chain.from_iterable(_run_chunks(worker, *_plan(config, threads, _LYAP_CHUNK)))
 
 
 def lyapunov_scan(

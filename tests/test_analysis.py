@@ -380,10 +380,11 @@ def test_supply_map_derivative_analytic():
 
 def test_underflowing_slope_escapes_the_lyapunov_estimate():
     # below about 1e-162 the slope's x * x underflows to 0.  At naive-ts the
-    # next demand is negative there, so the slope refuses first; on a flat
-    # market it is a = 10, and fc / (x * x) reaches lyapunov_exponent's
-    # ZeroDivisionError branch
+    # next demand is negative there, so the slope refuses for u <= 0; on a
+    # flat market it is a = 10, and the slope refuses for x * x == 0
     flat = MarketParams(10.0, 0.0)
+    with pytest.raises(DomainError, match="underflows"):
+        map_1d_handles(flat, NAIVE_COST)[1](1e-170)
     for market in (NAIVE_MARKET, flat):
         with pytest.raises(OrbitEscapeError) as err:
             lyapunov_exponent(*map_1d_handles(market, NAIVE_COST), 1e-170, 0, 5)

@@ -24,7 +24,7 @@ from marketdyn.analysis import (
 )
 from marketdyn.cli import Table, build_parser, run_cli
 from marketdyn.model import (
-    MapForm, MapParams, MarketParams, MarketState, bounded_run, demand, unbounded_run,
+    MapParams, MarketParams, MarketState, bounded_run, demand, unbounded_run,
 )
 from marketdyn.scans import ScanConfig, bifurcation_scan, lyapunov_scan
 from marketdyn.scenarios import (
@@ -33,6 +33,7 @@ from marketdyn.scenarios import (
     Scenario,
     builtin_scenarios,
     get_scenario,
+    load_scenario,
     serialize_scenario,
 )
 
@@ -824,24 +825,61 @@ def test_every_command_matches_oracle_rendering(argv, columns, rows, fmt, capsys
 
 # The shared schema: a flag is the config key of its dest.
 
-def test_flag_dests_have_their_config_key_types():
+# A config text for every key some command takes as a flag, none of them
+# the value it has in naive-bif-b, naive-lyap or co-ts.
+_KEY_TEXTS = {
+    "a": "12.5", "b": "0.05", "v": "3.5", "fc": "8.0", "margin": "0.4", "m": "3.0",
+    "seed_d": "2.0", "seed_s": "3.0", "form": "paper-literal", "steps": "9", "bounded": "true",
+    "param": "M", "min": "0.1", "max": "0.5", "points": "7", "transient": "20", "keep": "10",
+    "iters": "40", "p1": "10.0", "p2": "11.0",
+}
+
+
+def _key_argv(key, text):
+    if KEYS[key] is bool:
+        return ["--" + ("" if text == "true" else "un") + key]
+    return ["--" + key.replace("_", "-"), text]
+
+
+def test_key_flags_are_generated_from_the_schema():
     subcommands = next(a for a in build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction)).choices
-    seen = set()
-    for sub in subcommands.values():
-        for action in sub._actions:
-            key = action.dest
-            if key not in KEYS:
+    # each command's key flags are its group; the groups cover every key
+    # but the three a flag never sets
+    for command, sub in subcommands.items():
+        dests = [a.dest for a in sub._actions if a.dest in KEYS]
+        group = cli._FLAG_KEYS.get(command, ())
+        assert list(dict.fromkeys(dests)) == list(group), command
+        assert len(dests) == len(group) + ("bounded" in group), command  # --unbounded
+    assert set(_KEY_TEXTS) == set(KEYS) - {"name", "analysis", "figure"}
+    assert set().union(*cli._FLAG_KEYS.values()) == set(_KEY_TEXTS)
+    # a flag's value is the key's typed config value; a bad one exits 2
+    for command, keys in cli._FLAG_KEYS.items():
+        parse = subcommands[command].parse_args
+        for key in keys:
+            kind, text = KEYS[key], _KEY_TEXTS[key]
+            if kind is bool:
+                assert getattr(parse(["--" + key]), key) is True
+                assert getattr(parse(["--un" + key]), key) is False
                 continue
-            seen.add(key)
-            if key == "form":  # given by its value, which build_scenario takes
-                assert KEYS[key] is MapForm
-                assert sorted(action.choices) == sorted(f.value for f in MapForm)
-            elif action.nargs == 0:  # --bounded / --unbounded
-                assert KEYS[key] is bool and isinstance(action.const, bool)
-            else:
-                assert (action.type or str) is KEYS[key], key
-    assert seen == set(KEYS) - {"name", "analysis", "figure"}
+            value = getattr(parse(_key_argv(key, text)), key)
+            assert type(value) is kind and value == kind(text), (command, key)
+            assert _outcome([command, *_key_argv(key, "x")])[0] == 2, (command, key)
+    # --scenario plus every flag is the builtin's document with every key set
+    for command, name, kind in (("bifurcate", "naive-bif-b", "bifurcation"),
+                                ("simulate", "co-ts", "orbit"),
+                                ("lyapunov", "naive-lyap", "lyapunov")):
+        keys = cli._FLAG_KEYS[command]
+        argv = [command, "--scenario", name]
+        for key in keys:
+            argv += _key_argv(key, _KEY_TEXTS[key])
+        by_flags = cli._resolve(build_parser().parse_args(argv), kind)
+        lines = dict(line.split(" = ", 1)
+                     for line in serialize_scenario(get_scenario(name)).splitlines())
+        assert all(lines[key] != _KEY_TEXTS[key] for key in keys), name
+        lines.update((key, _KEY_TEXTS[key]) for key in keys)
+        by_file = load_scenario("".join(f"{key} = {text}\n" for key, text in lines.items()))
+        assert serialize_scenario(by_flags) == serialize_scenario(by_file)
 
 
 def _outcome(argv):

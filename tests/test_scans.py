@@ -395,7 +395,7 @@ def test_chunks_equal_the_concatenation_of_their_halves():
     def bif(values):
         part = _bifurcation_chunk(values, sc, cfg, True)
         return [(r.param_value, r.classification, r.attractor_samples.tobytes())
-                for r in _rows(values, part)]
+                for r in _rows(part)]
 
     whole = bif(grid)
     assert whole == bif(halves[0]) + bif(halves[1])
