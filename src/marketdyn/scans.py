@@ -32,10 +32,14 @@ got alone.
 Both sweeps stream under one chunk plan (``_plan``): the grid runs in
 max(workers, ceil(n / C)) chunks of near-equal size, C being ``_CHUNK``
 lanes for a bifurcation scan and ``_LYAP_CHUNK`` for a Lyapunov scan, at
-most two chunks per worker in flight, and a chunk's rows (and a
-bifurcation chunk's samples matrix) are dropped once taken.  Each chunk
-computes its own grid points when it is taken, so memory is set by a
-chunk, not by the grid.
+most two chunks per worker in flight.  Each chunk computes its own grid
+points when it is taken, and each sweep's workers return columns
+(values, samples, periods or values, λ, defined), from which the rows
+are built in the parent as the stream is read; a chunk's columns are
+dropped once its rows are taken.  So memory is set by a chunk, not by
+the grid: one worker holds one chunk, and with W workers the parent
+holds up to 2W finished ones (``_run_chunks``), which for a bifurcation
+scan is up to 2W samples matrices of 16 MiB at keep = 500.
 
 The one module that imports numpy at load, and so imported only to run a
 sweep.  It re-exports ``ScanConfig`` and ``SCAN_PARAMETERS`` from ``scenarios``.
@@ -228,8 +232,10 @@ def _run_chunks(worker, chunks: Iterable, workers: int) -> Iterator:
     when more than one.
 
     At most two chunks per worker are in flight, so finished results do
-    not pile up behind a slow consumer.  Per-lane purity makes the results
-    independent of the chunking and of the worker count.
+    not pile up behind a slow consumer; the parent then holds up to
+    ``2 * workers`` finished results at once, the one being read included.
+    Per-lane purity makes the results independent of the chunking and of
+    the worker count.
     """
     if workers <= 1:
         yield from map(worker, chunks)
@@ -265,7 +271,7 @@ def bifurcation_rows(
     ``_CHUNK`` lanes (``_plan``), on up to ``threads`` worker processes,
     and rows come in grid order, independent of ``threads``.  Memory is
     set by a chunk: a chunk's samples matrix is dropped once its rows are
-    taken.
+    taken, and with W workers the parent holds up to 2W of them.
     """
     worker = partial(_bifurcation_chunk, scenario=scenario, config=config, refine=refine)
     parts = _run_chunks(worker, *_plan(config, threads, _CHUNK))
@@ -284,12 +290,13 @@ def bifurcation_scan(
     return list(bifurcation_rows(config, scenario, threads, refine))
 
 
-def _lyapunov_chunk(
+def _lyapunov_columns(
     values: np.ndarray,
     scenario,
     config: ScanConfig,
     method: str,
-) -> list[LyapunovRow]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk of the grid: its values, λ and defined flags."""
     x0 = scenario.seed_demand if scenario.supplier.m == 1.0 else scenario.seed_supply
     x = np.full(values.size, float(x0))
     low = np.full(values.size, np.inf)
@@ -315,10 +322,18 @@ def _lyapunov_chunk(
     # makes the sum non-finite.
     defined = (low > 0.0) & np.isfinite(x) & np.isfinite(acc)
     lam = np.where(defined, acc / config.keep, np.nan)
-    return [
-        LyapunovRow(x, y, ok)
-        for x, y, ok in zip(values.tolist(), lam.tolist(), defined.tolist())
-    ]
+    return values, lam, defined
+
+
+def _lyapunov_rows(part: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Iterator[LyapunovRow]:
+    """The rows of one chunk's (values, lam, defined)."""
+    return map(LyapunovRow, *(column.tolist() for column in part))
+
+
+def _lyapunov_chunk(values: np.ndarray, scenario, config: ScanConfig,
+                    method: str) -> list[LyapunovRow]:
+    """The rows of one chunk, as a list."""
+    return list(_lyapunov_rows(_lyapunov_columns(values, scenario, config, method)))
 
 
 def lyapunov_rows(
@@ -335,12 +350,15 @@ def lyapunov_rows(
     NaN exponent rather than dropped.  The grid runs in chunks of at
     most ``_LYAP_CHUNK`` lanes (``_plan``), on up to ``threads`` worker
     processes, and rows come in grid order, independent of ``threads``;
-    memory is set by a chunk, not by the grid.
+    memory is set by a chunk, not by the grid.  The workers return each
+    chunk's (values, lam, defined) columns, 17 B a lane, and the rows are
+    built here as the stream is read.
     """
     if method not in ("analytic", "finite-difference"):
         raise ValueError(f"method must be analytic or finite-difference, got {method!r}")
-    worker = partial(_lyapunov_chunk, scenario=scenario, config=config, method=method)
-    return chain.from_iterable(_run_chunks(worker, *_plan(config, threads, _LYAP_CHUNK)))
+    worker = partial(_lyapunov_columns, scenario=scenario, config=config, method=method)
+    parts = _run_chunks(worker, *_plan(config, threads, _LYAP_CHUNK))
+    return chain.from_iterable(map(_lyapunov_rows, parts))
 
 
 def lyapunov_scan(

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -365,18 +366,36 @@ def _fresh_python(code: str) -> str:
                           check=True, env=_fresh_env()).stdout
 
 
+# Each reader leaves after the first bytes, as in `marketdyn simulate | head -2`;
+# the scans then still have chunks in flight on two workers.
+_PIPED_RUNS = [
+    (["simulate", "--steps", "200000"], b"step,demand"),
+    (["lyapunov", "--scenario", "naive-lyap", "--transient", "100", "--keep", "400",
+      "--threads", "2"], b"param_value,lambda"),
+    (["bifurcate", "--scenario", "naive-bif-b", "--threads", "2"], b"param_value,sample_index"),
+]
+
+
 def test_closed_stdout_pipe_ends_quietly():
-    # the reader leaves after the first bytes, as in `marketdyn simulate | head -2`
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "from marketdyn.cli import main; main()",
-         "simulate", "--steps", "200000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env(),
-    )
-    assert proc.stdout.read(64).startswith(b"step,demand")
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 1
-    assert err == b""  # no traceback, no "Exception ignored" line
+    for argv, head in _PIPED_RUNS:
+        # its own session, so its own process group: the pool's workers too
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from marketdyn.cli import main; main()", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env(),
+            start_new_session=True,
+        )
+        try:
+            assert proc.stdout.read(64).startswith(head), argv
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 1, argv
+            assert err == b"", argv  # no traceback, no "Exception ignored" line
+            with pytest.raises(ProcessLookupError):  # no worker outlives the command
+                os.killpg(proc.pid, 0)
+        finally:  # on a failure, leave no process behind
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
@@ -606,6 +625,11 @@ def test_streamed_tables_hold_peak_memory_flat(tmp_path):
     # each chunk computes its own grid points: the whole grid, 8 B a point,
     # is never held (it read 2.3 MiB of a 3.6 MiB rise here)
     assert abs(peak(lyap + ["400000"]) - peak(lyap + ["100000"])) < 2 * 1024
+    # with two workers the parent holds up to four chunks' columns, not their
+    # rows (from 20,000 to 100,000 points the rows rose about 7.5 MiB, the
+    # columns 1.8)
+    two = lyap[:1] + ["--threads", "2"] + lyap[1:]
+    assert abs(peak(two + ["100000"]) - peak(two + ["20000"])) < 3 * 1024
 
 
 def test_short_tail_label_matches_the_sweep(capsys):

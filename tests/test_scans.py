@@ -4,10 +4,12 @@ classification structure."""
 import concurrent.futures
 import math
 import os
+import pickle
 import sys
 import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -684,17 +686,23 @@ def test_streamed_scan_holds_one_chunk_at_a_time(monkeypatch):
     assert peak < 2 * chunk_bytes
 
 
-def test_pool_keeps_at_most_two_chunks_per_worker_in_flight(monkeypatch):
-    submitted = []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """The process pool replaced by one that runs each task at submission, in
+    this process, and sends its result through pickle as a worker's result
+    crosses the pool.  Records the pool's worker count and, per task, the
+    chunk and its pickled result."""
+    record = SimpleNamespace(workers=[], tasks=[])
 
-    class InlinePool:  # runs each task at submission, in this process
+    class InlinePool:
         def __init__(self, max_workers):
-            assert max_workers == 3
+            record.workers.append(max_workers)
 
         def submit(self, fn, chunk):
-            submitted.append(chunk)
+            blob = pickle.dumps(fn(chunk))
+            record.tasks.append((chunk, blob))
             done = Future()
-            done.set_result(fn(chunk))
+            done.set_result(pickle.loads(blob))
             return done
 
         def shutdown(self, cancel_futures):
@@ -702,11 +710,47 @@ def test_pool_keeps_at_most_two_chunks_per_worker_in_flight(monkeypatch):
 
     # _run_chunks imports the pool class from its package when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return record
+
+
+def test_pool_keeps_at_most_two_chunks_per_worker_in_flight(inline_pool):
     got = []
     for result in scans._run_chunks(lambda chunk: -chunk, range(20), 3):
         got.append(result)
-        assert len(submitted) <= len(got) - 1 + 2 * 3
+        assert len(inline_pool.tasks) <= len(got) - 1 + 2 * 3
     assert got == [-c for c in range(20)]
+    assert inline_pool.workers == [3]
+
+
+def test_workers_hand_back_columns_and_the_parent_builds_the_rows(inline_pool, monkeypatch):
+    # What crosses the pool: a Lyapunov chunk's (values, lam, defined), 17 B
+    # a lane (its rows took about 35), and a bifurcation chunk's (values,
+    # samples, periods).  The rows built from them are one worker's rows.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # planning only
+    sc = get_scenario("naive-lyap")
+    cfg = ScanConfig("b", 0.08, 0.092, 3000, 20, 40, 60)
+    rows = lyapunov_scan(cfg, sc, threads=3)
+    assert [repr(r) for r in rows] == [repr(r) for r in lyapunov_scan(cfg, sc)]
+    assert {r.defined for r in rows} == {True, False}
+    assert inline_pool.workers == [3] and len(inline_pool.tasks) == 3
+    for chunk, blob in inline_pool.tasks:
+        values, lam, defined = part = pickle.loads(blob)
+        assert all(isinstance(c, np.ndarray) and c.shape == chunk.shape for c in part)
+        assert values.tobytes() == chunk.tobytes()
+        assert (lam.dtype, defined.dtype) == (np.float64, np.bool_)
+        assert len(blob) <= 17 * chunk.size + 1024
+
+    inline_pool.tasks.clear()
+    sc = get_scenario("naive-bif-b")
+    cfg = ScanConfig("b", 0.045, 0.1, 41, 300, 64, 364)
+    bif = lambda threads: [(repr(r.param_value), r.classification, r.attractor_samples.tobytes())
+                           for r in bifurcation_rows(cfg, sc, threads)]
+    assert bif(3) == bif(1)
+    assert len(inline_pool.tasks) == 3
+    for chunk, blob in inline_pool.tasks:
+        values, samples, periods = pickle.loads(blob)
+        assert values.tobytes() == chunk.tobytes()
+        assert samples.shape == (chunk.size, cfg.keep) and periods.shape == chunk.shape
 
 
 def _chunks(n, threads, size):
