@@ -20,8 +20,8 @@ from .scenarios import (
 
 __version__ = "0.1.0"
 
-_SCANS = ("BifurcationRow", "LyapunovRow", "bifurcation_rows", "bifurcation_scan",
-          "lyapunov_rows", "lyapunov_scan")
+_SCANS = ("BifurcationRow", "LyapunovRow", "bifurcation_chunks", "bifurcation_scan",
+          "lyapunov_chunks", "lyapunov_scan")
 
 
 def __getattr__(name: str):

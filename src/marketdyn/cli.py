@@ -24,26 +24,27 @@ and as a JSON string in JSON.  Each column has one kind, and a table is
 written block by block, one write per block: a block holds one list,
 tuple, range or ndarray per column (the column row by row) or one value
 repeated down the block (a block of repeats alone is one row).
-``bifurcate`` writes one block per grid point as the scan streams it,
-``simulate`` and ``lyapunov`` slices of ``_SLICE`` rows, the other
-commands one block.
 
-The tables of ``simulate``, ``bifurcate`` and ``lyapunov`` stream: the
-orbit is run slice by slice (``analysis.orbit_slices``) and the scans
-chunk by chunk, each block written as it is made, so memory is set by a
-slice or a chunk, not by --steps or --points.  ``collapse`` runs the
-same orbit stream and keeps only its last slice, which names the
-collapse.  An unbounded ``simulate`` first runs its orbit to the end
-without writing, so that a domain failure exits 3 before any row is
-written and before --out is opened.
+The tables of ``simulate``, ``bifurcate`` and ``lyapunov`` stream, so
+memory is set by a slice or a chunk, not by --steps or --points.  The
+orbit is run and written slice by slice (``analysis.orbit_slices``,
+``_SLICE`` rows).  The scans' chunk columns (``scans.bifurcation_chunks``,
+``scans.lyapunov_chunks``) are written as they come, ``bifurcate`` as one
+block per grid point, each with its own copy of its samples, and
+``lyapunov`` in slices of ``_SLICE`` rows; no row object is built.  The
+other commands write one block.  ``collapse`` runs the same orbit stream
+and keeps only its last slice, which names the collapse.  An unbounded
+``simulate`` first runs its orbit to the end without writing, so that a
+domain failure exits 3 before any row is written and before --out is
+opened.
 
 A block is assembled column by column.  A listed column becomes its cell
-texts: a float ndarray from its distinct bit patterns, each formatted
-once; a float or int list by one %-operation for the whole column; bools
-and text through their distinct texts.  A repeated value is rendered
-once into the literal text between cells, with the separators and the
-JSON keys.  The block is then one ``str.join`` over cells and literals
-interleaved row by row.
+texts: a float64 ndarray from its distinct bit patterns, each formatted
+once; any other ndarray as its list; a float or int list by one
+%-operation for the whole column; bools and text through their distinct
+texts.  A repeated value is rendered once into the literal text between
+cells, with the separators and the JSON keys.  The block is then one
+``str.join`` over cells and literals interleaved row by row.
 
 numpy is loaded where arrays are made: ``bifurcate`` and ``lyapunov``
 import ``scans`` when they start; ``simulate``, ``collapse``, ``ped`` and
@@ -66,13 +67,13 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import chain
 from pathlib import Path
 
 from .analysis import (
     _SLICE,
     OrbitDomainError,
-    OrbitEscapeError,
+    class_name,
     orbit_slices,
     ped,
 )
@@ -155,7 +156,7 @@ def _arrays() -> tuple:
 
 def _cells(kind: type, values, fmt: str) -> list[str]:
     """The cell texts of one block column."""
-    if kind is float and isinstance(values, _arrays()):
+    if kind is float and isinstance(values, _arrays()) and values.dtype == float:
         import numpy as np
         # each distinct bit pattern is formatted once (float equality would
         # merge -0.0 into 0.0); a sort and a search cost less here than
@@ -167,6 +168,8 @@ def _cells(kind: type, values, fmt: str) -> list[str]:
         distinct = ranked[first]
         texts = _cells(kind, distinct.view(np.float64).tolist(), fmt)
         return list(map(texts.__getitem__, np.searchsorted(distinct, bits).tolist()))
+    if isinstance(values, _arrays()):  # any other dtype: its bits are not float64's
+        values = values.tolist()
     if kind is float or kind is int:
         # one %-operation for the column; every cell follows a newline
         text = ("\n%.17g" if kind is float else "\n%d") * len(values) % tuple(values)
@@ -178,12 +181,6 @@ def _cells(kind: type, values, fmt: str) -> list[str]:
         return list(map(("false", "true").__getitem__, values))
     texts = {t: _quote(str(t), fmt) for t in set(values)}
     return list(map(texts.__getitem__, values))
-
-
-def _batches(rows: Iterable) -> Iterator[list]:
-    """Lists of ``_SLICE`` rows, the last one shorter, taken from ``rows`` in order."""
-    rows = iter(rows)
-    return iter(lambda: list(islice(rows, _SLICE)), [])
 
 
 def _quote(text: str, fmt: str) -> str:
@@ -320,24 +317,34 @@ def _orbit_blocks(slices: Iterable[tuple]) -> Iterator[tuple]:
 def _cmd_bifurcate(args) -> Table:
     sc = _resolve(args, "bifurcation", points=1000)
     cfg = sc.analysis.config
-    from .scans import bifurcation_rows  # loads numpy, which the scalar commands never need
-    rows = bifurcation_rows(cfg, sc, threads=args.threads)
-    index = range(cfg.keep)
+    from .scans import bifurcation_chunks  # loads numpy, which the scalar commands never need
+    chunks = bifurcation_chunks(cfg, sc, threads=args.threads)
     return Table(
         [("param_value", float), ("sample_index", int), ("demand", float), ("classification", str)],
-        ((r.param_value, index, r.attractor_samples, r.classification) for r in rows),
+        # chain drops each chunk's generator, and with it the chunk, before
+        # it asks for the next chunk
+        chain.from_iterable(map(partial(_bifurcation_blocks, range(cfg.keep)), chunks)),
     )
+
+
+def _bifurcation_blocks(index: range, part: tuple) -> Iterator[tuple]:
+    """The ``bifurcate`` table's blocks of one chunk, one per grid point, each
+    with its own copy of its samples: the writer keeps the last block's
+    columns, and a view would keep the chunk's whole matrix."""
+    values, samples, periods = part
+    for x, row, k in zip(values.tolist(), samples, periods.tolist()):
+        yield x, index, row.copy(), class_name(k)
 
 
 def _cmd_lyapunov(args) -> Table:
     sc = _resolve(args, "lyapunov", points=1000)
     cfg = sc.analysis.config
-    from .scans import lyapunov_rows  # loads numpy, as in _cmd_bifurcate
-    rows = lyapunov_rows(cfg, sc, method=args.method, threads=args.threads)
+    from .scans import lyapunov_chunks  # loads numpy, as in _cmd_bifurcate
+    chunks = lyapunov_chunks(cfg, sc, method=args.method, threads=args.threads)
     return Table(
         [("param_value", float), ("lambda", float), ("method", str), ("defined", bool)],
-        (([r.param_value for r in part], [r.lam for r in part], args.method,
-          [r.defined for r in part]) for part in _batches(rows)),
+        ((values[i:i + _SLICE], lam[i:i + _SLICE], args.method, defined[i:i + _SLICE])
+         for values, lam, defined in chunks for i in range(0, len(values), _SLICE)),
     )
 
 
@@ -392,7 +399,7 @@ def run_cli(argv: list[str]) -> int:
 
     try:
         table = _COMMANDS[args.command](args)
-    except (OrbitDomainError, OrbitEscapeError) as exc:
+    except OrbitDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, DomainError, ValueError) as exc:

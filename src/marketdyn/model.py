@@ -134,16 +134,6 @@ def root_response(sig, s, m: float):
     return r
 
 
-def _root_float(sig: float, s: float, m: float) -> float:
-    """``root_response`` on floats, with the same bits: at m = 2 through
-    ``math.sqrt``, which never warns; np.power can overflow, so a caller
-    with m not in {1, 2} enters ``_power_errstate``."""
-    if m == 2.0:
-        return math.sqrt(sig) * s
-    import numpy as np
-    return float(np.power(sig, 1.0 / m)) * s
-
-
 def _power_errstate(m: float):
     """np.power's overflow silenced for a scalar loop with this m.  Python
     float arithmetic never warns, so for m in {1, 2}, where no numpy call
@@ -219,6 +209,8 @@ def unbounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=Non
     except that a failure returns the values its period started from."""
     a, b, fc, v, one_minus_m = map(float, (pars.a, pars.b, pars.fc, pars.v, pars.one_minus_m))
     m, canonical = pars.m, pars.form is MapForm.CANONICAL
+    if m not in (1.0, 2.0):
+        import numpy as np
     if out is not None:
         add_d, add_s, add_p = out[0].append, out[1].append, out[2].append
     with _power_errstate(m):
@@ -226,7 +218,13 @@ def unbounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=Non
             # s > 0, so the signal d/s is negative exactly where d is
             if not (s > 0.0) or d < 0.0:
                 return d, s, p, TRIGGER_EXPECTED_DEMAND
-            s_new = d if m == 1.0 else _root_float(d / s, s, m)
+            # root_response's bits: math.sqrt never warns, np.power can overflow
+            if m == 1.0:
+                s_new = d
+            elif m == 2.0:
+                s_new = math.sqrt(d / s) * s
+            else:
+                s_new = float(np.power(d / s, 1.0 / m)) * s
             if not math.isfinite(s_new):
                 return d, s, p, TRIGGER_NON_FINITE
             if s_new <= 0.0:
@@ -264,7 +262,7 @@ def bounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None)
             # s > 0, so the signal d/s is negative exactly where d is
             if not (s > 0.0) or d < 0.0:
                 return _record(out, 0.0, 0.0, p, TRIGGER_EXPECTED_DEMAND)
-            # _root_float's sqrt and power, inline on this hot path
+            # root_response on floats, as in unbounded_run
             if m == 1.0:
                 s_new = d
             elif m == 2.0:

@@ -29,17 +29,12 @@ orbit's minimum, the last value and the sum.  A lane that ends alive or
 defined passed every check, so it got exactly the values it would have
 got alone.
 
-Both sweeps stream under one chunk plan (``_plan``): the grid runs in
-max(workers, ceil(n / C)) chunks of near-equal size, C being ``_CHUNK``
-lanes for a bifurcation scan and ``_LYAP_CHUNK`` for a Lyapunov scan, at
-most two chunks per worker in flight.  Each chunk computes its own grid
-points when it is taken, and each sweep's workers return columns
-(values, samples, periods or values, λ, defined), from which the rows
-are built in the parent as the stream is read; a chunk's columns are
-dropped once its rows are taken.  So memory is set by a chunk, not by
-the grid: one worker holds one chunk, and with W workers the parent
-holds up to 2W finished ones (``_run_chunks``), which for a bifurcation
-scan is up to 2W samples matrices of 16 MiB at keep = 500.
+Both sweeps stream their workers' columns, chunk by chunk in grid order
+(``_plan``, ``_run_chunks``): (values, samples, periods) for a
+bifurcation scan and (values, λ, defined) for a Lyapunov scan.  A chunk
+computes its own grid points, so memory is set by a chunk, not by the
+grid; a reader that drops a chunk before asking for the next holds one
+(README.md gives the sizes).
 
 The one module that imports numpy at load, and so imported only to run a
 sweep.  It re-exports ``ScanConfig`` and ``SCAN_PARAMETERS`` from ``scenarios``.
@@ -52,7 +47,6 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -199,15 +193,6 @@ def _bifurcation_chunk(
     return values, samples, periods
 
 
-def _rows(part: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Iterator[BifurcationRow]:
-    """The rows of one chunk's (values, samples, periods), each with its own
-    copy of its samples: a row kept by the caller then does not hold the
-    chunk's whole matrix."""
-    values, samples, periods = part
-    for x, row, k in zip(values.tolist(), samples, periods.tolist()):
-        yield BifurcationRow(x, row.copy(), class_name(k))
-
-
 def _plan(config: ScanConfig, threads: int, size: int) -> tuple[Iterator[np.ndarray], int]:
     """The grid's chunks and the worker processes to run them.
 
@@ -256,28 +241,25 @@ def _run_chunks(worker, chunks: Iterable, workers: int) -> Iterator:
         pool.shutdown(cancel_futures=True)
 
 
-def bifurcation_rows(
+def bifurcation_chunks(
     config: ScanConfig,
     scenario,
     threads: int = 1,
     refine: bool = True,
-) -> Iterator[BifurcationRow]:
-    """Long-run attractor samples of the bounded dynamics over a grid, as a stream.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Long-run attractor samples of the bounded dynamics over a grid, as a
+    stream of each chunk's (values, samples, periods).
 
     Each grid point seeds the scenario's initial quantities, discards
-    the transient, keeps ``config.keep`` demand samples and classifies
-    them.  Points whose orbit dies are classified "collapsed" rather
-    than aborting the sweep.  The grid runs in chunks of at most
-    ``_CHUNK`` lanes (``_plan``), on up to ``threads`` worker processes,
-    and rows come in grid order, independent of ``threads``.  Memory is
-    set by a chunk: a chunk's samples matrix is dropped once its rows are
-    taken, and with W workers the parent holds up to 2W of them.
+    the transient, keeps ``config.keep`` demand samples and period-tests
+    them (``analysis.class_name`` labels a period).  A point whose orbit
+    dies gets period -1 rather than aborting the sweep.  The grid runs in
+    chunks of at most ``_CHUNK`` lanes (``_plan``), on up to ``threads``
+    worker processes, and chunks come in grid order, independent of
+    ``threads``.
     """
     worker = partial(_bifurcation_chunk, scenario=scenario, config=config, refine=refine)
-    parts = _run_chunks(worker, *_plan(config, threads, _CHUNK))
-    # chain drops each chunk's rows generator, and with it the chunk's
-    # matrix, before it asks for the next chunk
-    return chain.from_iterable(map(_rows, parts))
+    return _run_chunks(worker, *_plan(config, threads, _CHUNK))
 
 
 def bifurcation_scan(
@@ -286,8 +268,10 @@ def bifurcation_scan(
     threads: int = 1,
     refine: bool = True,
 ) -> list[BifurcationRow]:
-    """Every row of ``bifurcation_rows``, as a list."""
-    return list(bifurcation_rows(config, scenario, threads, refine))
+    """The rows of ``bifurcation_chunks``, each with its own copy of its samples."""
+    return [BifurcationRow(x, row.copy(), class_name(k))
+            for values, samples, periods in bifurcation_chunks(config, scenario, threads, refine)
+            for x, row, k in zip(values.tolist(), samples, periods.tolist())]
 
 
 def _lyapunov_columns(
@@ -325,40 +309,33 @@ def _lyapunov_columns(
     return values, lam, defined
 
 
-def _lyapunov_rows(part: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Iterator[LyapunovRow]:
-    """The rows of one chunk's (values, lam, defined)."""
-    return map(LyapunovRow, *(column.tolist() for column in part))
-
-
 def _lyapunov_chunk(values: np.ndarray, scenario, config: ScanConfig,
                     method: str) -> list[LyapunovRow]:
     """The rows of one chunk, as a list."""
-    return list(_lyapunov_rows(_lyapunov_columns(values, scenario, config, method)))
+    part = _lyapunov_columns(values, scenario, config, method)
+    return list(map(LyapunovRow, *(column.tolist() for column in part)))
 
 
-def lyapunov_rows(
+def lyapunov_chunks(
     config: ScanConfig,
     scenario,
     method: str = "analytic",
     threads: int = 1,
-) -> Iterator[LyapunovRow]:
-    """Lyapunov exponent of the scenario's 1-D map at every grid value, as a stream.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Lyapunov exponent of the scenario's 1-D map at every grid value, as a
+    stream of each chunk's (values, lam, defined).
 
     ``config.transient`` iterations settle the orbit and ``config.keep``
-    log-derivative samples are averaged.  Grid points whose orbit
-    escapes the map's domain are emitted with ``defined=False`` and a
-    NaN exponent rather than dropped.  The grid runs in chunks of at
-    most ``_LYAP_CHUNK`` lanes (``_plan``), on up to ``threads`` worker
-    processes, and rows come in grid order, independent of ``threads``;
-    memory is set by a chunk, not by the grid.  The workers return each
-    chunk's (values, lam, defined) columns, 17 B a lane, and the rows are
-    built here as the stream is read.
+    log-derivative samples are averaged.  A grid point whose orbit
+    escapes the map's domain has ``defined`` False and a NaN exponent.
+    The grid runs in chunks of at most ``_LYAP_CHUNK`` lanes (``_plan``),
+    on up to ``threads`` worker processes, and chunks come in grid order,
+    independent of ``threads``.
     """
     if method not in ("analytic", "finite-difference"):
         raise ValueError(f"method must be analytic or finite-difference, got {method!r}")
     worker = partial(_lyapunov_columns, scenario=scenario, config=config, method=method)
-    parts = _run_chunks(worker, *_plan(config, threads, _LYAP_CHUNK))
-    return chain.from_iterable(map(_lyapunov_rows, parts))
+    return _run_chunks(worker, *_plan(config, threads, _LYAP_CHUNK))
 
 
 def lyapunov_scan(
@@ -367,5 +344,6 @@ def lyapunov_scan(
     method: str = "analytic",
     threads: int = 1,
 ) -> list[LyapunovRow]:
-    """Every row of ``lyapunov_rows``, as a list."""
-    return list(lyapunov_rows(config, scenario, method, threads))
+    """The rows of ``lyapunov_chunks``."""
+    return [row for part in lyapunov_chunks(config, scenario, method, threads)
+            for row in map(LyapunovRow, *(column.tolist() for column in part))]

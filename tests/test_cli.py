@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,52 @@ def test_bifurcate_bytes_do_not_depend_on_the_chunk_size(chunk, tmp_path, monkey
                 out = tmp_path / f"{name}-t{threads}.out"
                 assert run_cli(argv + ["--threads", threads, "--out", str(out)]) == 0
                 assert out.read_bytes() == whole.read_bytes()
+
+
+_SMALL_SCANS = [
+    ["bifurcate", "--scenario", "naive-bif-b", "--points", "30", "--transient", "300",
+     "--keep", "40"],
+    ["lyapunov", "--scenario", "naive-lyap", "--points", "300", "--min", "0.08", "--max", "0.6",
+     "--transient", "50", "--keep", "50"],
+]
+
+
+def test_scan_commands_build_no_row_objects(capsys, monkeypatch):
+    # the commands write the workers' columns; the row types are for the list API
+    expected = [run(argv, capsys) for argv in _SMALL_SCANS]
+
+    def refuse(*args):
+        raise AssertionError("a row object was built")
+
+    monkeypatch.setattr(scans, "BifurcationRow", refuse)
+    monkeypatch.setattr(scans, "LyapunovRow", refuse)
+    for argv, (code, out, err) in zip(_SMALL_SCANS, expected):
+        assert code == 0 and err == ""
+        assert run(argv, capsys) == (0, out, "")
+
+
+def test_bifurcate_frees_each_chunk_before_the_next(capsys, monkeypatch):
+    # the writer keeps each block's own copy of its samples, never a view, so
+    # a chunk's samples matrix is gone before the next chunk is computed
+    monkeypatch.setattr(scans, "_CHUNK", 4)
+    stream, refs, freed = scans.bifurcation_chunks, [], []
+
+    def watched(*args, **kwargs):
+        chunks = stream(*args, **kwargs)
+        while True:
+            freed.append([ref() is None for ref in refs])  # asked for the next chunk
+            part = next(chunks, None)
+            if part is None:
+                return
+            refs.append(weakref.ref(part[1]))
+            yield part
+            del part
+
+    expected = run(_SMALL_SCANS[0], capsys)
+    monkeypatch.setattr(scans, "bifurcation_chunks", watched)
+    assert run(_SMALL_SCANS[0] + ["--threads", "1"], capsys) == expected
+    assert len(refs) == 8
+    assert freed == [[True] * k for k in range(9)]
 
 
 @pytest.mark.parametrize("command", ["simulate", "bifurcate", "lyapunov", "collapse", "ped",
@@ -751,6 +798,21 @@ def test_ndarray_float_column_formats_each_bit_pattern_as_its_own_cell():
     assert written(table, "jsonl").splitlines() == [
         '{"x": %s, "i": %d}' % ("%.17g" % x if math.isfinite(x) else "null", i)
         for i, x in enumerate(xs)]
+
+
+def test_non_float64_ndarray_columns_render_like_their_lists():
+    flags, ints = [True, False, False, True, True], [3, -1, 0, 2**40, -(2**62)]
+    halves = [0.5, -1.25, 3.0, 0.0, 2.0**100]  # exact in float32
+    columns = [("flag", bool), ("n", int), ("slice", bool), ("x", float), ("y", float)]
+    lists = Table(columns, [(flags, ints, flags[::-1], ints, halves)])
+    # a slice too, as the lyapunov command writes its columns; an int or
+    # float32 array in a float column is not read as float64 bits
+    arrays = Table(columns, [(np.array(flags), np.array(ints), np.array(flags)[::-1],
+                              np.array(ints), np.array(halves, dtype=np.float32))])
+    for fmt in ("csv", "jsonl"):
+        assert written(arrays, fmt) == written(lists, fmt)
+    assert written(arrays, "csv").splitlines()[1:3] == ["true,3,true,3,0.5",
+                                                        "false,-1,true,-1,-1.25"]
 
 
 def test_writer_repeats_block_of_scalars_and_checks_width():

@@ -275,12 +275,16 @@ def test_raw_overflow_is_a_collapse_without_a_warning():
 
 
 def test_bounded_equals_step_inside_domain():
-    state = MarketState(1.0, 1.0, 0.0)
-    for _ in range(20):
-        raw = step(state, NAIVE_MARKET, NAIVE_COST, NAIVE)
-        bnd = bounded_step(state, NAIVE_MARKET, NAIVE_COST, NAIVE)
-        assert raw == bnd
-        state = bnd
+    # the raw and bounded runs take the root the same way: sqrt at m = 2,
+    # numpy's power at other m
+    for market, cost, m in ((NAIVE_MARKET, NAIVE_COST, 1.0), (CO_MARKET, CO_COST, 2.0),
+                            (CO_MARKET, CO_COST, 3.0)):
+        state = MarketState(1.0, 1.0, 0.0)
+        for _ in range(20):
+            raw = step(state, market, cost, SupplierBehavior(m))
+            bnd = bounded_step(state, market, cost, SupplierBehavior(m))
+            assert raw == bnd and not bnd.collapsed, m
+            state = bnd
 
 
 def test_form_divergence_only_from_margin():

@@ -50,8 +50,7 @@ from marketdyn.scans import (
     _probe_lambda_grid,
     _refine_lane,
     _plan,
-    _rows,
-    bifurcation_rows,
+    bifurcation_chunks,
     bifurcation_scan,
     lyapunov_scan,
 )
@@ -395,9 +394,10 @@ def test_chunks_equal_the_concatenation_of_their_halves():
     halves = (grid[:20], grid[20:])
 
     def bif(values):
-        part = _bifurcation_chunk(values, sc, cfg, True)
-        return [(r.param_value, r.classification, r.attractor_samples.tobytes())
-                for r in _rows(part)]
+        got, samples, periods = _bifurcation_chunk(values, sc, cfg, True)
+        assert got is values
+        return [(x, class_name(k), row.tobytes())
+                for x, row, k in zip(values.tolist(), samples, periods.tolist())]
 
     whole = bif(grid)
     assert whole == bif(halves[0]) + bif(halves[1])
@@ -675,7 +675,8 @@ def test_streamed_scan_holds_one_chunk_at_a_time(monkeypatch):
     try:
         # refinement writes into its own chunk's matrix; under tracemalloc
         # its scalar loops would take seconds
-        rows = sum(1 for _ in bifurcation_rows(cfg, sc, refine=False))
+        # each chunk's samples are unpacked into `_` and dropped at once
+        rows = sum(len(values) for values, _, _ in bifurcation_chunks(cfg, sc, refine=False))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -725,7 +726,8 @@ def test_pool_keeps_at_most_two_chunks_per_worker_in_flight(inline_pool):
 def test_workers_hand_back_columns_and_the_parent_builds_the_rows(inline_pool, monkeypatch):
     # What crosses the pool: a Lyapunov chunk's (values, lam, defined), 17 B
     # a lane (its rows took about 35), and a bifurcation chunk's (values,
-    # samples, periods).  The rows built from them are one worker's rows.
+    # samples, periods).  The chunk streams yield them as they came, and the
+    # rows built from them are one worker's rows.
     monkeypatch.setattr(os, "cpu_count", lambda: 3)  # planning only
     sc = get_scenario("naive-lyap")
     cfg = ScanConfig("b", 0.08, 0.092, 3000, 20, 40, 60)
@@ -739,18 +741,27 @@ def test_workers_hand_back_columns_and_the_parent_builds_the_rows(inline_pool, m
         assert values.tobytes() == chunk.tobytes()
         assert (lam.dtype, defined.dtype) == (np.float64, np.bool_)
         assert len(blob) <= 17 * chunk.size + 1024
+    inline_pool.tasks.clear()
+    streamed = [b"".join(c.tobytes() for c in part)
+                for part in scans.lyapunov_chunks(cfg, sc, threads=3)]
+    assert streamed == [b"".join(c.tobytes() for c in pickle.loads(blob))
+                        for _, blob in inline_pool.tasks]
 
     inline_pool.tasks.clear()
     sc = get_scenario("naive-bif-b")
     cfg = ScanConfig("b", 0.045, 0.1, 41, 300, 64, 364)
     bif = lambda threads: [(repr(r.param_value), r.classification, r.attractor_samples.tobytes())
-                           for r in bifurcation_rows(cfg, sc, threads)]
+                           for r in bifurcation_scan(cfg, sc, threads)]
     assert bif(3) == bif(1)
     assert len(inline_pool.tasks) == 3
     for chunk, blob in inline_pool.tasks:
         values, samples, periods = pickle.loads(blob)
         assert values.tobytes() == chunk.tobytes()
         assert samples.shape == (chunk.size, cfg.keep) and periods.shape == chunk.shape
+    inline_pool.tasks.clear()
+    streamed = [b"".join(c.tobytes() for c in part) for part in bifurcation_chunks(cfg, sc, 3)]
+    assert streamed == [b"".join(c.tobytes() for c in pickle.loads(blob))
+                        for _, blob in inline_pool.tasks]
 
 
 def _chunks(n, threads, size):
