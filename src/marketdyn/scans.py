@@ -220,25 +220,37 @@ def _run_chunks(worker, chunks: Iterable, workers: int) -> Iterator:
     not pile up behind a slow consumer; the parent then holds up to
     ``2 * workers`` finished results at once, the one being read included.
     Per-lane purity makes the results independent of the chunking and of
-    the worker count.
+    the worker count.  A reader that stops early (or a chunk that fails)
+    ends the workers at once: running chunks are terminated, not awaited.
     """
     if workers <= 1:
         yield from map(worker, chunks)
         return
-    # imported here: it loads multiprocessing, which a 1-worker run never needs
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here: a 1-worker run never needs it
+    import multiprocessing
 
-    pool = ProcessPoolExecutor(max_workers=workers)
+    others = set(multiprocessing.active_children())
+    pool = multiprocessing.Pool(workers)
+    crew = set(multiprocessing.active_children()) - others
+
+    def result(task):
+        # the pool replaces a worker that dies, but never reruns its task
+        while not task.ready():
+            task.wait(1.0)
+            if any(p.exitcode for p in crew):
+                raise RuntimeError("a worker process died before its chunk was done")
+        return task.get()
+
     try:
         pending = deque()
         for chunk in chunks:
-            pending.append(pool.submit(worker, chunk))
+            pending.append(pool.apply_async(worker, (chunk,)))
             if len(pending) == 2 * workers:
-                yield pending.popleft().result()
+                yield result(pending.popleft())
         while pending:
-            yield pending.popleft().result()
+            yield result(pending.popleft())
     finally:
-        pool.shutdown(cancel_futures=True)
+        pool.terminate()
 
 
 def bifurcation_chunks(
@@ -258,6 +270,11 @@ def bifurcation_chunks(
     worker processes, and chunks come in grid order, independent of
     ``threads``.
     """
+    need = min(config.grid_points, _CHUNK) * config.keep * 8  # a chunk's samples matrix
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"keep = {config.keep}: a chunk's samples take {need} bytes, "
+                         f"more than the host's {have} bytes of physical memory")
     worker = partial(_bifurcation_chunk, scenario=scenario, config=config, refine=refine)
     return _run_chunks(worker, *_plan(config, threads, _CHUNK))
 

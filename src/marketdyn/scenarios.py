@@ -11,16 +11,18 @@ writes), and ``build_scenario`` turns typed entries into a validated
 scenario.  The command line's flags are the same keys.  A scan's keys
 build a ``ScanConfig`` (re-exported by ``scans``), whose ``grid()`` loads numpy.
 
-Every builtin is registered in the form that reproduces its figure
-(canonical throughout; the paper-literal algebra diverges within a few
-periods at these parameters), plus a ``-paper-literal`` twin for
-side-by-side comparison.
+The builtins are typed config entries too, built by ``build_scenario``
+like a file or the flags, so its defaults hold for them as well.  Each
+is registered in the form that reproduces its figure (canonical
+throughout; the paper-literal algebra diverges within a few periods at
+these parameters), plus a ``-paper-literal`` twin for side-by-side
+comparison.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import (
     CostPricing,
@@ -163,135 +165,52 @@ class Scenario:
         return MarketState(demand=self.seed_demand, supply=self.seed_supply, price=0.0)
 
 
-_NAIVE_MARKET = MarketParams(a=10.0, b=0.09)
-_NAIVE_COST = CostPricing(fc=10.0, v=4.0, margin=0.5)
-_CO_MARKET = MarketParams(a=30.0, b=0.125)
-_CO_COST = CostPricing(fc=30.0, v=6.0, margin=0.5)
-_COLLAPSE_MARKET = MarketParams(a=10.0, b=0.095)
-_COLLAPSE_COST = CostPricing(fc=20.0, v=2.0, margin=0.5)
+# The paper's parameterizations as typed config entries; ``build_scenario``
+# supplies the rest (seeds (1, 1), m = 1, a bounded orbit, a scan's budget).
+_NAIVE = {"a": 10.0, "b": 0.09, "v": 4.0, "fc": 10.0, "margin": 0.5}
+_CO = {"m": 2.0, "a": 30.0, "b": 0.125, "v": 6.0, "fc": 30.0, "margin": 0.5}
+_COLLAPSE = {"a": 10.0, "b": 0.095, "v": 2.0, "fc": 20.0, "margin": 0.5, "steps": 200}
 
-_M1 = SupplierBehavior(m=1.0)
-_M2 = SupplierBehavior(m=2.0)
+_ENTRIES = (
+    {**_NAIVE, "name": "naive-ts", "steps": 20, "bounded": False, "figure": "fig3"},
+    {**_NAIVE, "name": "naive-bif-b", "analysis": "bifurcation",
+     "param": "b", "min": 0.0418, "max": 0.0918, "points": 10000, "figure": "fig4"},
+    {**_NAIVE, "name": "naive-lyap", "analysis": "lyapunov", "param": "b", "min": 0.08,
+     "max": 0.092, "points": 100000, "transient": 1000, "keep": 10000, "figure": "fig5"},
+    {**_NAIVE, "name": "naive-bif-M", "b": 0.03, "analysis": "bifurcation",
+     "param": "M", "min": 0.6765, "max": 0.8365, "points": 20000, "figure": "fig6"},
+    {**_CO, "name": "co-ts", "steps": 30, "bounded": False, "figure": "fig7"},
+    {**_CO, "name": "co-bif-b", "analysis": "bifurcation",
+     "param": "b", "min": 0.064, "max": 0.134, "points": 10000, "figure": "fig8"},
+    {**_CO, "name": "co-lyap", "analysis": "lyapunov", "param": "b", "min": 0.1,
+     "max": 0.134, "points": 80000, "transient": 1000, "keep": 10000, "figure": "fig9"},
+    {**_CO, "name": "elastic-b0", "b": 0.0, "steps": 20, "bounded": False, "figure": "fig10"},
+    {**_COLLAPSE, "name": "collapse", "figure": "fig11"},
+    # The square-root variant of the collapse parameterization; under the
+    # canonical map it stabilizes instead of collapsing, which is why the
+    # naive variant above carries the figure tag.
+    {**_COLLAPSE, "name": "collapse-m2", "m": 2.0},
+)
 
 
-def _base_scenarios() -> list[Scenario]:
-    return [
-        Scenario(
-            name="naive-ts",
-            supplier=_M1,
-            market=_NAIVE_MARKET,
-            cost=_NAIVE_COST,
-            analysis=OrbitSpec(steps=20, bounded=False),
-            figure="fig3",
-        ),
-        Scenario(
-            name="naive-bif-b",
-            supplier=_M1,
-            market=_NAIVE_MARKET,
-            cost=_NAIVE_COST,
-            analysis=BifurcationSpec(
-                ScanConfig("b", 0.0418, 0.0918, 10000, 2500, 500, 3000)
-            ),
-            figure="fig4",
-        ),
-        Scenario(
-            name="naive-lyap",
-            supplier=_M1,
-            market=_NAIVE_MARKET,
-            cost=_NAIVE_COST,
-            analysis=LyapunovSpec(
-                ScanConfig("b", 0.08, 0.092, 100000, 1000, 10000, 11000)
-            ),
-            figure="fig5",
-        ),
-        Scenario(
-            name="naive-bif-M",
-            supplier=_M1,
-            market=MarketParams(a=10.0, b=0.03),
-            cost=_NAIVE_COST,
-            analysis=BifurcationSpec(
-                ScanConfig("M", 0.6765, 0.8365, 20000, 2500, 500, 3000)
-            ),
-            figure="fig6",
-        ),
-        Scenario(
-            name="co-ts",
-            supplier=_M2,
-            market=_CO_MARKET,
-            cost=_CO_COST,
-            analysis=OrbitSpec(steps=30, bounded=False),
-            figure="fig7",
-        ),
-        Scenario(
-            name="co-bif-b",
-            supplier=_M2,
-            market=_CO_MARKET,
-            cost=_CO_COST,
-            analysis=BifurcationSpec(
-                ScanConfig("b", 0.064, 0.134, 10000, 2500, 500, 3000)
-            ),
-            figure="fig8",
-        ),
-        Scenario(
-            name="co-lyap",
-            supplier=_M2,
-            market=_CO_MARKET,
-            cost=_CO_COST,
-            analysis=LyapunovSpec(
-                ScanConfig("b", 0.1, 0.134, 80000, 1000, 10000, 11000)
-            ),
-            figure="fig9",
-        ),
-        Scenario(
-            name="elastic-b0",
-            supplier=_M2,
-            market=MarketParams(a=30.0, b=0.0),
-            cost=_CO_COST,
-            analysis=OrbitSpec(steps=20, bounded=False),
-            figure="fig10",
-        ),
-        Scenario(
-            name="collapse",
-            supplier=_M1,
-            market=_COLLAPSE_MARKET,
-            cost=_COLLAPSE_COST,
-            analysis=OrbitSpec(steps=200, bounded=True),
-            figure="fig11",
-        ),
-        # The square-root variant of the collapse parameterization; under
-        # the canonical map it stabilizes instead of collapsing, which is
-        # why the naive variant above carries the figure tag.
-        Scenario(
-            name="collapse-m2",
-            supplier=_M2,
-            market=_COLLAPSE_MARKET,
-            cost=_COLLAPSE_COST,
-            analysis=OrbitSpec(steps=200, bounded=True),
-        ),
-    ]
+def _registry():
+    """Each builtin's entries, then its paper-literal twin's."""
+    for entry in _ENTRIES:
+        yield entry
+        yield {**entry, "name": entry["name"] + "-paper-literal",
+               "form": MapForm.PAPER_LITERAL, "figure": None}
 
 
 def builtin_scenarios() -> list[Scenario]:
     """All registered scenarios, each in its recorded form plus a
     paper-literal twin (suffix ``-paper-literal``)."""
-    out: list[Scenario] = []
-    for sc in _base_scenarios():
-        out.append(sc)
-        out.append(
-            replace(
-                sc,
-                name=sc.name + "-paper-literal",
-                form=MapForm.PAPER_LITERAL,
-                figure=None,
-            )
-        )
-    return out
+    return [build_scenario(entry) for entry in _registry()]
 
 
 def get_scenario(name: str) -> Scenario:
-    for sc in builtin_scenarios():
-        if sc.name == name:
-            return sc
+    for entry in _registry():
+        if entry["name"] == name:
+            return build_scenario(entry)
     raise ConfigError(f"unknown scenario {name!r}")
 
 

@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -196,6 +197,17 @@ def test_overflowing_lane_parameters_warn_nothing(command, capsys):
         assert len(rows) == 6 and {r["classification"] for r in rows} == {"collapsed"}
     else:
         assert len(rows) == 3 and {r["defined"] for r in rows} == {"false"}
+
+
+def test_keep_beyond_physical_memory_is_a_config_error(capsys):
+    # two lanes of 10^12 kept samples would take 16 TB; the command says so
+    # before the header, and allocates nothing
+    code, out, err = run(["bifurcate", "--scenario", "naive-bif-b", "--points", "2",
+                          "--transient", "0", "--keep", "1000000000000",
+                          "--iters", "1000000000000"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "16000000000000 bytes" in err
 
 
 def test_ped_perfectly_elastic(capsys):
@@ -414,18 +426,21 @@ def _fresh_python(code: str) -> str:
 
 
 # Each reader leaves after the first bytes, as in `marketdyn simulate | head -2`;
-# the scans then still have chunks in flight on two workers.
+# the scans then still have chunks in flight on two workers.  The full
+# naive-lyap's chunks run for seconds, and its exit must not wait for them:
+# it comes within a quarter of the time the first bytes took.
 _PIPED_RUNS = [
-    (["simulate", "--steps", "200000"], b"step,demand"),
-    (["lyapunov", "--scenario", "naive-lyap", "--transient", "100", "--keep", "400",
-      "--threads", "2"], b"param_value,lambda"),
-    (["bifurcate", "--scenario", "naive-bif-b", "--threads", "2"], b"param_value,sample_index"),
+    (["simulate", "--steps", "200000"], b"step,demand", False),
+    (["lyapunov", "--scenario", "naive-lyap", "--threads", "2"], b"param_value,lambda", True),
+    (["bifurcate", "--scenario", "naive-bif-b", "--threads", "2"], b"param_value,sample_index",
+     False),
 ]
 
 
 def test_closed_stdout_pipe_ends_quietly():
-    for argv, head in _PIPED_RUNS:
+    for argv, head, timed in _PIPED_RUNS:
         # its own session, so its own process group: the pool's workers too
+        start = time.monotonic()
         proc = subprocess.Popen(
             [sys.executable, "-c", "from marketdyn.cli import main; main()", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env(),
@@ -433,12 +448,16 @@ def test_closed_stdout_pipe_ends_quietly():
         )
         try:
             assert proc.stdout.read(64).startswith(head), argv
+            closed = time.monotonic()
             proc.stdout.close()
             _, err = proc.communicate(timeout=120)
+            lingered = time.monotonic() - closed
             assert proc.returncode == 1, argv
             assert err == b"", argv  # no traceback, no "Exception ignored" line
             with pytest.raises(ProcessLookupError):  # no worker outlives the command
                 os.killpg(proc.pid, 0)
+            if timed:
+                assert lingered < (closed - start) / 4, (argv, lingered, closed - start)
         finally:  # on a failure, leave no process behind
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
@@ -531,7 +550,8 @@ def test_lazy_names_resolve_and_the_handles_leave_numpy_unloaded():
 # leaves aperiodic (periodic(2), (4) and (8)).  The collapse grids, recorded
 # when the lane engine still masked collapsed lanes: every lane of the two
 # paper-literal grids dies in the transient (so m = 0.5 writes only zeros),
-# and the collapse b-scan has 1,408 collapsed rows of 2,000.
+# and the collapse b-scan has 1,408 collapsed rows of 2,000.  The registry
+# listing, recorded when the builtins were built by hand.
 @pytest.mark.parametrize("argv,digest", [
     (["bifurcate", "--scenario", "naive-bif-b", "--points", "150"],
      "1a51ecdf26edc79aa3b371e92bf609c837ec61bda83993b82b1b89aba33cbfbf"),
@@ -546,8 +566,11 @@ def test_lazy_names_resolve_and_the_handles_leave_numpy_unloaded():
     (["bifurcate", "--scenario", "collapse", "--param", "b", "--min", "0.05", "--max", "0.2",
       "--points", "2000"],
      "930c37580aba60b396c44603501e177cbdf972ffb6717003fbcfec6e80fcd6d0"),
+    (["scenarios"], "04b7b73e475f2ebcf5072973c93eb20802537c1a83f391f88e3bb4423a543438"),
+    (["scenarios", "--format", "jsonl"],
+     "217b94bfef3f6943ce18b7899a48879cab5fac96255f6727c78d1fe2209b7d76"),
 ], ids=["bifurcate-csv", "bifurcate-jsonl", "simulate-csv", "all-collapsed-m1",
-        "all-collapsed-m0.5", "collapse-b-scan"])
+        "all-collapsed-m0.5", "collapse-b-scan", "scenarios-csv", "scenarios-jsonl"])
 def test_pinned_tables_keep_their_bytes(argv, digest, capsys):
     code, out, err = run(argv, capsys)
     assert code == 0

@@ -1,14 +1,15 @@
 """Tests for the grid sweep engines: scalar/vector parity, determinism,
 classification structure."""
 
-import concurrent.futures
 import math
+import multiprocessing
 import os
 import pickle
+import signal
 import sys
 import tracemalloc
-from concurrent.futures import Future
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -165,6 +166,41 @@ def test_bounded_run_matches_vector_engine_bitwise(
             assert alive_t[i] == (t < lived)
             if t < lived:
                 assert tuple(col[t] for col in out) == (Dt[i], St[i], Pt[i])
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("form", list(MapForm))
+@settings(max_examples=40, deadline=None)
+@given(**_BOX)
+@_COLLAPSE
+def test_1d_orbit_is_the_bounded_orbit_bitwise(
+    m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
+):
+    # the Lyapunov figure's orbit is the bifurcation figure's: on lanes, map_1d
+    # from d0 gives the demands D_t at m = 1, and from S_1 the supplies
+    # S_{t+1} at m != 1, while the lane lives
+    values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
+    if form is MapForm.CANONICAL and m == 1.0:
+        # there map_1d scales atc by b / (1 - M), the bounded period by
+        # 1 / (1 - M) then b: the same bits only where 1 - M is a power of two
+        margin = 1.0 - 2.0 ** round(math.log2(1.0 - margin))
+        if parameter == "M":
+            values = 1.0 - 2.0 ** np.round(np.log2(1.0 - values))
+    sc = _scenario(a, b, fc, v, margin, m, form, seed_d, seed_s)
+    pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter, values)
+    n = values.size
+    engine = BoundedLanes(np.full(n, seed_d), np.full(n, seed_s), np.zeros(n), pars)
+    with np.errstate(all="ignore"):
+        if m == 1.0:
+            x = np.full(n, seed_d)
+        else:
+            engine.period()
+            x = engine.S.copy()
+        for _ in range(120):
+            x = map_1d(x, pars)[0]
+            engine.period()
+            alive = engine.alive()
+            assert np.array_equal(x[alive], (engine.D if m == 1.0 else engine.S)[alive])
 
 
 @pytest.mark.parametrize("window_before_death", [10, 1, 0, -5])
@@ -696,21 +732,19 @@ def inline_pool(monkeypatch):
     record = SimpleNamespace(workers=[], tasks=[])
 
     class InlinePool:
-        def __init__(self, max_workers):
-            record.workers.append(max_workers)
+        def __init__(self, processes):
+            record.workers.append(processes)
 
-        def submit(self, fn, chunk):
-            blob = pickle.dumps(fn(chunk))
-            record.tasks.append((chunk, blob))
-            done = Future()
-            done.set_result(pickle.loads(blob))
-            return done
+        def apply_async(self, fn, args):
+            blob = pickle.dumps(fn(*args))
+            record.tasks.append((*args, blob))
+            return SimpleNamespace(ready=lambda: True, get=partial(pickle.loads, blob))
 
-        def shutdown(self, cancel_futures):
+        def terminate(self):
             pass
 
     # _run_chunks imports the pool class from its package when it needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     return record
 
 
@@ -721,6 +755,18 @@ def test_pool_keeps_at_most_two_chunks_per_worker_in_flight(inline_pool):
         assert len(inline_pool.tasks) <= len(got) - 1 + 2 * 3
     assert got == [-c for c in range(20)]
     assert inline_pool.workers == [3]
+
+
+def _die_at_two(chunk):
+    if chunk == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return chunk
+
+
+def test_a_killed_worker_fails_the_scan_instead_of_hanging_it():
+    # as when the OOM killer ends a worker: its chunk's result never comes
+    with pytest.raises(RuntimeError, match="worker process died"):
+        list(scans._run_chunks(_die_at_two, range(6), 2))
 
 
 def test_workers_hand_back_columns_and_the_parent_builds_the_rows(inline_pool, monkeypatch):

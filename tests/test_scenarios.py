@@ -1,6 +1,7 @@
 """Tests for the scenario registry and the config document format."""
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,15 @@ def test_round_trip_identity_on_registry():
         assert build_scenario(entries) == sc
         assert list(entries) == [key for key in KEYS if key in entries]
         assert all(isinstance(value, KEYS[key]) for key, value in entries.items())
+
+
+def test_registry_documents_keep_their_bytes():
+    # every builtin's config document, in registry order, as recorded when
+    # the registry was built by hand: the entries and build_scenario's
+    # defaults make the same 20 scenarios
+    text = "".join(map(serialize_scenario, builtin_scenarios()))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "b00da4b7edeb39d28224cb3bb752193dc5fc2d9d74b09ee928645277aaacdba3")
 
 
 def test_load_defaults():
