@@ -79,6 +79,7 @@ from .analysis import (
 )
 from .model import DomainError, MapForm, demand
 from .scenarios import (
+    _NAIVE,
     KEYS,
     SCAN_PARAMETERS,
     ConfigError,
@@ -257,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The base of a command given no --scenario: the naive market, a bounded 100-step orbit.
-_DEFAULT = {"name": "custom", "a": 10.0, "b": 0.09, "v": 4.0, "fc": 10.0, "margin": 0.5,
-            "steps": 100}
+_DEFAULT = {**_NAIVE, "name": "custom", "steps": 100}
 
 
 def _resolve(args, analysis: str, **defaults) -> Scenario:

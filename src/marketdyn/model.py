@@ -6,7 +6,9 @@ the design).  A change here keeps these invariants:
   of collapse; ``BoundedLanes`` does its operations in its order on lanes
   and reads collapse from running minima, so both give the same bits.
 - ``map_1d`` and ``slope_1d`` are the one definition of the 1-D map and
-  its slope; ``map_1d_handles`` is their float face.  On lanes they update
+  its slope; ``map_1d_handles`` is their float face.  ``map_1d`` computes
+  u with ``bounded_run``'s operations, so after any bounded period a lane's
+  demand is u of its supply, bit for bit.  On lanes they update
   their own intermediates, never ``x``, the ``MapParams`` arrays or a
   ``u`` they returned.
 - numpy is imported at first use: ``bounded_run`` at m in {1, 2} never
@@ -147,7 +149,8 @@ def _power_errstate(m: float):
 class MapParams:
     """The map's parameters as floats, except that the one named by ``scan``
     ("b", "M" or "a") takes its per-lane ``values``.  ``one_minus_m`` is
-    1 - M for the gross margin M, and ``coef`` = b / (1 - M)."""
+    1 - M for the gross margin M, and ``coef`` = b / (1 - M), the scale of
+    ``slope_1d``."""
 
     def __init__(self, market, cost, behavior, form: MapForm, scan=None, values=None):
         self._given = (market, cost, behavior, form, scan)
@@ -323,8 +326,7 @@ class BoundedLanes:
             self._low_p, self._high_p = np.full(n, np.inf), np.full(n, -np.inf)
 
     def period(self):
-        """Advance every lane one period.  Returns the (D, S) it started
-        from, which stay as they are until the next call."""
+        """Advance every lane one period."""
         import numpy as np
         p, D, S, P, atc = self.pars, self.D, self.S, self.P, self._atc
         if p.m == 1.0:
@@ -353,7 +355,6 @@ class BoundedLanes:
         np.minimum(self._low_s, S_new, out=self._low_s)
         np.minimum(self._low_d, D_new, out=self._low_d)
         self.D, self.S = D_new, S_new
-        return D, S
 
     def alive(self):
         """The lanes ``bounded_run`` has not collapsed, a new bool array."""
@@ -399,9 +400,10 @@ def map_1d(x, p: MapParams):
     u is the demand that supplying x provokes.  For the naive supplier
     (m = 1) the map is the demand recurrence f = u; otherwise it is the
     supply recurrence f = (u/x)^(1/m) * x.  CANONICAL takes
-    u = a - b*price(x), PAPER_LITERAL u = (a - b*atc(x)) / (1-M).  At
-    m = 1 both are the one object u.  On lanes the intermediates are
-    updated in place; x and the parameters are only read.
+    u = a - b*price(x), PAPER_LITERAL u = (a - b*atc(x)) / (1-M), each
+    with ``bounded_run``'s operations in its order, so from a live lane's
+    supply the map repeats its bounded orbit bit for bit.  On lanes the
+    intermediates are updated in place; x and the parameters are only read.
     """
     atc_x = p.fc / x
     atc_x += p.v
@@ -411,9 +413,6 @@ def map_1d(x, p: MapParams):
         atc_x *= p.b
         u = p.a - atc_x
         u /= p.one_minus_m
-    elif p.m == 1.0:
-        atc_x *= p.coef
-        u = p.a - atc_x
     else:
         atc_x /= p.one_minus_m
         atc_x *= p.b

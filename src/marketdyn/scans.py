@@ -1,43 +1,17 @@
-"""Grid-parallel parameter sweeps: bifurcation diagrams and Lyapunov spectra.
+"""Grid-parallel parameter sweeps: bifurcation diagrams and Lyapunov
+spectra (README.md tells the design).  A change here keeps these invariants:
 
-The sweeps only drive lanes: one numpy lane per grid point, with every
-piece of map arithmetic taken from ``model`` (the bounded period, the
-1-D maps and their slopes, on a ``MapParams`` with per-lane values) and
-the period test and the λ term from ``analysis``, the same definitions
-the scalar API uses.  So a one-point sweep reproduces a scalar orbit,
-and its λ, bit for bit.  Grid points still unclassified after the
-configured run get a short Lyapunov probe on the array stepper; those
-that do not stretch are refined one lane at a time with the scalar loop
-``model.bounded_run``, which is far cheaper per step than numpy on a few
-lanes.  Rows are pure functions of their own grid value, which makes
-chunked multithreading safe and the output independent of the chunking.
-
-A sweep runs the scenario's map form; the other form is a sweep of
-``dataclasses.replace(scenario, form=...)`` or of the ``-paper-literal``
-twin.  Rows are labelled by the period test under one policy,
-``analysis.PERIOD_TOLERANCE`` and ``analysis.MAX_PERIOD``.
-
-The array loops allocate their lane buffers once per call: the bounded
-runs step a ``model.BoundedLanes``, and the Lyapunov sums add
-``analysis.add_log_stretch``'s terms, in the slope's buffer, in order,
-as ``lyapunov_exponent`` does on floats.  No loop masks a lane that
-leaves the map's domain: it runs on, unobserved, and running minima
-decide afterwards which lanes stayed in.  A bifurcation chunk replays
-each collapsed lane through ``bounded_run`` for its row, and the probe
-gives it λ = +inf; the Lyapunov sweep decides ``defined`` from the
-orbit's minimum, the last value and the sum.  A lane that ends alive or
-defined passed every check, so it got exactly the values it would have
-got alone.
-
-Both sweeps stream their workers' columns, chunk by chunk in grid order
-(``_plan``, ``_run_chunks``): (values, samples, periods) for a
-bifurcation scan and (values, λ, defined) for a Lyapunov scan.  A chunk
-computes its own grid points, so memory is set by a chunk, not by the
-grid; a reader that drops a chunk before asking for the next holds one
-(README.md gives the sizes).
-
-The one module that imports numpy at load, and so imported only to run a
-sweep.  It re-exports ``ScanConfig`` and ``SCAN_PARAMETERS`` from ``scenarios``.
+- The sweeps only drive lanes: the map's arithmetic comes from ``model``,
+  the period test and the λ term from ``analysis``, so a one-point sweep
+  reproduces a scalar orbit, and its λ, bit for bit.
+- One loop sums λ on lanes, ``_lyapunov_lanes``: the Lyapunov sweep runs
+  it from the seed, the refinement probe from each open lane's supply.
+- No loop masks a lane that leaves the domain: running minima decide
+  afterwards, and ``bounded_run`` replays a collapsed bifurcation lane.
+- A row is a pure function of its grid value, so the bytes do not depend
+  on the chunking or on ``threads``.
+- This module imports numpy at load; it re-exports ``ScanConfig`` and
+  ``SCAN_PARAMETERS`` from ``scenarios``.
 """
 
 from __future__ import annotations
@@ -117,29 +91,6 @@ def _simulate_grid(pars: MapParams, scenario, config: ScanConfig, n: int):
     return D, S, P, alive, samples
 
 
-def _probe_lambda_grid(D, S, P, idx, pars: MapParams, steps: int) -> np.ndarray:
-    """Short Lyapunov estimates continued from the selected lanes.
-
-    The lanes advance with the bounded stepper; the slope is that of the
-    supply recurrence, which for every m shares the orbit of the
-    two-component map.  Lanes that collapse or stretch without bound
-    come back as +inf so the caller will not waste refinement on them.
-    """
-    pars = pars.take(idx)
-    lanes = BoundedLanes(D[idx], S[idx], P[idx], pars)
-    acc = np.zeros(idx.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(steps):
-            D, S = lanes.period()
-            # the demand D is the u that supply S provoked
-            add_log_stretch(acc, slope_1d(S, lanes.S, D, pars))
-        alive = lanes.alive()
-    # No per-step isfinite(slope): every term is at least ln(LOG_FLOOR), so
-    # acc is non-finite iff some slope was.  A collapsed lane runs on with
-    # undefined values, but its alive flag stays down and its λ is +inf.
-    return np.where(alive & np.isfinite(acc), acc / steps, np.inf)
-
-
 def _refine_lane(d, s, p, pars: MapParams, keep: int):
     """Extend one lane's orbit until its attractor settles or the budget ends.
 
@@ -184,8 +135,11 @@ def _bifurcation_chunk(
             return values, samples, periods
         open_idx = np.flatnonzero(periods == 0)
         if open_idx.size:
-            lams = _probe_lambda_grid(D, S, P, open_idx, pars, _PROBE_STEPS)
-            for j in np.flatnonzero(lams <= _PROBE_LAMBDA_MAX):
+            # after a bounded period D = u(S): the 1-D map from S runs the
+            # lane's orbit, and an undefined λ (NaN) is never refined
+            lam, _ = _lyapunov_lanes(S[open_idx], pars.take(open_idx), 0, _PROBE_STEPS,
+                                     "analytic")
+            for j in np.flatnonzero(lam <= _PROBE_LAMBDA_MAX):
                 i = int(open_idx[j])
                 periods[i], samples[i] = _refine_lane(
                     float(D[i]), float(S[i]), float(P[i]), pars.take(i), config.keep,
@@ -291,26 +245,16 @@ def bifurcation_scan(
             for x, row, k in zip(values.tolist(), samples, periods.tolist())]
 
 
-def _lyapunov_columns(
-    values: np.ndarray,
-    scenario,
-    config: ScanConfig,
-    method: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One chunk of the grid: its values, λ and defined flags."""
-    x0 = scenario.seed_demand if scenario.supplier.m == 1.0 else scenario.seed_supply
-    x = np.full(values.size, float(x0))
-    low = np.full(values.size, np.inf)
-    acc = np.zeros(values.size)
-
+def _lyapunov_lanes(x, pars: MapParams, transient: int, keep: int, method: str):
+    """λ and defined flags of the 1-D map's orbits from the lanes ``x``:
+    ``transient`` unrecorded steps, then the mean of ``keep`` terms."""
+    low = np.full(x.size, np.inf)
+    acc = np.zeros(x.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # b / (1 - M) can overflow
-        pars = MapParams(scenario.market, scenario.cost, scenario.supplier, scenario.form,
-                         config.parameter, values)
         fd = finite_difference_derivative(lambda y: map_1d(y, pars)[0])
-        for it in range(config.transient + config.keep):
+        for it in range(transient + keep):
             x_new, u = map_1d(x, pars)
-            if it >= config.transient:
+            if it >= transient:
                 slope = slope_1d(x, x_new, u, pars) if method == "analytic" else fd(x)
                 add_log_stretch(acc, slope)
             np.minimum(low, x_new, out=low)
@@ -322,7 +266,23 @@ def _lyapunov_columns(
     # every term is at least ln(LOG_FLOOR), so only an inf or NaN slope
     # makes the sum non-finite.
     defined = (low > 0.0) & np.isfinite(x) & np.isfinite(acc)
-    lam = np.where(defined, acc / config.keep, np.nan)
+    return np.where(defined, acc / keep, np.nan), defined
+
+
+def _lyapunov_columns(
+    values: np.ndarray,
+    scenario,
+    config: ScanConfig,
+    method: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk of the grid: its values, λ and defined flags."""
+    x0 = scenario.seed_demand if scenario.supplier.m == 1.0 else scenario.seed_supply
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # b / (1 - M) can overflow
+        pars = MapParams(scenario.market, scenario.cost, scenario.supplier, scenario.form,
+                         config.parameter, values)
+    lam, defined = _lyapunov_lanes(np.full(values.size, float(x0)), pars,
+                                   config.transient, config.keep, method)
     return values, lam, defined
 
 

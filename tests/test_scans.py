@@ -33,7 +33,6 @@ from marketdyn.model import (
     MapForm,
     MapParams,
     MarketParams,
-    SUPPLY_FLOOR,
     SupplierBehavior,
     bounded_run,
     bounded_step,
@@ -48,7 +47,6 @@ from marketdyn.scans import (
     ScanConfig,
     _bifurcation_chunk,
     _lyapunov_chunk,
-    _probe_lambda_grid,
     _refine_lane,
     _plan,
     bifurcation_chunks,
@@ -180,12 +178,6 @@ def test_1d_orbit_is_the_bounded_orbit_bitwise(
     # from d0 gives the demands D_t at m = 1, and from S_1 the supplies
     # S_{t+1} at m != 1, while the lane lives
     values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
-    if form is MapForm.CANONICAL and m == 1.0:
-        # there map_1d scales atc by b / (1 - M), the bounded period by
-        # 1 / (1 - M) then b: the same bits only where 1 - M is a power of two
-        margin = 1.0 - 2.0 ** round(math.log2(1.0 - margin))
-        if parameter == "M":
-            values = 1.0 - 2.0 ** np.round(np.log2(1.0 - values))
     sc = _scenario(a, b, fc, v, margin, m, form, seed_d, seed_s)
     pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter, values)
     n = values.size
@@ -231,8 +223,6 @@ def _oracle_map_1d(x, p):
     atc_x = p.fc / x + p.v - p.v * x + x * x
     if p.form is MapForm.PAPER_LITERAL:
         u = (p.a - p.b * atc_x) / p.one_minus_m
-    elif p.m == 1.0:
-        u = p.a - p.coef * atc_x
     else:
         u = p.a - p.b * (atc_x / p.one_minus_m)
     if p.m == 1.0:
@@ -245,19 +235,6 @@ def _oracle_slope_1d(x, f, u, p):
     if p.m == 1.0:
         return du
     return f * (du / (p.m * u) + (p.m - 1.0) / (p.m * x))
-
-
-def _oracle_bounded_period(D, S, P, alive, pars):
-    S_new = D if pars.m == 1.0 else _oracle_root(D / S, S, pars.m)
-    atc_new = pars.fc / S_new + pars.v - pars.v * S_new + S_new * S_new
-    P_new = atc_new / pars.one_minus_m
-    live = alive & ~((D < 0.0) | (S_new < SUPPLY_FLOOR) | ~np.isfinite(P_new))
-    if pars.form is MapForm.CANONICAL:
-        D_new = pars.a - pars.b * P_new
-    else:
-        D_new = (pars.a - pars.b * atc_new) / pars.one_minus_m
-    ok = live & ~((P_new * pars.b > pars.a) | (D_new <= 0.0))
-    return np.where(ok, D_new, 0.0), np.where(ok, S_new, 0.0), np.where(live, P_new, P), ok
 
 
 def _oracle_lyapunov(values, sc, config, form, method):
@@ -278,22 +255,6 @@ def _oracle_lyapunov(values, sc, config, form, method):
         defined = ok & np.isfinite(x_new) & (x_new > 0.0)
         x = np.where(defined, x_new, x)
     return np.where(defined, acc / config.keep, np.nan), defined
-
-
-# The probe's per-step rule: a lane is dropped, and frozen, in the step
-# its slope goes non-finite.
-def _oracle_probe(D, S, P, idx, pars, steps):
-    pars = pars.take(idx)
-    D, S, P = D[idx], S[idx], P[idx]
-    alive = np.ones(idx.size, dtype=bool)
-    acc = np.zeros(idx.size)
-    for _ in range(steps):
-        D_next, S_next, P, alive = _oracle_bounded_period(D, S, P, alive, pars)
-        slope = _oracle_slope_1d(S, S_next, D, pars)
-        alive &= np.isfinite(slope)
-        acc = np.where(alive, acc + np.log(np.maximum(np.abs(slope), LOG_FLOOR)), acc)
-        D, S = D_next, S_next
-    return np.where(alive, acc / steps, np.inf)
 
 
 @pytest.mark.parametrize("method", ["analytic", "finite-difference"])
@@ -319,7 +280,7 @@ def test_in_place_lyapunov_loops_match_the_allocating_oracle(
     method, m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
 ):
     # lanes that leave the domain run on unobserved instead of freezing;
-    # every lambda, defined flag and probe value keeps its bits
+    # every lambda and defined flag keeps its bits
     sc = _scenario(a, b, fc, v, margin, m, form, seed_d, seed_s)
     values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
     cfg = ScanConfig(parameter, 0.0, _SCAN_TOP[parameter], values.size, 40, 60, 100)
@@ -328,46 +289,74 @@ def test_in_place_lyapunov_loops_match_the_allocating_oracle(
     rows = _lyapunov_chunk(values, sc, cfg, method)
     assert [repr(r.lam) for r in rows] == [repr(x) for x in lam.tolist()]
     assert [r.defined for r in rows] == defined.tolist()
-    if method == "analytic":  # the probe has one slope
-        pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter, values)
-        n = values.size
-        D, S, P = np.full(n, seed_d), np.full(n, seed_s), np.zeros(n)
-        idx = np.arange(n)[::-1].copy()
-        with np.errstate(all="ignore"):
-            want = _oracle_probe(D, S, P, idx, pars, 100)
-        got = _probe_lambda_grid(D, S, P, idx, pars, 100)
-        assert [repr(x) for x in got.tolist()] == [repr(x) for x in want.tolist()]
-
-
-# Lane starts (D, S, P, fraction of the scanned range) for the probe
-# property: D = 0 dies at once, and S = 1e-200 overflows the slope's
-# fc / S**2 in the first step while the lane lives on at m = 1.
-_PROBE_LANES = st.lists(st.tuples(
-    st.floats(0.0, 50.0), st.one_of(st.floats(0.0, 20.0), st.just(1e-200)),
-    st.floats(0.0, 100.0), st.floats(0.0, 1.0)), min_size=1, max_size=5)
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0])
 @pytest.mark.parametrize("form", list(MapForm))
 @settings(max_examples=25, deadline=None)
-@given(**{k: _BOX[k] for k in ("a", "b", "fc", "v", "margin", "parameter")},
-       lanes=_PROBE_LANES)
-# the collapse scenario: a clamp collapse at step 68 for m = 1, and a lane
-# that dies at once and one whose slope overflows in step 1
-@example(a=10.0, b=0.095, fc=20.0, v=2.0, margin=0.5, parameter="b",
-         lanes=[(1.0, 1.0, 0.0, 0.095 / 0.3), (0.0, 1.0, 0.0, 0.3), (5.0, 1e-200, 0.0, 0.3)])
-def test_probe_lambda_equals_the_per_step_rule(m, form, a, b, fc, v, margin, parameter, lanes):
-    # the probe keeps no per-step alive flag for non-finite slopes and
-    # decides from the final sum; every λ keeps the per-step rule's bits
-    sc = _scenario(a, b, fc, v, margin, m, form)
-    D, S, P, fractions = (np.array(col) for col in zip(*lanes))
-    pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter,
-                     fractions * _SCAN_TOP[parameter])
-    idx = np.arange(len(lanes))
-    with np.errstate(all="ignore"):
-        want = _oracle_probe(D, S, P, idx, pars, 100)
-    got = _probe_lambda_grid(D, S, P, idx, pars, 100)
-    assert [repr(x) for x in got.tolist()] == [repr(x) for x in want.tolist()]
+@given(**_BOX)
+@_COLLAPSE
+# the naive market at M = 0.3: at m = 1 canonical, open lanes on both sides
+# of the threshold (b = 0.071 is refined, b = 0.123 is not)
+@example(a=10.0, b=0.09, fc=10.0, v=4.0, margin=0.3, seed_d=1.0, seed_s=1.0, parameter="b",
+         fractions=[0.071 / 0.3, 0.123 / 0.3, 0.039 / 0.3])
+# the co market at M = 0.37: at m = 2 canonical, on both sides too
+@example(a=30.0, b=0.125, fc=30.0, v=6.0, margin=0.37, seed_d=1.0, seed_s=1.0, parameter="b",
+         fractions=[0.093 / 0.3, 0.1565 / 0.3, 0.1995 / 0.3, 0.0405 / 0.3])
+# the collapse market: at m = 1 canonical, an open lane whose orbit escapes
+# in the probe window, so its λ is NaN and it is not refined
+@example(a=10.0, b=0.095, fc=20.0, v=2.0, margin=0.5, seed_d=1.0, seed_s=1.0, parameter="b",
+         fractions=[0.31475740453689355])
+def test_refinement_follows_the_scalar_estimator(
+    m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
+):
+    # the probe is the Lyapunov sweep's kernel from each open lane's supply:
+    # its λ has the bits of the scalar estimator over the probe's steps from
+    # that supply (NaN where the orbit escapes), and a chunk refines exactly
+    # the open lanes whose λ is at most _PROBE_LAMBDA_MAX
+    sc = _scenario(a, b, fc, v, margin, m, form, seed_d, seed_s)
+    values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
+    cfg = ScanConfig(parameter, 0.0, _SCAN_TOP[parameter], values.size, 40, 60, 100)
+    steps = 50
+    probed, refined = [], []
+    kernel, refine = scans._lyapunov_lanes, scans._refine_lane
+
+    def probe(*args):
+        lam, defined = kernel(*args)
+        probed.extend(lam.tolist())
+        return lam, defined
+
+    def record(*args):
+        refined.append(sys._getframe(1).f_locals["i"])
+        return refine(*args)
+
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(scans, "_PROBE_STEPS", steps)
+        patch.setattr(scans, "_lyapunov_lanes", probe)
+        patch.setattr(scans, "_refine_lane", record)
+        _bifurcation_chunk(values, sc, cfg, True)
+        pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter, values)
+        S = scans._simulate_grid(pars, sc, cfg, values.size)[1]
+    periods = _bifurcation_chunk(values, sc, cfg, False)[2]
+    open_lanes = np.flatnonzero(periods == 0).tolist()
+    assert len(probed) == len(open_lanes)
+    want = []
+    for i, got in zip(open_lanes, probed):
+        value = values.tolist()[i]
+        lane = _scenario(
+            value if parameter == "a" else a, value if parameter == "b" else b, fc, v,
+            value if parameter == "M" else margin, m, form,
+        )
+        f, df = map_1d_handles(lane.market, lane.cost, lane.supplier, form)
+        try:
+            lam = lyapunov_exponent(f, df, float(S[i]), 0, steps)
+        except OrbitEscapeError:
+            assert math.isnan(got)
+            continue
+        assert got.hex() == lam.hex()
+        if lam <= scans._PROBE_LAMBDA_MAX:
+            want.append(i)
+    assert refined == want
 
 
 def _count_replays(monkeypatch):
@@ -460,8 +449,8 @@ def test_bounded_lanes_never_write_their_inputs():
         first, second = BoundedLanes(*given, pars), BoundedLanes(*given, pars)
         with np.errstate(all="ignore"):
             for _ in range(80):
-                D, S = first.period()
-                assert not any(np.shares_memory(x, y) for x in (D, S, first.D, first.S, first.P)
+                first.period()
+                assert not any(np.shares_memory(x, y) for x in (first.D, first.S, first.P)
                                for y in given)
                 second.period()
         for x, y in zip(before, given):
