@@ -343,15 +343,12 @@ LOG_FLOOR = 1e-300
 def add_log_stretch(acc, slope):
     """acc + ln(max(|slope|, LOG_FLOOR)), the one λ term, on floats or lanes.
 
-    On lanes the term is computed in ``slope``'s buffer, so pass a
-    temporary, and added to ``acc`` in place.  The log is numpy's on
+    On lanes the term is added to ``acc`` in place.  The log is numpy's on
     floats too: ``math.log`` can round the last bit differently, and
     this term summed in order is what makes a one-lane sweep's λ equal
     ``lyapunov_exponent``'s.  Callers own the floating-point error state."""
     import numpy as np
-    out = slope if isinstance(slope, np.ndarray) else None
-    term = np.log(np.maximum(np.abs(slope, out=out), LOG_FLOOR, out=out), out=out)
-    acc += term
+    acc += np.log(np.maximum(np.abs(slope), LOG_FLOOR))
     return acc
 
 

@@ -1,59 +1,21 @@
 """Command-line interface: scenario resolution, analysis dispatch and
-tabular output.
+tabular output (README.md's CLI and Output sections tell the design).  A
+change here keeps these invariants:
 
-A command runs the scenario that ``_resolve`` builds from three layers of
-config entries, each over the one before: the command's defaults
-(``collapse`` 3000 steps, the scans 1000 points); the base scenario
-(``--scenario``, a builtin name or a config file, else a bounded 100-step
-orbit of the naive market) with its analysis set to the command's; and
-the flags given.  ``build_parser`` generates every key flag from
-``scenarios.KEYS``, for the keys ``_FLAG_KEYS`` names for the command: the
-flag is the key with a dash for the underscore (``--seed-d`` is
-``seed_d``), its value is parsed by the key's type, and the bool key is
-the pair ``--bounded``/``--unbounded``.  So ``KEYS`` defines both files and
-flags.  A flag is spelled in full, never abbreviated.  ``--transient``
-or ``--keep`` without ``--iters`` makes ``iters`` follow ``transient + keep``.
-
-Tables go to stdout (or --out) as CSV with a header line, or as JSON
-lines, one object per row.  Cells: floats as '%.17g' (17 significant
-digits, so a run is reproducible bit for bit from its output), non-finite
-ones as nan, inf and -inf in CSV and null in JSON; ints as '%d'; bools as
-true and false; text as is in CSV unless it holds a comma, a double quote
-or a newline, which puts it in double quotes with inner quotes doubled,
-and as a JSON string in JSON.  Each column has one kind, and a table is
-written block by block, one write per block: a block holds one list,
-tuple, range or ndarray per column (the column row by row) or one value
-repeated down the block (a block of repeats alone is one row).
-
-The tables of ``simulate``, ``bifurcate`` and ``lyapunov`` stream, so
-memory is set by a slice or a chunk, not by --steps or --points.  The
-orbit is run and written slice by slice (``analysis.orbit_slices``,
-``_SLICE`` rows).  The scans' chunk columns (``scans.bifurcation_chunks``,
-``scans.lyapunov_chunks``) are written as they come, ``bifurcate`` as one
-block per grid point, each with its own copy of its samples, and
-``lyapunov`` in slices of ``_SLICE`` rows; no row object is built.  The
-other commands write one block.  ``collapse`` runs the same orbit stream
-and keeps only its last slice, which names the collapse.  An unbounded
-``simulate`` first runs its orbit to the end without writing, so that a
-domain failure exits 3 before any row is written and before --out is
-opened.
-
-A block is assembled column by column.  A listed column becomes its cell
-texts: a float64 ndarray from its distinct bit patterns, each formatted
-once; any other ndarray as its list; a float or int list by one
-%-operation for the whole column; bools and text through their distinct
-texts.  A repeated value is rendered once into the literal text between
-cells, with the separators and the JSON keys.  The block is then one
-``str.join`` over cells and literals interleaved row by row.
-
-numpy is loaded where arrays are made: ``bifurcate`` and ``lyapunov``
-import ``scans`` when they start; ``simulate``, ``collapse``, ``ped`` and
-``scenarios`` run without it (``simulate`` loads it for m not in {1, 2}).
-
-Diagnostics go to stderr only.  Exit codes: 0 success; 1 stdout closed
-by its reader (a broken pipe, which ends the run quietly); 2
-configuration or validation error, or an --out path that cannot be
-written; 3 numerical failure in unbounded mode.
+- A cell's text depends only on its column's kind and its value: floats
+  as '%.17g' (nan, inf and -inf in CSV, null in JSON lines), ints as
+  '%d', bools as true and false, and text quoted only where CSV needs it.
+  So the bytes are reproducible and do not depend on --threads.
+- ``simulate``, ``bifurcate`` and ``lyapunov`` stream: each slice or chunk
+  is written as one or more blocks as it comes, and no row object is
+  built, so memory is set by a slice or a chunk, not by --steps or
+  --points.
+- ``simulate``, ``collapse``, ``ped`` and ``scenarios`` run without numpy
+  (``simulate`` loads it for m not in {1, 2}); the scans import it.
+- Exit codes: 0 success; 1 stdout closed by its reader, quietly; 2 a
+  configuration or validation error, or an --out path that cannot be
+  written; 3 a numerical failure in unbounded mode, before any row is
+  written.  Diagnostics go to stderr only.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ the design).  A change here keeps these invariants:
 - ``map_1d`` and ``slope_1d`` are the one definition of the 1-D map and
   its slope; ``map_1d_handles`` is their float face.  ``map_1d`` computes
   u with ``bounded_run``'s operations, so after any bounded period a lane's
-  demand is u of its supply, bit for bit.  On lanes they update
-  their own intermediates, never ``x``, the ``MapParams`` arrays or a
-  ``u`` they returned.
+  demand is u of its supply, bit for bit.
+- Lane code writes only arrays it allocated itself, plus the accumulator
+  ``analysis.add_log_stretch`` is handed: no argument is overwritten, and
+  an array ``BoundedLanes`` has exposed never changes later.
 - numpy is imported at first use: ``bounded_run`` at m in {1, 2} never
   loads it, nor does building ``map_1d_handles``.
 """
@@ -127,11 +128,9 @@ def demand(p: float, market: MarketParams) -> float:
 def root_response(sig, s, m: float):
     """sig^(1/m) * s on floats or lane arrays, with numpy's sqrt or power so
     both give the same bits (``float **`` can round the last bit differently
-    and raises on overflow).  An array ``sig`` is overwritten with the
-    result, so pass a temporary.  Callers own the floating-point error state."""
+    and raises on overflow).  Callers own the floating-point error state."""
     import numpy as np
-    out = sig if isinstance(sig, np.ndarray) else None
-    r = np.sqrt(sig, out=out) if m == 2.0 else np.power(sig, 1.0 / m, out=out)
+    r = np.sqrt(sig) if m == 2.0 else np.power(sig, 1.0 / m)
     r *= s
     return r
 
@@ -306,9 +305,7 @@ class BoundedLanes:
     survival after every period, for lanes seeded with positive supply.  A
     collapsed lane runs on with undefined values, which cannot revive it: a
     minimum only falls and NaN sticks.  Replay it with ``bounded_run``.
-
-    The arrays given are copied, never written, and ``period`` allocates
-    nothing.  Callers own the floating-point error state.
+    Callers own the floating-point error state.
     """
 
     def __init__(self, D, S, P, pars: MapParams):
@@ -316,9 +313,7 @@ class BoundedLanes:
         n = len(D)
         self.pars = pars
         self.D, self.S, self.P = (np.array(x, dtype=float) for x in (D, S, P))
-        # the new D and S go to spares; at m = 1 the new supply is the old demand
-        self._spare = [np.empty(n) for _ in range(1 if pars.m == 1.0 else 2)]
-        self._atc, self._low_s = np.empty(n), np.full(n, np.inf)
+        self._low_s = np.full(n, np.inf)
         # the seed demand counts: bounded_run refuses a negative one (a zero
         # one leaves no supply)
         self._low_d = self.D.copy()
@@ -328,33 +323,29 @@ class BoundedLanes:
     def period(self):
         """Advance every lane one period."""
         import numpy as np
-        p, D, S, P, atc = self.pars, self.D, self.S, self.P, self._atc
-        if p.m == 1.0:
-            (D_new,), S_new = self._spare, D
-            self._spare = [S]
-        else:
-            D_new, S_new = self._spare
-            root_response(np.divide(D, S, out=S_new), S, p.m)
-            self._spare = [D, S]
+        p, D, S = self.pars, self.D, self.S
+        S = D if p.m == 1.0 else root_response(D / S, S, p.m)
         # fc/S + v - v*S + S*S, as in bounded_run
-        np.divide(p.fc, S_new, out=atc)
+        atc = p.fc / S
         atc += p.v
-        atc -= np.multiply(p.v, S_new, out=D_new)
-        atc += np.multiply(S_new, S_new, out=D_new)
-        np.divide(atc, p.one_minus_m, out=P)
+        atc -= p.v * S
+        atc += S * S
+        P = atc / p.one_minus_m
         if p.form is MapForm.CANONICAL:
             # D = a - b*P <= 0 is both the clamp P*b > a and the expected-
             # demand trigger; a price of +inf or NaN gives D = -inf or NaN
-            np.subtract(p.a, np.multiply(p.b, P, out=D_new), out=D_new)
+            D = p.b * P
+            np.subtract(p.a, D, out=D)
         else:
             # the clamp is max(P)*b > a, since b >= 0 keeps the order of P*b
             np.minimum(self._low_p, P, out=self._low_p)
             np.maximum(self._high_p, P, out=self._high_p)
-            np.subtract(p.a, np.multiply(p.b, atc, out=D_new), out=D_new)
-            D_new /= p.one_minus_m
-        np.minimum(self._low_s, S_new, out=self._low_s)
-        np.minimum(self._low_d, D_new, out=self._low_d)
-        self.D, self.S = D_new, S_new
+            D = p.b * atc
+            np.subtract(p.a, D, out=D)
+            D /= p.one_minus_m
+        np.minimum(self._low_s, S, out=self._low_s)
+        np.minimum(self._low_d, D, out=self._low_d)
+        self.D, self.S, self.P = D, S, P
 
     def alive(self):
         """The lanes ``bounded_run`` has not collapsed, a new bool array."""
@@ -402,8 +393,7 @@ def map_1d(x, p: MapParams):
     supply recurrence f = (u/x)^(1/m) * x.  CANONICAL takes
     u = a - b*price(x), PAPER_LITERAL u = (a - b*atc(x)) / (1-M), each
     with ``bounded_run``'s operations in its order, so from a live lane's
-    supply the map repeats its bounded orbit bit for bit.  On lanes the
-    intermediates are updated in place; x and the parameters are only read.
+    supply the map repeats its bounded orbit bit for bit.
     """
     atc_x = p.fc / x
     atc_x += p.v
@@ -427,8 +417,7 @@ def slope_1d(x, f, u, p: MapParams):
 
     u'(x) = coef * (fc/x^2 + v - 2x) in both forms; that is the slope for
     m = 1 (f and u are then unused).  Otherwise the log-derivative of
-    f = (u/x)^(1/m) * x gives f * (u'/(m u) + (m-1)/(m x)).  The result
-    is a new object; x, f and u are only read.
+    f = (u/x)^(1/m) * x gives f * (u'/(m u) + (m-1)/(m x)).
     """
     du = p.fc / (x * x)
     du += p.v

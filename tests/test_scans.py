@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from marketdyn.analysis import (
     LOG_FLOOR,
     OrbitEscapeError,
+    add_log_stretch,
     class_name,
     detect_collapse,
     detect_period,
@@ -38,6 +39,7 @@ from marketdyn.model import (
     bounded_step,
     map_1d,
     map_1d_handles,
+    root_response,
     slope_1d,
     step_naive_demand_1d,
 )
@@ -439,27 +441,97 @@ def test_chunks_equal_the_concatenation_of_their_halves():
 
 def test_bounded_lanes_never_write_their_inputs():
     # the stepper copies the arrays it is given and steps in its own
-    # buffers; a second stepper from the same arrays gives the same bits
+    # arrays; a second stepper from the same arrays gives the same bits
     sc = get_scenario("collapse")
     values = np.linspace(0.05, 0.2, 7)
-    for m in (2.0, 1.0):
-        pars = MapParams(sc.market, sc.cost, SupplierBehavior(m), sc.form, "b", values)
-        given = (np.full(7, 1.0), np.full(7, 1.0), np.zeros(7))
-        before = [x.copy() for x in given]
-        first, second = BoundedLanes(*given, pars), BoundedLanes(*given, pars)
-        with np.errstate(all="ignore"):
-            for _ in range(80):
-                first.period()
-                assert not any(np.shares_memory(x, y) for x in (first.D, first.S, first.P)
-                               for y in given)
-                second.period()
-        for x, y in zip(before, given):
-            assert x.tobytes() == y.tobytes()
-        for x, y in zip((first.D, first.S, first.P), (second.D, second.S, second.P)):
-            assert x.tobytes() == y.tobytes()
-        assert first.alive().tolist() == second.alive().tolist()
-    # at the collapse scenario's own m = 1, lanes on both sides
-    assert {True, False} == set(first.alive().tolist())
+    alive = {}
+    for m in (1.0, 2.0, 3.0):
+        for form in MapForm:
+            pars = MapParams(sc.market, sc.cost, SupplierBehavior(m), form, "b", values)
+            given = (np.full(7, 1.0), np.full(7, 1.0), np.zeros(7))
+            before = [x.copy() for x in given]
+            first, second = BoundedLanes(*given, pars), BoundedLanes(*given, pars)
+            with np.errstate(all="ignore"):
+                for _ in range(80):
+                    first.period()
+                    assert not any(np.shares_memory(x, y) for x in (first.D, first.S, first.P)
+                                   for y in given)
+                    second.period()
+            for x, y in zip(before, given):
+                assert x.tobytes() == y.tobytes()
+            for x, y in zip((first.D, first.S, first.P), (second.D, second.S, second.P)):
+                assert x.tobytes() == y.tobytes()
+            assert first.alive().tolist() == second.alive().tolist()
+            alive[m, form] = set(first.alive().tolist())
+    # at the collapse scenario's own m = 1, lanes on both sides; and in the
+    # paper-literal form at m = 3, so the price range's minima decide
+    assert {True, False} == alive[1.0, MapForm.CANONICAL]
+    assert {True, False} == alive[3.0, MapForm.PAPER_LITERAL]
+
+
+def _bytes(*arrays):
+    return [x.tobytes() for x in arrays]
+
+
+@pytest.mark.parametrize("m", [0.5, 2.0, 3.0])
+def test_root_response_never_writes_its_arguments(m):
+    rng = np.random.default_rng(5)
+    sig, s = rng.uniform(0.0, 4.0, 64), rng.uniform(0.01, 4.0, 64)
+    before = _bytes(sig, s)
+    got = root_response(sig, s, m)
+    assert _bytes(sig, s) == before
+    assert got.tobytes() == _oracle_root(sig, s, m).tobytes()
+
+
+def test_add_log_stretch_writes_only_its_accumulator():
+    slope = np.array([-2.5, 0.0, 1e-320, 3.0, -np.inf, np.nan, 0.125])
+    acc = np.linspace(-1.0, 1.0, slope.size)
+    want = acc + np.log(np.maximum(np.abs(slope), LOG_FLOOR))
+    before = slope.tobytes()
+    got = add_log_stretch(acc, slope)
+    assert got is acc and acc.tobytes() == want.tobytes()
+    assert slope.tobytes() == before
+
+
+@pytest.mark.parametrize("parameter", ["a", "b", "M"])
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("form", list(MapForm))
+def test_1d_lane_map_never_writes_its_arguments(form, m, parameter):
+    sc = get_scenario("naive-bif-b")
+    values = {"a": np.linspace(8.0, 12.0, 9), "b": np.linspace(0.04, 0.1, 9),
+              "M": np.linspace(0.2, 0.6, 9)}[parameter]
+    pars = MapParams(sc.market, sc.cost, SupplierBehavior(m), form, parameter, values)
+    x = np.linspace(0.05, 3.0, 9)
+    held = [x, values] + [y for y in (pars.a, pars.b, pars.one_minus_m, pars.coef)
+                          if isinstance(y, np.ndarray)]
+    before = _bytes(*held)
+    with np.errstate(all="ignore"):
+        f, u = map_1d(x, pars)
+        returned = _bytes(f, u)
+        slope_1d(x, f, u, pars)
+        finite_difference_derivative(lambda y: map_1d(y, pars)[0])(x)
+    assert _bytes(*held) == before
+    assert _bytes(f, u) == returned
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("form", list(MapForm))
+def test_bounded_lanes_exposed_arrays_never_change(form, m):
+    # every (D, S, P) the stepper has exposed, from its construction on,
+    # still holds its bytes once it has run four periods
+    sc = get_scenario("naive-bif-b")
+    pars = MapParams(sc.market, sc.cost, SupplierBehavior(m), form, "b",
+                     np.linspace(0.04, 0.1, 9))
+    lanes = BoundedLanes(np.full(9, 1.0), np.full(9, 1.0), np.zeros(9), pars)
+    kept = []
+    with np.errstate(all="ignore"):
+        for _ in range(4):
+            kept.append(((lanes.D, lanes.S, lanes.P), _bytes(lanes.D, lanes.S, lanes.P)))
+            lanes.period()
+    # the lanes moved every period, so an overwrite would show
+    assert len({held[0] for _, held in kept}) == len(kept)
+    for arrays, held in kept:
+        assert _bytes(*arrays) == held
 
 
 def _same_bits(lane_value, scalar_call):
