@@ -233,14 +233,25 @@ def find_fixed_point(
     return x_star
 
 
-# Rows per block of the period test.  Its temporaries are then about
-# 0.5 MiB each at 500 samples a row, whatever the number of rows.
-_BLOCK = 128
+# The period test's byte budget: a block holds the rows whose samples fit
+# in it, so the test's temporaries take a few budgets at most and do not
+# grow with the number of rows or with the kept window (``keep``); a
+# bifurcation chunk's memory is then its samples matrix.
+_BLOCK_BYTES = 128 * 1024
 # Column pairs per row in the period test's screen of every k at once.
 _HEAD = 8
 
 
-def detect_periods(samples: np.ndarray, tolerance: float, max_period: int) -> np.ndarray:
+def _block_rows(width: int) -> int:
+    """Rows per block of the period test at ``width`` samples a row."""
+    return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+
+
+def detect_periods(
+    samples: np.ndarray,
+    tolerance: float = PERIOD_TOLERANCE,
+    max_period: int = MAX_PERIOD,
+) -> np.ndarray:
     """Smallest period k <= max_period (and <= half the row) of each row of
     a 2-D array of tails, 0 where none: k holds when |x[i] - x[i+k]| <
     tolerance * max(1, |x[i]|) for every i, a tolerance relative on large values.
@@ -251,13 +262,15 @@ def detect_periods(samples: np.ndarray, tolerance: float, max_period: int) -> np
     ``_HEAD`` pairs (x[i], x[i+k]) of each row; the full test then runs,
     k by k, only on the rows whose screen passed for k and which no
     smaller k labelled.  The screen's pairs are among the full test's,
-    so it never changes a label.  Rows are tested ``_BLOCK`` at a time,
-    so the temporaries are a block's size whatever the number of rows."""
+    so it never changes a label.  Rows are tested ``_block_rows(width)``
+    at a time, so the temporaries take a few ``_BLOCK_BYTES`` at most, or a
+    few rows where one row is larger."""
     import numpy as np
     X = np.asarray(samples, dtype=float)
     periods = np.zeros(X.shape[0], dtype=np.int64)
-    for lo in range(0, X.shape[0], _BLOCK):
-        periods[lo:lo + _BLOCK] = _block_periods(X[lo:lo + _BLOCK], tolerance, max_period)
+    step = _block_rows(X.shape[1])
+    for lo in range(0, X.shape[0], step):
+        periods[lo:lo + step] = _block_periods(X[lo:lo + step], tolerance, max_period)
     return periods
 
 

@@ -235,7 +235,11 @@ def _resolve(args, analysis: str, **defaults) -> Scenario:
         if os.sep in name or path.suffix or path.is_file():
             if not path.is_file():
                 raise ConfigError(f"scenario config file not found: {name}")
-            base = load_scenario(path.read_text())
+            try:
+                text = path.read_text(encoding="utf-8-sig")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read scenario config file {name}: {exc}") from None
+            base = load_scenario(text)
         else:
             base = get_scenario(name)
         entries.update(scenario_entries(base))

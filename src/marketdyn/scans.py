@@ -25,8 +25,8 @@ from functools import partial
 import numpy as np
 
 from .model import BoundedLanes, MapParams, bounded_run, map_1d, slope_1d
-from .analysis import (MAX_PERIOD, PERIOD_TOLERANCE, add_log_stretch, class_name,
-                       detect_periods, finite_difference_derivative)
+from .analysis import (add_log_stretch, class_name, detect_periods,
+                       finite_difference_derivative)
 from .scenarios import SCAN_PARAMETERS, ScanConfig  # noqa: F401 (re-exported)
 
 # Attractor refinement: rows still unclassified after the configured
@@ -110,7 +110,7 @@ def _refine_lane(d, s, p, pars: MapParams, keep: int):
         samples = out[0] + [0.0] * (keep - len(out[0]))
         if trigger is not None:
             return -1, samples
-        k = int(detect_periods([samples], PERIOD_TOLERANCE, MAX_PERIOD)[0])
+        k = int(detect_periods([samples])[0])
         if k:
             return k, samples
         extra *= 2
@@ -129,7 +129,7 @@ def _bifurcation_chunk(
         pars = MapParams(scenario.market, scenario.cost, scenario.supplier, scenario.form,
                          config.parameter, values)
         D, S, P, alive, samples = _simulate_grid(pars, scenario, config, values.size)
-        periods = detect_periods(samples, PERIOD_TOLERANCE, MAX_PERIOD)
+        periods = detect_periods(samples)
         periods[~alive] = -1
         if not refine:
             return values, samples, periods

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from marketdyn.analysis import (
-    _BLOCK,
     _HEAD,
+    _block_rows,
     MAX_PERIOD,
     FixedPointNotFound,
     OrbitDomainError,
@@ -235,17 +235,30 @@ def test_detect_period_relative_tolerance():
     assert detect_period(jittered, tolerance=1e-6) == 2
 
 
-@settings(max_examples=25, deadline=None)
-@given(rows=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5]),
+# (blocks, extra rows): row counts of one row, and just below, at and just
+# above one and two blocks of the period test at a row's width
+_NEAR_BLOCKS = st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1)])
+
+
+def test_period_test_blocks_hold_a_fixed_byte_budget():
+    assert [_block_rows(w) for w in (0, 1, 40, 500, 5000, 16384, 16385, 10**6)] == [
+        16384, 16384, 409, 32, 3, 1, 1, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=st.sampled_from([40, 500, 16384, 20000]), near=_NEAR_BLOCKS,
        seed=st.integers(0, 2**32 - 1))
-def test_blocked_period_test_equals_the_per_row_test(rows, seed):
+def test_blocked_period_test_equals_the_per_row_test(width, near, seed):
     # cycles of period 1..6 on scales 0.1..1000, each row jittered by
-    # nothing, by about the tolerance or by far more than it
+    # nothing, by about the tolerance or by far more than it; at widths
+    # 16384 and 20000 a block holds one row
+    blocks, extra = near
+    rows = blocks * _block_rows(width) + extra
     rng = np.random.default_rng(seed)
     period = rng.integers(1, 7, size=rows)
     scale = 10.0 ** rng.uniform(-1.0, 3.0, size=rows)
     cycle = rng.uniform(0.0, 1.0, size=(rows, 6)) * scale[:, None]
-    X = cycle[np.arange(rows)[:, None], np.arange(40) % period[:, None]]
+    X = cycle[np.arange(rows)[:, None], np.arange(width) % period[:, None]]
     jitter = rng.choice([0.0, 1e-6, 1e-3], size=rows)[:, None] * scale[:, None]
     X += jitter * rng.uniform(-1.0, 1.0, size=X.shape)
     want = [detect_period(row, 1e-6, 16) or 0 for row in X]
@@ -262,13 +275,17 @@ def _plain_period(row, tolerance, max_period):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.integers(1, 2 * _BLOCK + 3), width=st.integers(0, 2 * MAX_PERIOD + 40),
-       max_period=st.sampled_from([1, 3, 16, MAX_PERIOD]), seed=st.integers(0, 2**32 - 1))
-def test_screened_period_test_equals_the_plain_test(rows, width, max_period, seed):
+@given(width=st.one_of(st.integers(0, 2 * MAX_PERIOD + 40), st.sampled_from([16384, 20000])),
+       near=_NEAR_BLOCKS, max_period=st.sampled_from([1, 3, 16, MAX_PERIOD]),
+       seed=st.integers(0, 2**32 - 1))
+def test_screened_period_test_equals_the_plain_test(width, near, max_period, seed):
     # cycles of period 1..70 on scales 0.01..1000, jittered by nothing, by
     # about the tolerance or by far more; a third of the rows then get a gap
     # past the head screen's columns, so they pass the screen and fail the
-    # full test.  Widths run below and above 2 * MAX_PERIOD.
+    # full test.  Widths run below and above 2 * MAX_PERIOD, and up to
+    # where a block holds one row.
+    blocks, extra = near
+    rows = blocks * _block_rows(width) + extra
     rng = np.random.default_rng(seed)
     period = rng.integers(1, 71, size=rows)
     scale = 10.0 ** rng.uniform(-2.0, 3.0, size=(rows, 1))

@@ -108,6 +108,30 @@ def test_missing_config_file_is_config_error(capsys):
     assert "not found" in err
 
 
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "locked.cfg"
+    cfg.write_text(serialize_scenario(get_scenario("naive-ts")))
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, out, err = run(["simulate", "--scenario", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(cfg) in lines[0]
+
+
+def test_config_file_with_a_utf8_bom_reads_as_without(tmp_path, capsys):
+    text = serialize_scenario(get_scenario("naive-ts"))
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want = run(["simulate", "--scenario", str(plain)], capsys)
+    assert want[0] == 0 and want[1]
+    assert run(["simulate", "--scenario", str(bom)], capsys) == want
+
+
 def test_unknown_scenario_name_exits_2(capsys):
     code, out, err = run(["simulate", "--scenario", "bogus"], capsys)
     assert code == 2

@@ -23,6 +23,7 @@ from marketdyn.analysis import (
     class_name,
     detect_collapse,
     detect_period,
+    detect_periods,
     finite_difference_derivative,
     generate_orbit,
     lyapunov_exponent,
@@ -782,6 +783,25 @@ def test_streamed_scan_holds_one_chunk_at_a_time(monkeypatch):
     # once (a row kept by the caller that views its chunk's matrix) about
     # 2.4, and the whole grid's samples would be five
     assert peak < 2 * chunk_bytes
+
+
+@pytest.mark.parametrize("keep", [500, 5000])
+def test_period_test_memory_does_not_grow_with_keep(keep):
+    # 256 naive-bif-b rows hold about 1 MiB of samples at keep = 500 and 10 at
+    # 5,000; the test's own temporaries stay within its byte budget
+    sc = get_scenario("naive-bif-b")
+    grid = sc.analysis.config
+    cfg = ScanConfig(grid.parameter, grid.lo, grid.hi, 256, grid.transient, keep,
+                     grid.transient + keep)
+    (_, samples, periods), = bifurcation_chunks(cfg, sc, refine=False)
+    assert (periods == 0).any() and (periods > 1).any()
+    tracemalloc.start()
+    try:
+        detect_periods(samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.fixture
