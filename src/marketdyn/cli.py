@@ -11,7 +11,8 @@ change here keeps these invariants:
   built, so memory is set by a slice or a chunk, not by --steps or
   --points.
 - ``simulate``, ``collapse``, ``ped`` and ``scenarios`` run without numpy
-  (``simulate`` loads it for m not in {1, 2}); the scans import it.
+  (``simulate`` and ``collapse`` load it for m not in {1, 2}); the scans
+  import it.
 - Exit codes: 0 success; 1 stdout closed by its reader, quietly; 2 a
   configuration or validation error, or an --out path that cannot be
   written; 3 a numerical failure in unbounded mode, before any row is
@@ -233,7 +234,7 @@ def _resolve(args, analysis: str, **defaults) -> Scenario:
         name = args.scenario
         path = Path(name)
         if os.sep in name or path.suffix or path.is_file():
-            if not path.is_file():
+            if not path.exists():
                 raise ConfigError(f"scenario config file not found: {name}")
             try:
                 text = path.read_text(encoding="utf-8-sig")

@@ -2,13 +2,16 @@
 floats and on numpy lane arrays, one lane per grid point (README.md tells
 the design).  A change here keeps these invariants:
 
-- ``bounded_run`` is the one scalar definition of the bounded period and
-  of collapse; ``BoundedLanes`` does its operations in its order on lanes
-  and reads collapse from running minima, so both give the same bits.
+- A lane period is two halves, each defined once: ``root_response``, the
+  supply that demand calls for, then ``price_demand``, the price and
+  demand that supply sets.  ``BoundedLanes`` and ``map_1d`` are made of
+  these two; ``bounded_run`` and ``unbounded_run`` repeat them inline on
+  floats, in their order, so all of them give the same bits.
+- ``bounded_run`` is the one scalar definition of collapse;
+  ``BoundedLanes`` reads it from running minima.
 - ``map_1d`` and ``slope_1d`` are the one definition of the 1-D map and
-  its slope; ``map_1d_handles`` is their float face.  ``map_1d`` computes
-  u with ``bounded_run``'s operations, so after any bounded period a lane's
-  demand is u of its supply, bit for bit.
+  its slope; ``map_1d_handles`` is their float face.  So after any bounded
+  period a lane's demand is u of its supply, bit for bit.
 - Lane code writes only arrays it allocated itself, plus the accumulator
   ``analysis.add_log_stretch`` is handed: no argument is overwritten, and
   an array ``BoundedLanes`` has exposed never changes later.
@@ -125,14 +128,34 @@ def demand(p: float, market: MarketParams) -> float:
     return market.a - market.b * p
 
 
-def root_response(sig, s, m: float):
-    """sig^(1/m) * s on floats or lane arrays, with numpy's sqrt or power so
-    both give the same bits (``float **`` can round the last bit differently
-    and raises on overflow).  Callers own the floating-point error state."""
+def root_response(d, s, m: float):
+    """The supply that demand d calls for from supply s, on floats or lane
+    arrays: d itself at m = 1, else (d/s)^(1/m) * s with numpy's sqrt or
+    power, so both give the same bits (``float **`` can round the last bit
+    differently and raises on overflow).  Callers own the floating-point
+    error state."""
+    if m == 1.0:
+        return d
     import numpy as np
-    r = np.sqrt(sig) if m == 2.0 else np.power(sig, 1.0 / m)
+    r = np.sqrt(d / s) if m == 2.0 else np.power(d / s, 1.0 / m)
     r *= s
     return r
+
+
+def price_demand(x, p: MapParams):
+    """(P, u): the price and demand that supplying x sets, on floats or lane
+    arrays, with ``bounded_run``'s operations in its order.  P = atc(x)/(1-M);
+    u = a - b*P (CANONICAL) or (a - b*atc(x))/(1-M) (PAPER_LITERAL)."""
+    atc = p.fc / x
+    atc += p.v
+    atc -= p.v * x
+    atc += x * x
+    P = atc / p.one_minus_m
+    if p.form is MapForm.CANONICAL:
+        return P, p.a - p.b * P
+    u = p.a - p.b * atc
+    u /= p.one_minus_m
+    return P, u
 
 
 def _power_errstate(m: float):
@@ -220,7 +243,8 @@ def unbounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=Non
             # s > 0, so the signal d/s is negative exactly where d is
             if not (s > 0.0) or d < 0.0:
                 return d, s, p, TRIGGER_EXPECTED_DEMAND
-            # root_response's bits: math.sqrt never warns, np.power can overflow
+            # root_response(d, s, m) then price_demand, inline: math.sqrt
+            # never warns, np.power can overflow
             if m == 1.0:
                 s_new = d
             elif m == 2.0:
@@ -250,8 +274,7 @@ def bounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None)
     ``MapParams.take(i)``; each period is appended to ``out``'s three lists,
     if given.  Returns the last (demand, supply, price, trigger).  A collapse
     names its trigger, ends the run and reads (0, 0, price), at the new price
-    when the demand side failed.  ``BoundedLanes`` does the same operations
-    in the same order on lanes, so both give the same bits.
+    when the demand side failed.
     """
     a, b, fc, v, one_minus_m = map(float, (pars.a, pars.b, pars.fc, pars.v, pars.one_minus_m))
     m, canonical = pars.m, pars.form is MapForm.CANONICAL
@@ -264,7 +287,7 @@ def bounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None)
             # s > 0, so the signal d/s is negative exactly where d is
             if not (s > 0.0) or d < 0.0:
                 return _record(out, 0.0, 0.0, p, TRIGGER_EXPECTED_DEMAND)
-            # root_response on floats, as in unbounded_run
+            # root_response(d, s, m) then price_demand, as in unbounded_run
             if m == 1.0:
                 s_new = d
             elif m == 2.0:
@@ -297,8 +320,8 @@ def bounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None)
 class BoundedLanes:
     """``bounded_run`` on n lanes at once, without masks.
 
-    ``period`` does ``bounded_run``'s operations in its order on every lane,
-    so a lane's ``D``, ``S`` and ``P`` equal the scalar run's bits in every
+    ``period`` is ``root_response`` then ``price_demand`` on every lane, so
+    a lane's ``D``, ``S`` and ``P`` equal the scalar run's bits in every
     period before its collapse.  Collapse is read, not applied: running
     minima of the new supply and demand (and, in the paper-literal form,
     the lowest and highest price) make ``alive()`` exactly ``bounded_run``'s
@@ -323,26 +346,15 @@ class BoundedLanes:
     def period(self):
         """Advance every lane one period."""
         import numpy as np
-        p, D, S = self.pars, self.D, self.S
-        S = D if p.m == 1.0 else root_response(D / S, S, p.m)
-        # fc/S + v - v*S + S*S, as in bounded_run
-        atc = p.fc / S
-        atc += p.v
-        atc -= p.v * S
-        atc += S * S
-        P = atc / p.one_minus_m
-        if p.form is MapForm.CANONICAL:
-            # D = a - b*P <= 0 is both the clamp P*b > a and the expected-
-            # demand trigger; a price of +inf or NaN gives D = -inf or NaN
-            D = p.b * P
-            np.subtract(p.a, D, out=D)
-        else:
+        p = self.pars
+        S = root_response(self.D, self.S, p.m)
+        P, D = price_demand(S, p)
+        # CANONICAL: D = a - b*P <= 0 is both the clamp P*b > a and the
+        # expected-demand trigger; a price of +inf or NaN gives D = -inf or NaN
+        if p.form is MapForm.PAPER_LITERAL:
             # the clamp is max(P)*b > a, since b >= 0 keeps the order of P*b
             np.minimum(self._low_p, P, out=self._low_p)
             np.maximum(self._high_p, P, out=self._high_p)
-            D = p.b * atc
-            np.subtract(p.a, D, out=D)
-            D /= p.one_minus_m
         np.minimum(self._low_s, S, out=self._low_s)
         np.minimum(self._low_d, D, out=self._low_d)
         self.D, self.S, self.P = D, S, P
@@ -388,28 +400,14 @@ def bounded_step(
 def map_1d(x, p: MapParams):
     """The 1-D reduction of the dynamics at x, on floats or lane arrays: (f(x), u(x)).
 
-    u is the demand that supplying x provokes.  For the naive supplier
-    (m = 1) the map is the demand recurrence f = u; otherwise it is the
-    supply recurrence f = (u/x)^(1/m) * x.  CANONICAL takes
-    u = a - b*price(x), PAPER_LITERAL u = (a - b*atc(x)) / (1-M), each
-    with ``bounded_run``'s operations in its order, so from a live lane's
-    supply the map repeats its bounded orbit bit for bit.
+    u is ``price_demand``'s demand at x, and f is ``root_response(u, x, m)``:
+    the demand recurrence f = u for the naive supplier (m = 1), otherwise
+    the supply recurrence f = (u/x)^(1/m) * x.  These are a bounded
+    period's halves, so from a live lane's supply the map repeats its
+    bounded orbit bit for bit.
     """
-    atc_x = p.fc / x
-    atc_x += p.v
-    atc_x -= p.v * x
-    atc_x += x * x
-    if p.form is MapForm.PAPER_LITERAL:
-        atc_x *= p.b
-        u = p.a - atc_x
-        u /= p.one_minus_m
-    else:
-        atc_x /= p.one_minus_m
-        atc_x *= p.b
-        u = p.a - atc_x
-    if p.m == 1.0:
-        return u, u
-    return root_response(u / x, x, p.m), u
+    u = price_demand(x, p)[1]
+    return root_response(u, x, p.m), u
 
 
 def slope_1d(x, f, u, p: MapParams):

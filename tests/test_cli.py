@@ -122,6 +122,18 @@ def test_unreadable_config_file_is_config_error(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(cfg) in lines[0]
 
 
+def test_directory_given_as_scenario_is_unreadable_not_missing(tmp_path, capsys, monkeypatch):
+    code, out, err = run(["simulate", "--scenario", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "cannot read" in lines[0] and str(tmp_path) in lines[0]
+    # a bare name picks the builtin even where a directory of that name exists
+    (tmp_path / "collapse").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--scenario", "collapse", "--steps", "3"], capsys)[0] == 0
+
+
 def test_config_file_with_a_utf8_bom_reads_as_without(tmp_path, capsys):
     text = serialize_scenario(get_scenario("naive-ts"))
     plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
@@ -541,9 +553,11 @@ def test_scalar_commands_leave_numpy_unloaded():
     assert out == "True marketdyn.scans\n"
     # at m = 3 the root is np.power's, so numpy loads at first use
     m3 = ["simulate", "--scenario", "co-ts", "--m", "3", "--bounded", "--steps", "50"]
-    loaded = json.loads(_fresh_python(_NUMPY_PROBE % [m3]))
-    assert loaded == {"import marketdyn": False, "import marketdyn.cli": False,
-                      " ".join(m3): True}
+    collapse_m3 = ["collapse", "--m", "3", "--steps", "50"]
+    for argv in (m3, collapse_m3):
+        loaded = json.loads(_fresh_python(_NUMPY_PROBE % [argv]))
+        assert loaded == {"import marketdyn": False, "import marketdyn.cli": False,
+                          " ".join(argv): True}
 
 
 # Builds the 1-D map handles of every builtin scenario, then resolves every

@@ -40,6 +40,7 @@ from marketdyn.model import (
     bounded_step,
     map_1d,
     map_1d_handles,
+    price_demand,
     root_response,
     slope_1d,
     step_naive_demand_1d,
@@ -474,14 +475,17 @@ def _bytes(*arrays):
     return [x.tobytes() for x in arrays]
 
 
-@pytest.mark.parametrize("m", [0.5, 2.0, 3.0])
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0])
 def test_root_response_never_writes_its_arguments(m):
     rng = np.random.default_rng(5)
-    sig, s = rng.uniform(0.0, 4.0, 64), rng.uniform(0.01, 4.0, 64)
-    before = _bytes(sig, s)
-    got = root_response(sig, s, m)
-    assert _bytes(sig, s) == before
-    assert got.tobytes() == _oracle_root(sig, s, m).tobytes()
+    d, s = rng.uniform(0.0, 4.0, 64), rng.uniform(0.01, 4.0, 64)
+    before = _bytes(d, s)
+    got = root_response(d, s, m)
+    assert _bytes(d, s) == before
+    if m == 1.0:
+        assert got is d
+    else:
+        assert got.tobytes() == _oracle_root(d / s, s, m).tobytes()
 
 
 def test_add_log_stretch_writes_only_its_accumulator():
@@ -507,12 +511,13 @@ def test_1d_lane_map_never_writes_its_arguments(form, m, parameter):
                           if isinstance(y, np.ndarray)]
     before = _bytes(*held)
     with np.errstate(all="ignore"):
+        price, demand = price_demand(x, pars)
         f, u = map_1d(x, pars)
-        returned = _bytes(f, u)
+        returned = _bytes(price, demand, f, u)
         slope_1d(x, f, u, pars)
         finite_difference_derivative(lambda y: map_1d(y, pars)[0])(x)
     assert _bytes(*held) == before
-    assert _bytes(f, u) == returned
+    assert _bytes(price, demand, f, u) == returned
 
 
 @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
