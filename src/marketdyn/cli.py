@@ -10,9 +10,8 @@ change here keeps these invariants:
   is written as one or more blocks as it comes, and no row object is
   built, so memory is set by a slice or a chunk, not by --steps or
   --points.
-- ``simulate``, ``collapse``, ``ped`` and ``scenarios`` run without numpy
-  (``simulate`` and ``collapse`` load it for m not in {1, 2}); the scans
-  import it.
+- ``ped`` and ``scenarios`` run without numpy, as do ``simulate`` and
+  ``collapse`` at m in {1, 2}; the scans import it.
 - Exit codes: 0 success; 1 stdout closed by its reader, quietly; 2 a
   configuration or validation error, or an --out path that cannot be
   written; 3 a numerical failure in unbounded mode, before any row is

@@ -7,8 +7,7 @@ the design).  A change here keeps these invariants:
   demand that supply sets.  ``BoundedLanes`` and ``map_1d`` are made of
   these two; ``bounded_run`` and ``unbounded_run`` repeat them inline on
   floats, in their order, so all of them give the same bits.
-- ``bounded_run`` is the one scalar definition of collapse;
-  ``BoundedLanes`` reads it from running minima.
+- ``bounded_run`` alone defines collapse; ``BoundedLanes`` only reads it.
 - ``map_1d`` and ``slope_1d`` are the one definition of the 1-D map and
   its slope; ``map_1d_handles`` is their float face.  So after any bounded
   period a lane's demand is u of its supply, bit for bit.
@@ -129,11 +128,10 @@ def demand(p: float, market: MarketParams) -> float:
 
 
 def root_response(d, s, m: float):
-    """The supply that demand d calls for from supply s, on floats or lane
-    arrays: d itself at m = 1, else (d/s)^(1/m) * s with numpy's sqrt or
-    power, so both give the same bits (``float **`` can round the last bit
-    differently and raises on overflow).  Callers own the floating-point
-    error state."""
+    """The supply that demand d calls for from supply s, on floats or lanes:
+    d itself at m = 1, else (d/s)^(1/m) * s with numpy's sqrt or power, the
+    same bits on both (``float **`` can round the last bit differently and
+    raises on overflow).  Callers own the floating-point error state."""
     if m == 1.0:
         return d
     import numpy as np
@@ -142,18 +140,25 @@ def root_response(d, s, m: float):
     return r
 
 
-def price_demand(x, p: MapParams):
+def price_demand(x, p: MapParams, price: bool = True):
     """(P, u): the price and demand that supplying x sets, on floats or lane
-    arrays, with ``bounded_run``'s operations in its order.  P = atc(x)/(1-M);
-    u = a - b*P (CANONICAL) or (a - b*atc(x))/(1-M) (PAPER_LITERAL)."""
+    arrays, in ``bounded_run``'s order: P = atc(x)/(1-M), u = a - b*P or, in
+    PAPER_LITERAL, (a - b*atc(x))/(1-M).  All in place on atc, as a λ sweep
+    re-faults pages at one more lane temporary; ``price=False`` keeps no P."""
     atc = p.fc / x
     atc += p.v
     atc -= p.v * x
     atc += x * x
-    P = atc / p.one_minus_m
     if p.form is MapForm.CANONICAL:
-        return P, p.a - p.b * P
-    u = p.a - p.b * atc
+        # u <= 0 is both the clamp P*b > a and the expected-demand trigger; P = inf, u = -inf
+        atc /= p.one_minus_m  # the price
+        if price:
+            return atc, p.a - p.b * atc
+        atc *= p.b
+        return None, p.a - atc
+    P = atc / p.one_minus_m if price else None
+    atc *= p.b
+    u = p.a - atc
     u /= p.one_minus_m
     return P, u
 
@@ -243,8 +248,7 @@ def unbounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=Non
             # s > 0, so the signal d/s is negative exactly where d is
             if not (s > 0.0) or d < 0.0:
                 return d, s, p, TRIGGER_EXPECTED_DEMAND
-            # root_response(d, s, m) then price_demand, inline: math.sqrt
-            # never warns, np.power can overflow
+            # root_response then price_demand; math.sqrt never warns, np.power can overflow
             if m == 1.0:
                 s_new = d
             elif m == 2.0:
@@ -349,8 +353,6 @@ class BoundedLanes:
         p = self.pars
         S = root_response(self.D, self.S, p.m)
         P, D = price_demand(S, p)
-        # CANONICAL: D = a - b*P <= 0 is both the clamp P*b > a and the
-        # expected-demand trigger; a price of +inf or NaN gives D = -inf or NaN
         if p.form is MapForm.PAPER_LITERAL:
             # the clamp is max(P)*b > a, since b >= 0 keeps the order of P*b
             np.minimum(self._low_p, P, out=self._low_p)
@@ -402,11 +404,10 @@ def map_1d(x, p: MapParams):
 
     u is ``price_demand``'s demand at x, and f is ``root_response(u, x, m)``:
     the demand recurrence f = u for the naive supplier (m = 1), otherwise
-    the supply recurrence f = (u/x)^(1/m) * x.  These are a bounded
-    period's halves, so from a live lane's supply the map repeats its
-    bounded orbit bit for bit.
+    the supply recurrence f = (u/x)^(1/m) * x.  As a bounded period's halves,
+    from a live lane's supply they repeat its bounded orbit bit for bit.
     """
-    u = price_demand(x, p)[1]
+    u = price_demand(x, p, price=False)[1]
     return root_response(u, x, p.m), u
 
 

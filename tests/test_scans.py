@@ -512,12 +512,16 @@ def test_1d_lane_map_never_writes_its_arguments(form, m, parameter):
     before = _bytes(*held)
     with np.errstate(all="ignore"):
         price, demand = price_demand(x, pars)
+        skipped, demand_only = price_demand(x, pars, price=False)
         f, u = map_1d(x, pars)
-        returned = _bytes(price, demand, f, u)
+        returned = _bytes(price, demand, demand_only, f, u)
         slope_1d(x, f, u, pars)
         finite_difference_derivative(lambda y: map_1d(y, pars)[0])(x)
     assert _bytes(*held) == before
-    assert _bytes(price, demand, f, u) == returned
+    assert _bytes(price, demand, demand_only, f, u) == returned
+    # price=False drops the price and changes no bit of the demand
+    assert skipped is None
+    assert _bytes(demand_only) == _bytes(demand) == _bytes(u)
 
 
 @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
