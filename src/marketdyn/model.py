@@ -2,11 +2,11 @@
 floats and on numpy lane arrays, one lane per grid point (README.md tells
 the design).  A change here keeps these invariants:
 
-- A lane period is two halves, each defined once: ``root_response``, the
+- A period is two halves, each defined once: ``root_response``, the
   supply that demand calls for, then ``price_demand``, the price and
-  demand that supply sets.  ``BoundedLanes`` and ``map_1d`` are made of
-  these two; ``bounded_run`` and ``unbounded_run`` repeat them inline on
-  floats, in their order, so all of them give the same bits.
+  demand that supply sets.  ``BoundedLanes``, ``map_1d`` and
+  ``unbounded_run`` are made of these two; ``bounded_run``, the hot scalar
+  loop, alone repeats them inline, in their order: all give the same bits.
 - ``bounded_run`` alone defines collapse; ``BoundedLanes`` only reads it.
 - ``map_1d`` and ``slope_1d`` are the one definition of the 1-D map and
   its slope; ``map_1d_handles`` is their float face.  So after any bounded
@@ -14,8 +14,8 @@ the design).  A change here keeps these invariants:
 - Lane code writes only arrays it allocated itself, plus the accumulator
   ``analysis.add_log_stretch`` is handed: no argument is overwritten, and
   an array ``BoundedLanes`` has exposed never changes later.
-- numpy is imported at first use: ``bounded_run`` at m in {1, 2} never
-  loads it, nor does building ``map_1d_handles``.
+- numpy is imported at first use: ``bounded_run`` and ``unbounded_run``
+  at m in {1, 2} never load it, nor does building ``map_1d_handles``.
 """
 
 from __future__ import annotations
@@ -236,11 +236,10 @@ def _record(out, d: float, s: float, p: float, trigger: str):
 
 def unbounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None):
     """``n`` periods of ``step`` on floats from (d, s, p), like ``bounded_run``,
-    except that a failure returns the values its period started from."""
-    a, b, fc, v, one_minus_m = map(float, (pars.a, pars.b, pars.fc, pars.v, pars.one_minus_m))
-    m, canonical = pars.m, pars.form is MapForm.CANONICAL
-    if m not in (1.0, 2.0):
-        import numpy as np
+    except that a failure returns the values its period started from.  Each
+    period is ``root_response`` then ``price_demand``.  ``pars`` holds floats,
+    a ``MapParams`` with no scan, as ``step`` and ``orbit_slices`` build it."""
+    m = pars.m
     if out is not None:
         add_d, add_s, add_p = out[0].append, out[1].append, out[2].append
     with _power_errstate(m):
@@ -248,20 +247,12 @@ def unbounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=Non
             # s > 0, so the signal d/s is negative exactly where d is
             if not (s > 0.0) or d < 0.0:
                 return d, s, p, TRIGGER_EXPECTED_DEMAND
-            # root_response then price_demand; math.sqrt never warns, np.power can overflow
-            if m == 1.0:
-                s_new = d
-            elif m == 2.0:
-                s_new = math.sqrt(d / s) * s
-            else:
-                s_new = float(np.power(d / s, 1.0 / m)) * s
-            if not math.isfinite(s_new):
-                return d, s, p, TRIGGER_NON_FINITE
+            # math.sqrt gives np.sqrt's bits without loading numpy
+            s_new = math.sqrt(d / s) * s if m == 2.0 else float(root_response(d, s, m))
             if s_new <= 0.0:
                 return d, s, p, TRIGGER_EXPECTED_DEMAND
-            atc_new = fc / s_new + v - v * s_new + s_new * s_new
-            p_new = atc_new / one_minus_m
-            d_new = a - b * p_new if canonical else (a - b * atc_new) / one_minus_m
+            # a supply of inf or NaN prices to NaN
+            p_new, d_new = price_demand(s_new, pars)
             if not (math.isfinite(p_new) and math.isfinite(d_new)):
                 return d, s, p, TRIGGER_NON_FINITE
             d, s, p = d_new, s_new, p_new
@@ -291,7 +282,7 @@ def bounded_run(d: float, s: float, p: float, pars: MapParams, n: int, out=None)
             # s > 0, so the signal d/s is negative exactly where d is
             if not (s > 0.0) or d < 0.0:
                 return _record(out, 0.0, 0.0, p, TRIGGER_EXPECTED_DEMAND)
-            # root_response(d, s, m) then price_demand, as in unbounded_run
+            # root_response(d, s, m) then price_demand, inline: a call costs a period
             if m == 1.0:
                 s_new = d
             elif m == 2.0:

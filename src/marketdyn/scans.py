@@ -153,7 +153,8 @@ def _plan(config: ScanConfig, threads: int, size: int) -> tuple[Iterator[np.ndar
     Workers: at most ``threads``, the core count and the grid's points.
     Chunks: max(workers, ceil(n / size)) of near-equal size, so a chunk
     holds at most ``size`` lanes and each worker gets one.  Each chunk's
-    points are computed when it is taken, so no sweep holds the whole grid.
+    bounds and points are computed when it is taken, so no sweep holds the
+    whole grid, nor a list of its chunks.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -162,8 +163,8 @@ def _plan(config: ScanConfig, threads: int, size: int) -> tuple[Iterator[np.ndar
     count = max(workers, -(-n // size))
     # np.array_split's sizes: the first n % count chunks hold one more
     q, r = divmod(n, count)
-    bounds = [j * q + min(j, r) for j in range(count + 1)]
-    return (config.grid(i0, i1) for i0, i1 in zip(bounds, bounds[1:])), workers
+    return (config.grid(j * q + min(j, r), (j + 1) * q + min(j + 1, r))
+            for j in range(count)), workers
 
 
 def _run_chunks(worker, chunks: Iterable, workers: int) -> Iterator:

@@ -25,6 +25,7 @@ from marketdyn.analysis import (
     generate_orbit,
     label_with_lyapunov,
     lyapunov_exponent,
+    orbit_slices,
     ped,
 )
 from marketdyn.model import (
@@ -55,6 +56,18 @@ EQUILIBRIUM_B003 = 7.861941490703618
 def test_orbit_zero_steps():
     orbit = generate_orbit(SEED, NAIVE_MARKET, NAIVE_COST, NAIVE, steps=0)
     assert orbit.states == (SEED,)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: next(orbit_slices(SEED, NAIVE_MARKET, NAIVE_COST, NAIVE, steps=-1)),
+     "steps must be >= 0, got -1"),
+    (lambda: find_fixed_point(lambda x: x, 1.0, 1.0), r"need lo < hi, got \[1.0, 1.0\]"),
+    (lambda: lyapunov_exponent(lambda x: x / 2, None, 1.0, transient=-1),
+     "need transient >= 0 and samples > 0"),
+])
+def test_bad_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_orbit_naive_series_shape():

@@ -32,6 +32,7 @@ from marketdyn.model import (
 from marketdyn.scans import ScanConfig, bifurcation_scan, lyapunov_scan
 from marketdyn.scenarios import (
     KEYS,
+    ConfigError,
     OrbitSpec,
     Scenario,
     builtin_scenarios,
@@ -438,6 +439,32 @@ def test_abbreviated_flags_exit_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv,edit,message", [
+    (["simulate", "--steps", "-1"], None, "steps must be >= 0, got -1"),
+    (["collapse", "--steps", "-1"], None, "steps must be >= 0, got -1"),
+    (["bifurcate", "--scenario", "naive-bif-b", "--transient", "-1", "--keep", "5",
+      "--points", "2"], None, "transient must be >= 0, got -1"),
+    # config files: naive-ts's text with one edit
+    ([], ("name = naive-ts", "name = x\nname = naive-ts"), "line 2: duplicate key 'name'"),
+    ([], ("bounded = false", "bounded = yes"), "bounded: expected true or false, got 'yes'"),
+    ([], ("name = naive-ts", "name ="), "scenario name must be non-empty"),
+    ([], ("b = 0.09\n", ""), "missing required key 'b'"),
+    ([], ("analysis = orbit", "analysis = chaos"),
+     "analysis: expected orbit, bifurcation, lyapunov or ped, got 'chaos'"),
+])
+def test_invalid_values_exit_2_with_one_error_line(argv, edit, message, tmp_path, capsys):
+    if edit is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(serialize_scenario(get_scenario("naive-ts")).replace(*edit, 1))
+        argv = ["simulate", "--scenario", str(cfg)]
+    assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+def test_table_refuses_an_unknown_format():
+    with pytest.raises(ConfigError, match="format must be csv or jsonl, got 'tsv'"):
+        Table([("step", int)], []).write(io.StringIO(), "tsv")
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

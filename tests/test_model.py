@@ -274,6 +274,16 @@ def test_raw_overflow_is_a_collapse_without_a_warning():
         20.0, 1e-3, 2.0, True, TRIGGER_NON_FINITE)
 
 
+@pytest.mark.parametrize("seed_d", [1e200, math.inf, math.nan])
+def test_raw_step_with_a_non_finite_price_keeps_its_input(seed_d):
+    # the naive supply 1e200 prices to inf; a supply of inf or NaN, to NaN
+    out = step(MarketState(seed_d, 1.0, 0.0), MarketParams(10, 0.09), CostPricing(10, 4, 0.5),
+               NAIVE)
+    assert (out.supply, out.price, out.collapsed, out.trigger) == (
+        1.0, 0.0, True, TRIGGER_NON_FINITE)
+    assert math.isnan(out.demand) if math.isnan(seed_d) else out.demand == seed_d
+
+
 def test_bounded_equals_step_inside_domain():
     # the raw and bounded runs take the root the same way: sqrt at m = 2,
     # numpy's power at other m

@@ -44,6 +44,7 @@ from marketdyn.model import (
     root_response,
     slope_1d,
     step_naive_demand_1d,
+    unbounded_run,
 )
 from marketdyn import scans
 from marketdyn.scans import (
@@ -55,6 +56,7 @@ from marketdyn.scans import (
     _plan,
     bifurcation_chunks,
     bifurcation_scan,
+    lyapunov_chunks,
     lyapunov_scan,
 )
 from marketdyn.scenarios import get_scenario, Scenario, OrbitSpec
@@ -168,6 +170,31 @@ def test_bounded_run_matches_vector_engine_bitwise(
             assert alive_t[i] == (t < lived)
             if t < lived:
                 assert tuple(col[t] for col in out) == (Dt[i], St[i], Pt[i])
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("form", list(MapForm))
+@settings(max_examples=40, deadline=None)
+@given(**_BOX)
+@_COLLAPSE
+@_PRICE_OVERFLOW
+def test_raw_run_is_the_bounded_run_while_it_lives(
+    m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
+):
+    # from the same seed, each lane's 120-period unbounded_run completes every
+    # period its bounded_run does, with the same (d, s, p) bits
+    for x in (f * _SCAN_TOP[parameter] for f in fractions):
+        lane = _scenario(
+            x if parameter == "a" else a, x if parameter == "b" else b, fc, v,
+            x if parameter == "M" else margin, m, form, seed_d, seed_s,
+        )
+        pars = MapParams(lane.market, lane.cost, lane.supplier, form)
+        raw, bnd = ([], [], []), ([], [], [])
+        trigger = bounded_run(seed_d, seed_s, 0.0, pars, 120, bnd)[3]
+        unbounded_run(seed_d, seed_s, 0.0, pars, 120, raw)
+        lived = len(bnd[0]) - (trigger is not None)
+        assert len(raw[0]) >= lived
+        assert [col[:lived] for col in raw] == [col[:lived] for col in bnd]
 
 
 @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
@@ -957,6 +984,36 @@ def test_chunk_points_equal_the_linspace_slices(lo, hi, monkeypatch):
             assert np.concatenate(chunks).tobytes() == whole.tobytes()
         assert all(cfg.grid(i, j).tobytes() == whole[i:j].tobytes()
                    for i in range(min(n, 8)) for j in range(i + 1, n + 1))
+
+
+def test_chunk_plan_takes_no_memory_before_its_first_chunk():
+    # each chunk's bounds are computed when it is taken: a 10^10-point grid
+    # (610,352 chunks) yields its first one holding little more than its points
+    cfg = ScanConfig("b", 0.0, 1.0, 10**10)
+    tracemalloc.start()
+    try:
+        first = next(_plan(cfg, 1, scans._LYAP_CHUNK)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.tobytes() == cfg.grid(0, scans._LYAP_CHUNK).tobytes()
+    assert peak < 2 * first.nbytes + 64 * 1024
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("size", [3, 4096, 16_384])
+def test_joined_chunks_are_the_linspace_grid(threads, size, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for n in (1, 7, 4096, 4097, 10**4, 10**5):
+        chunks = list(_plan(ScanConfig("b", 0.05, 0.2, n), threads, size)[0])
+        assert max(c.size for c in chunks) <= size
+        assert np.concatenate(chunks).tobytes() == np.linspace(0.05, 0.2, n).tobytes()
+
+
+def test_lyapunov_chunks_refuse_an_unknown_method():
+    with pytest.raises(ValueError, match="method must be analytic or finite-difference"):
+        list(lyapunov_chunks(ScanConfig("b", 0.05, 0.09, 3, 20, 10, 30),
+                             get_scenario("naive-lyap"), method="x"))
 
 
 def test_benchmark_library_calls_still_bind():
