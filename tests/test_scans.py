@@ -798,6 +798,9 @@ def test_scan_config_validation():
         ScanConfig("b", 0.08, math.inf, 10)
     with pytest.raises(ValueError):
         ScanConfig("a", math.nan, 1.0, 10)
+    with pytest.raises(ValueError, match="method must be analytic or finite-difference"):
+        list(lyapunov_chunks(ScanConfig("b", 0.05, 0.09, 3, 20, 10, 30),
+                             get_scenario("naive-lyap"), method="x"))
 
 
 def test_streamed_scan_holds_one_chunk_at_a_time(monkeypatch):
@@ -1009,11 +1012,6 @@ def test_joined_chunks_are_the_linspace_grid(threads, size, monkeypatch):
         assert max(c.size for c in chunks) <= size
         assert np.concatenate(chunks).tobytes() == np.linspace(0.05, 0.2, n).tobytes()
 
-
-def test_lyapunov_chunks_refuse_an_unknown_method():
-    with pytest.raises(ValueError, match="method must be analytic or finite-difference"):
-        list(lyapunov_chunks(ScanConfig("b", 0.05, 0.09, 3, 20, 10, 30),
-                             get_scenario("naive-lyap"), method="x"))
 
 
 def test_benchmark_library_calls_still_bind():
