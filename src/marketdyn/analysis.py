@@ -269,8 +269,10 @@ def detect_periods(
     X = np.asarray(samples, dtype=float)
     periods = np.zeros(X.shape[0], dtype=np.int64)
     step = _block_rows(X.shape[1])
-    for lo in range(0, X.shape[0], step):
-        periods[lo:lo + step] = _block_periods(X[lo:lo + step], tolerance, max_period)
+    # a gap between huge or infinite samples overflows or is NaN: it fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, X.shape[0], step):
+            periods[lo:lo + step] = _block_periods(X[lo:lo + step], tolerance, max_period)
     return periods
 
 

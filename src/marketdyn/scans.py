@@ -7,7 +7,8 @@ spectra (README.md tells the design).  A change here keeps these invariants:
 - One loop sums λ on lanes, ``_lyapunov_lanes``: the Lyapunov sweep runs
   it from the seed, the refinement probe from each open lane's supply.
 - No loop masks a lane that leaves the domain: running minima decide
-  afterwards, and ``bounded_run`` replays a collapsed bifurcation lane.
+  afterwards.  One round of ``_run_lane`` replays a collapsed bifurcation
+  lane, so its row and its -1 come from ``bounded_run``.
 - A row is a pure function of its grid value, so the bytes do not depend
   on the chunking or on ``threads``.
 - This module imports numpy at load; it re-exports ``ScanConfig`` and
@@ -63,46 +64,37 @@ class LyapunovRow:
     defined: bool
 
 
+def _lane_params(scenario, config: ScanConfig, values: np.ndarray) -> MapParams:
+    """The lanes' parameters; b / (1 - M) can overflow, here and in each take."""
+    return MapParams(scenario.market, scenario.cost, scenario.supplier, scenario.form,
+                     config.parameter, values)
+
+
 def _simulate_grid(pars: MapParams, scenario, config: ScanConfig, n: int):
-    """Seed n lanes and run transient + keep bounded periods, recording demand
-    samples; stop early once every lane has collapsed.  ``bounded_run``
-    replays each collapsed lane: its row keeps its demands, then zeros."""
+    """Step n seeded lanes for transient + keep periods, recording demands,
+    or until all have collapsed; a collapsed lane's row is left to its replay,
+    one round of ``_run_lane``."""
     transient, keep = config.transient, config.keep
-    d0, s0 = float(scenario.seed_demand), float(scenario.seed_supply)
-    lanes = BoundedLanes(np.full(n, d0), np.full(n, s0), np.zeros(n), pars)
+    lanes = BoundedLanes(np.full(n, float(scenario.seed_demand)),
+                         np.full(n, float(scenario.seed_supply)), np.zeros(n), pars)
     samples = np.empty((n, keep))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for it in range(transient + keep):
-            lanes.period()
-            if it >= transient:
-                samples[:, it - transient] = lanes.D
-            if it % 64 == 63 and not lanes.alive().any():
-                break
-        alive = lanes.alive()
-    D, S, P = lanes.D, lanes.S, lanes.P
-    dead = np.flatnonzero(~alive)
-    samples[dead] = 0.0
-    for i in dead.tolist():
-        out = ([], [], [])
-        D[i], S[i], P[i], _ = bounded_run(d0, s0, 0.0, pars.take(i), transient + keep, out)
-        kept = out[0][transient:]
-        if kept:
-            samples[i, :len(kept)] = kept
-    return D, S, P, alive, samples
+    for it in range(transient + keep):
+        lanes.period()
+        if it >= transient:
+            samples[:, it - transient] = lanes.D
+        if it % 64 == 63 and not lanes.alive().any():
+            break
+    return lanes.D, lanes.S, lanes.P, lanes.alive(), samples
 
 
-def _refine_lane(d, s, p, pars: MapParams, keep: int):
-    """Extend one lane's orbit until its attractor settles or the budget ends.
+def _run_lane(d, s, p, pars: MapParams, extra: int, keep: int, rounds: int):
+    """Up to ``rounds`` rounds of one lane (``pars`` is ``MapParams.take(i)``):
+    ``extra`` unrecorded periods, doubling each round, then ``keep`` recorded.
 
-    ``pars`` holds the lane's parameters (``MapParams.take(i)``).  Returns
-    (period, samples): period -1 if the lane died, 0 if still aperiodic.
-    A dead lane's samples run up to its collapse and are 0.0 after.  Each
-    round doubles the extra transient, so slow convergence near
-    period-doublings is resolved without inflating the budget of every
-    grid point.  Only the kept window is recorded.
+    Returns (period, samples): the first period found, -1 once ``bounded_run``
+    names a collapse (samples 0.0 from it on), or 0 after ``rounds`` rounds.
     """
-    extra = keep
-    for _ in range(_REFINE_ROUNDS):
+    for _ in range(rounds):
         d, s, p, _ = bounded_run(d, s, p, pars, extra)
         out = ([], [], [])
         # a lane that died above holds supply 0, so it dies again at once
@@ -124,13 +116,14 @@ def _bifurcation_chunk(
     refine: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One chunk of the grid: its values, samples matrix and periods."""
-    # b / (1 - M) can overflow, in MapParams and in each of its takes
+    d0, s0 = float(scenario.seed_demand), float(scenario.seed_supply)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pars = MapParams(scenario.market, scenario.cost, scenario.supplier, scenario.form,
-                         config.parameter, values)
+        pars = _lane_params(scenario, config, values)
         D, S, P, alive, samples = _simulate_grid(pars, scenario, config, values.size)
         periods = detect_periods(samples)
-        periods[~alive] = -1
+        for i in np.flatnonzero(~alive).tolist():
+            periods[i], samples[i] = _run_lane(d0, s0, 0.0, pars.take(i), config.transient,
+                                               config.keep, 1)
         if not refine:
             return values, samples, periods
         open_idx = np.flatnonzero(periods == 0)
@@ -141,21 +134,17 @@ def _bifurcation_chunk(
                                      "analytic")
             for j in np.flatnonzero(lam <= _PROBE_LAMBDA_MAX):
                 i = int(open_idx[j])
-                periods[i], samples[i] = _refine_lane(
+                periods[i], samples[i] = _run_lane(
                     float(D[i]), float(S[i]), float(P[i]), pars.take(i), config.keep,
+                    config.keep, _REFINE_ROUNDS,
                 )
     return values, samples, periods
 
 
 def _plan(config: ScanConfig, threads: int, size: int) -> tuple[Iterator[np.ndarray], int]:
-    """The grid's chunks and the worker processes to run them.
-
-    Workers: at most ``threads``, the core count and the grid's points.
-    Chunks: max(workers, ceil(n / size)) of near-equal size, so a chunk
-    holds at most ``size`` lanes and each worker gets one.  Each chunk's
-    bounds and points are computed when it is taken, so no sweep holds the
-    whole grid, nor a list of its chunks.
-    """
+    """The grid's chunks, of near-equal size, at most ``size`` lanes and at
+    least one per worker, and the worker count.  A chunk's points are
+    computed when it is taken, so no sweep holds the whole grid."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     n = config.grid_points
@@ -174,9 +163,8 @@ def _run_chunks(worker, chunks: Iterable, workers: int) -> Iterator:
     At most two chunks per worker are in flight, so finished results do
     not pile up behind a slow consumer; the parent then holds up to
     ``2 * workers`` finished results at once, the one being read included.
-    Per-lane purity makes the results independent of the chunking and of
-    the worker count.  A reader that stops early (or a chunk that fails)
-    ends the workers at once: running chunks are terminated, not awaited.
+    A reader that stops early (or a chunk that fails) ends the workers at
+    once: running chunks are terminated, not awaited.
     """
     if workers <= 1:
         yield from map(worker, chunks)
@@ -220,10 +208,8 @@ def bifurcation_chunks(
     Each grid point seeds the scenario's initial quantities, discards
     the transient, keeps ``config.keep`` demand samples and period-tests
     them (``analysis.class_name`` labels a period).  A point whose orbit
-    dies gets period -1 rather than aborting the sweep.  The grid runs in
-    chunks of at most ``_CHUNK`` lanes (``_plan``), on up to ``threads``
-    worker processes, and chunks come in grid order, independent of
-    ``threads``.
+    collapses gets period -1.  Chunks of at most ``_CHUNK`` lanes come in
+    grid order from up to ``threads`` worker processes.
     """
     need = min(config.grid_points, _CHUNK) * config.keep * 8  # a chunk's samples matrix
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -251,15 +237,14 @@ def _lyapunov_lanes(x, pars: MapParams, transient: int, keep: int, method: str):
     ``transient`` unrecorded steps, then the mean of ``keep`` terms."""
     low = np.full(x.size, np.inf)
     acc = np.zeros(x.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fd = finite_difference_derivative(lambda y: map_1d(y, pars)[0])
-        for it in range(transient + keep):
-            x_new, u = map_1d(x, pars)
-            if it >= transient:
-                slope = slope_1d(x, x_new, u, pars) if method == "analytic" else fd(x)
-                add_log_stretch(acc, slope)
-            np.minimum(low, x_new, out=low)
-            x = x_new
+    fd = finite_difference_derivative(lambda y: map_1d(y, pars)[0])
+    for it in range(transient + keep):
+        x_new, u = map_1d(x, pars)
+        if it >= transient:
+            slope = slope_1d(x, x_new, u, pars) if method == "analytic" else fd(x)
+            add_log_stretch(acc, slope)
+        np.minimum(low, x_new, out=low)
+        x = x_new
 
     # A lane stayed in the domain iff its orbit's minimum is positive (NaN
     # propagates) and it ends finite (the map sends +inf to NaN, so only
@@ -279,11 +264,9 @@ def _lyapunov_columns(
     """One chunk of the grid: its values, λ and defined flags."""
     x0 = scenario.seed_demand if scenario.supplier.m == 1.0 else scenario.seed_supply
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # b / (1 - M) can overflow
-        pars = MapParams(scenario.market, scenario.cost, scenario.supplier, scenario.form,
-                         config.parameter, values)
-    lam, defined = _lyapunov_lanes(np.full(values.size, float(x0)), pars,
-                                   config.transient, config.keep, method)
+        lam, defined = _lyapunov_lanes(np.full(values.size, float(x0)),
+                                       _lane_params(scenario, config, values),
+                                       config.transient, config.keep, method)
     return values, lam, defined
 
 
@@ -306,9 +289,8 @@ def lyapunov_chunks(
     ``config.transient`` iterations settle the orbit and ``config.keep``
     log-derivative samples are averaged.  A grid point whose orbit
     escapes the map's domain has ``defined`` False and a NaN exponent.
-    The grid runs in chunks of at most ``_LYAP_CHUNK`` lanes (``_plan``),
-    on up to ``threads`` worker processes, and chunks come in grid order,
-    independent of ``threads``.
+    Chunks of at most ``_LYAP_CHUNK`` lanes come in grid order from up to
+    ``threads`` worker processes.
     """
     if method not in ("analytic", "finite-difference"):
         raise ValueError(f"method must be analytic or finite-difference, got {method!r}")

@@ -198,6 +198,20 @@ def test_find_fixed_point_accepts_a_steep_root():
     assert abs(df(x)) > 40.0
 
 
+@pytest.mark.parametrize("lo,hi,calls", [(1.0, 2.0, 2), (0.0, 1.0, 2), (0.0, 2.0, 3)])
+def test_find_fixed_point_returns_an_exact_root_at_once(lo, hi, calls):
+    # g(x) = x - 1 is zero at a bracket's end, or at the first midpoint of
+    # [0, 2]: the root comes back after the ends and that midpoint only
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return 2.0 * x - 1.0
+
+    assert find_fixed_point(f, lo, hi) == 1.0
+    assert len(seen) == calls
+
+
 def test_find_fixed_point_rejects_a_sign_change_across_a_pole():
     # g(x) = 1 / (x - 1) changes sign on [0.5, 2] with no root
     with pytest.raises(FixedPointNotFound, match="stalled"):
@@ -239,6 +253,9 @@ def test_detect_period_basics():
     assert detect_period([1.0, 2.0, 1.0]) is None
     assert detect_period([1.0, 2.0, 1.0, 2.0]) == 2
     assert detect_period([5.0]) is None and detect_period([]) is None
+    # gaps that overflow or are NaN fail quietly, whatever the error state
+    assert detect_period([1e308, -1e308] * 5) == 2
+    assert detect_period([math.inf] * 10) is None
 
 
 def test_detect_period_relative_tolerance():

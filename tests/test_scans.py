@@ -52,8 +52,8 @@ from marketdyn.scans import (
     ScanConfig,
     _bifurcation_chunk,
     _lyapunov_chunk,
-    _refine_lane,
     _plan,
+    _run_lane,
     bifurcation_chunks,
     bifurcation_scan,
     lyapunov_chunks,
@@ -236,7 +236,8 @@ def test_refined_lane_that_dies_keeps_its_samples_up_to_the_collapse(window_befo
     # with window_before_death <= 0 the lane dies in the transient
     keep = death - window_before_death
     pars = MapParams(sc.market, sc.cost, sc.supplier, sc.form, "b", np.array([sc.market.b]))
-    period, samples = _refine_lane(sc.seed_demand, sc.seed_supply, 0.0, pars.take(0), keep)
+    period, samples = _run_lane(sc.seed_demand, sc.seed_supply, 0.0, pars.take(0), keep, keep,
+                                scans._REFINE_ROUNDS)
     assert period == -1
     kept = orbit.demands[keep + 1:death + 1]  # the collapsed period reads 0.0
     assert len(kept) == max(window_before_death, 0) and kept[-1:] in ([], [0.0])
@@ -350,7 +351,7 @@ def test_refinement_follows_the_scalar_estimator(
     cfg = ScanConfig(parameter, 0.0, _SCAN_TOP[parameter], values.size, 40, 60, 100)
     steps = 50
     probed, refined = [], []
-    kernel, refine = scans._lyapunov_lanes, scans._refine_lane
+    kernel, run_lane = scans._lyapunov_lanes, scans._run_lane
 
     def probe(*args):
         lam, defined = kernel(*args)
@@ -358,13 +359,14 @@ def test_refinement_follows_the_scalar_estimator(
         return lam, defined
 
     def record(*args):
-        refined.append(sys._getframe(1).f_locals["i"])
-        return refine(*args)
+        if args[-1] == scans._REFINE_ROUNDS:  # a replay runs one round
+            refined.append(sys._getframe(1).f_locals["i"])
+        return run_lane(*args)
 
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(scans, "_PROBE_STEPS", steps)
         patch.setattr(scans, "_lyapunov_lanes", probe)
-        patch.setattr(scans, "_refine_lane", record)
+        patch.setattr(scans, "_run_lane", record)
         _bifurcation_chunk(values, sc, cfg, True)
         pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter, values)
         S = scans._simulate_grid(pars, sc, cfg, values.size)[1]
@@ -391,17 +393,19 @@ def test_refinement_follows_the_scalar_estimator(
 
 
 def _count_replays(monkeypatch):
-    """The bounded_run calls made by _simulate_grid, which replays the
-    lanes BoundedLanes flags as collapsed (refinement's calls not counted)."""
+    """The (arguments, result) of each one-round _run_lane call, the replay
+    of a lane BoundedLanes flags as collapsed (refinement's calls run
+    _REFINE_ROUNDS rounds and are not counted)."""
     calls = []
-    real = scans.bounded_run
+    real = scans._run_lane
 
     def counted(*args):
-        if sys._getframe(1).f_code.co_name == "_simulate_grid":
-            calls.append(args)
-        return real(*args)
+        result = real(*args)
+        if args[-1] == 1:
+            calls.append((args, result))
+        return result
 
-    monkeypatch.setattr(scans, "bounded_run", counted)
+    monkeypatch.setattr(scans, "_run_lane", counted)
     return calls
 
 
@@ -423,7 +427,7 @@ def test_only_collapsed_lanes_are_replayed(name, config, collapsed, monkeypatch)
 def test_one_point_sweep_of_a_collapsed_lane_equals_its_orbit(monkeypatch):
     # the collapse scenario dies at period 68: the replayed row keeps the
     # orbit's demands from period 41 on and zeros after the collapse, and
-    # the lane ends at the orbit's (0, 0, price)
+    # its -1 is the replay's, from bounded_run's trigger
     sc = get_scenario("collapse")
     b = sc.market.b
     cfg = ScanConfig("b", b, math.nextafter(b, math.inf), 1, 40, 60, 100)
@@ -435,10 +439,37 @@ def test_one_point_sweep_of_a_collapsed_lane_equals_its_orbit(monkeypatch):
     kept = orbit.demands[41:]
     assert row.classification == "collapsed"
     assert row.attractor_samples.tolist() == kept + [0.0] * (60 - len(kept))
-    pars = MapParams(sc.market, sc.cost, sc.supplier, sc.form, "b", np.array([b]))
-    D, S, P, alive, _ = scans._simulate_grid(pars, sc, cfg, 1)
-    assert not alive[0]
-    assert (D[0], S[0], P[0]) == (0.0, 0.0, orbit.prices[-1])
+    [(args, (period, samples))] = calls
+    assert args[4:] == (40, 60, 1) and period == -1 and samples == kept + [0.0] * (60 - len(kept))
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("form", list(MapForm))
+@settings(max_examples=40, deadline=None)
+@given(**_BOX)
+@_COLLAPSE
+@_PRICE_OVERFLOW
+def test_collapsed_rows_are_the_bounded_orbit(
+    refine, m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
+):
+    # bounded_run alone defines collapse: a lane whose scalar orbit collapses
+    # within transient + keep periods gets period -1 and the orbit's kept
+    # demands, then zeros; without refinement no other row reads -1
+    sc = _scenario(a, b, fc, v, margin, m, form, seed_d, seed_s)
+    values = np.array([f * _SCAN_TOP[parameter] for f in fractions])
+    cfg = ScanConfig(parameter, 0.0, _SCAN_TOP[parameter], values.size, 40, 60, 100)
+    _, samples, periods = _bifurcation_chunk(values, sc, cfg, refine)
+    pars = MapParams(sc.market, sc.cost, sc.supplier, form, parameter, values)
+    for i in range(values.size):
+        out = ([], [], [])
+        trigger = bounded_run(seed_d, seed_s, 0.0, pars.take(i), 100, out)[3]
+        if trigger is None:
+            assert refine or periods[i] != -1
+            continue
+        kept = out[0][40:]
+        assert periods[i] == -1
+        assert samples[i].tolist() == kept + [0.0] * (60 - len(kept))
 
 
 def test_chunks_equal_the_concatenation_of_their_halves():
