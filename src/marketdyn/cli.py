@@ -42,14 +42,17 @@ from .analysis import (
 from .model import DomainError, MapForm, demand
 from .scenarios import (
     _NAIVE,
+    ANALYSES,
+    DEFAULTS,
     KEYS,
+    MAP_KEYS,
     SCAN_PARAMETERS,
     ConfigError,
     Scenario,
     build_scenario,
+    builtin_entries,
     builtin_scenarios,
-    get_scenario,
-    load_scenario,
+    document_entries,
     scenario_entries,
 )
 
@@ -118,7 +121,6 @@ def _arrays() -> tuple:
 
 
 def _cells(kind: type, values, fmt: str) -> list[str]:
-    """The cell texts of one block column."""
     if kind is float and isinstance(values, _arrays()) and values.dtype == float:
         import numpy as np
         # each distinct bit pattern is formatted once (float equality would
@@ -160,7 +162,6 @@ def _output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _threads(text: str) -> int:
-    """A --threads value: an integer of at least 1."""
     try:
         n = int(text)
     except ValueError:
@@ -170,15 +171,13 @@ def _threads(text: str) -> int:
     return n
 
 
-# The config keys each analysis command takes as flags: the map's, then its analysis's.
-_MAP_KEYS = ("a", "b", "v", "fc", "margin", "m", "seed_d", "seed_s", "form")
-_SCAN_KEYS = ("param", "min", "max", "points", "transient", "keep", "iters")
+# The config keys each analysis command takes as flags: the map's, then its
+# analysis's, but collapse, which always runs bounded, takes no --bounded.
 _FLAG_KEYS = {
-    "simulate": _MAP_KEYS + ("steps", "bounded"),
-    "bifurcate": _MAP_KEYS + _SCAN_KEYS,
-    "lyapunov": _MAP_KEYS + _SCAN_KEYS,
-    "collapse": _MAP_KEYS + ("steps",),
-    "ped": _MAP_KEYS + ("p1", "p2"),
+    command: MAP_KEYS + tuple(key for key in ANALYSES[kind][1]
+                              if (command, key) != ("collapse", "bounded"))
+    for command, kind in (("simulate", "orbit"), ("bifurcate", "bifurcation"),
+                          ("lyapunov", "lyapunov"), ("collapse", "orbit"), ("ped", "ped"))
 }
 # The keys whose flags take one of a few values, as config texts.
 _CHOICES = {"form": [form.value for form in MapForm], "param": list(SCAN_PARAMETERS)}
@@ -219,15 +218,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The base of a command given no --scenario: the naive market, a bounded 100-step orbit.
-_DEFAULT = {**_NAIVE, "name": "custom", "steps": 100}
+# The base of a command given no --scenario: the naive market, a bounded orbit
+# of DEFAULTS' steps, which it sets over collapse's own 3,000.
+_DEFAULT = {**_NAIVE, "name": "custom", "steps": DEFAULTS["steps"]}
 
 
 def _resolve(args, analysis: str, **defaults) -> Scenario:
     """The scenario a command runs, from three layers of config entries:
-    ``defaults``, then the base scenario's entries (``--scenario``, a
-    builtin name or a config file) with ``analysis`` set to the command's,
-    then every flag given, whose dest is its config key."""
+    ``defaults``, then the base's own entries (``--scenario``, a builtin
+    name or a config file, refused if it is invalid on its own) with
+    ``analysis`` set to the command's, then every flag given, whose dest
+    is its config key."""
     entries = dict(defaults)
     if args.scenario:
         name = args.scenario
@@ -239,10 +240,11 @@ def _resolve(args, analysis: str, **defaults) -> Scenario:
                 text = path.read_text(encoding="utf-8-sig")
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read scenario config file {name}: {exc}") from None
-            base = load_scenario(text)
+            base = document_entries(text)
         else:
-            base = get_scenario(name)
-        entries.update(scenario_entries(base))
+            base = builtin_entries(name)
+        build_scenario(base)
+        entries.update(base)
     else:
         entries.update(_DEFAULT)
     entries["analysis"] = analysis
@@ -271,7 +273,6 @@ def _cmd_simulate(args) -> Table:
 
 
 def _orbit_blocks(slices: Iterable[tuple]) -> Iterator[tuple]:
-    """The ``simulate`` table's blocks, one per slice of the orbit stream."""
     stop = 0
     for d, s, p, dead, _ in slices:
         index = range(stop, stop + len(d))

@@ -3,13 +3,16 @@
 Each scenario bundles a supplier behavior, market and cost parameters,
 seed quantities, a map form and the analysis it was built to run, so the
 reference experiments are reproducible by name.  Scenarios round-trip
-through a flat ``key = value`` config format.  ``KEYS`` is its one
-schema: every key in document order with its value's type.  The parser
-reads text into typed entries by it, ``scenario_entries`` gives a
-scenario as typed entries in that order (which ``serialize_scenario``
-writes), and ``build_scenario`` turns typed entries into a validated
-scenario.  The command line's flags are the same keys.  A scan's keys
-build a ``ScanConfig`` (re-exported by ``scans``), whose ``grid()`` loads numpy.
+through a flat ``key = value`` config format.  A change here keeps this
+invariant: the schema, each analysis's keys and every default are
+written once, here, for the file format and the command line alike, in
+``KEYS`` (every key in document order with its value's type),
+``MAP_KEYS``, ``ANALYSES`` (each analysis's spec and keys) and
+``DEFAULTS`` (``iters`` follows ``transient + keep``), and every user
+reads them there.  ``build_scenario`` turns typed entries into a
+validated scenario, and ``scenario_entries`` gives one back as typed
+entries in the order of ``KEYS``.  A scan's keys build a ``ScanConfig``
+(re-exported by ``scans``), whose ``grid()`` loads numpy.
 
 The builtins are typed config entries too, built by ``build_scenario``
 like a file or the flags, so its defaults hold for them as well.  Each
@@ -22,7 +25,7 @@ comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .model import (
     CostPricing,
@@ -33,6 +36,23 @@ from .model import (
 )
 
 SCAN_PARAMETERS = ("b", "M", "a")
+
+# Every config key, in the order a document lists them, with its value's type.
+KEYS: dict[str, type] = {
+    "name": str, "m": float, "a": float, "b": float, "v": float, "fc": float,
+    "margin": float, "seed_d": float, "seed_s": float, "form": MapForm, "analysis": str,
+    "steps": int, "bounded": bool,
+    "param": str, "min": float, "max": float, "points": int,
+    "transient": int, "keep": int, "iters": int,
+    "p1": float, "p2": float,
+    "figure": str,
+}
+# The keys of the map, which every analysis runs.
+MAP_KEYS = ("m", "a", "b", "v", "fc", "margin", "seed_d", "seed_s", "form")
+# The value of every key a document may leave out but ``iters``, which
+# follows transient + keep, and ``figure``; the other keys are required.
+DEFAULTS = {"m": 1.0, "seed_d": 1.0, "seed_s": 1.0, "form": MapForm.CANONICAL,
+            "analysis": "orbit", "steps": 100, "bounded": True, "transient": 2500, "keep": 500}
 
 
 class ConfigError(ValueError):
@@ -57,9 +77,9 @@ class ScanConfig:
     lo: float
     hi: float
     grid_points: int
-    transient: int = 2500
-    keep: int = 500
-    iterations_total: int = 3000
+    transient: int = DEFAULTS["transient"]
+    keep: int = DEFAULTS["keep"]
+    iterations_total: int = DEFAULTS["transient"] + DEFAULTS["keep"]
 
     def __post_init__(self) -> None:
         if self.parameter not in SCAN_PARAMETERS:
@@ -133,6 +153,16 @@ class PedSpec:
 
 AnalysisSpec = OrbitSpec | BifurcationSpec | LyapunovSpec | PedSpec
 
+# Each analysis's spec and keys, in the order of KEYS: an orbit's and a ped's
+# keys are its spec's fields, a scan's are the fields of its ScanConfig.
+_SCAN = ("param", "min", "max", "points", "transient", "keep", "iters")
+ANALYSES: dict[str, tuple[type, tuple[str, ...]]] = {
+    "orbit": (OrbitSpec, ("steps", "bounded")),
+    "bifurcation": (BifurcationSpec, _SCAN),
+    "lyapunov": (LyapunovSpec, _SCAN),
+    "ped": (PedSpec, ("p1", "p2")),
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -165,8 +195,7 @@ class Scenario:
         return MarketState(demand=self.seed_demand, supply=self.seed_supply, price=0.0)
 
 
-# The paper's parameterizations as typed config entries; ``build_scenario``
-# supplies the rest (seeds (1, 1), m = 1, a bounded orbit, a scan's budget).
+# The paper's parameterizations as typed config entries; DEFAULTS gives the rest.
 _NAIVE = {"a": 10.0, "b": 0.09, "v": 4.0, "fc": 10.0, "margin": 0.5}
 _CO = {"m": 2.0, "a": 30.0, "b": 0.125, "v": 6.0, "fc": 30.0, "margin": 0.5}
 _COLLAPSE = {"a": 10.0, "b": 0.095, "v": 2.0, "fc": 20.0, "margin": 0.5, "steps": 200}
@@ -194,7 +223,6 @@ _ENTRIES = (
 
 
 def _registry():
-    """Each builtin's entries, then its paper-literal twin's."""
     for entry in _ENTRIES:
         yield entry
         yield {**entry, "name": entry["name"] + "-paper-literal",
@@ -207,30 +235,16 @@ def builtin_scenarios() -> list[Scenario]:
     return [build_scenario(entry) for entry in _registry()]
 
 
-def get_scenario(name: str) -> Scenario:
+def builtin_entries(name: str) -> dict:
+    """A builtin's typed config entries, as registered: without DEFAULTS."""
     for entry in _registry():
         if entry["name"] == name:
-            return build_scenario(entry)
+            return dict(entry)
     raise ConfigError(f"unknown scenario {name!r}")
 
 
-ANALYSIS_NAMES = {
-    OrbitSpec: "orbit",
-    BifurcationSpec: "bifurcation",
-    LyapunovSpec: "lyapunov",
-    PedSpec: "ped",
-}
-
-# Every config key, in the order a document lists them, with its value's type.
-KEYS: dict[str, type] = {
-    "name": str, "m": float, "a": float, "b": float, "v": float, "fc": float,
-    "margin": float, "seed_d": float, "seed_s": float, "form": MapForm, "analysis": str,
-    "steps": int, "bounded": bool,
-    "param": str, "min": float, "max": float, "points": int,
-    "transient": int, "keep": int, "iters": int,
-    "p1": float, "p2": float,
-    "figure": str,
-}
+def get_scenario(name: str) -> Scenario:
+    return build_scenario(builtin_entries(name))
 
 
 def _bool(text: str) -> bool:
@@ -248,32 +262,18 @@ _CODECS = {
     MapForm: (MapForm, lambda form: form.value, "canonical or paper-literal"),
 }
 
-_REQUIRED_KEYS = ("name", "a", "b", "v", "fc", "margin")
-_SCAN_KEYS = ("param", "min", "max", "points")
-# the keys each analysis requires beyond _REQUIRED_KEYS
-_ANALYSIS_KEYS = {
-    "orbit": (), "bifurcation": _SCAN_KEYS, "lyapunov": _SCAN_KEYS, "ped": ("p1", "p2"),
-}
-
 
 def scenario_entries(sc: Scenario) -> dict:
     """The scenario as typed config entries, in the order of ``KEYS``:
     the keys of its own analysis, and ``figure`` only when it has one."""
     spec = sc.analysis
+    kind = next(kind for kind, (cls, _) in ANALYSES.items() if isinstance(spec, cls))
     entries = {
         "name": sc.name, "m": sc.supplier.m, "a": sc.market.a, "b": sc.market.b,
         "v": sc.cost.v, "fc": sc.cost.fc, "margin": sc.cost.margin,
-        "seed_d": sc.seed_demand, "seed_s": sc.seed_supply, "form": sc.form,
-        "analysis": ANALYSIS_NAMES[type(spec)],
+        "seed_d": sc.seed_demand, "seed_s": sc.seed_supply, "form": sc.form, "analysis": kind,
+        **dict(zip(ANALYSES[kind][1], astuple(getattr(spec, "config", spec)))),
     }
-    if isinstance(spec, OrbitSpec):
-        entries.update(steps=spec.steps, bounded=spec.bounded)
-    elif isinstance(spec, PedSpec):
-        entries.update(p1=spec.p1, p2=spec.p2)
-    else:
-        cfg = spec.config
-        entries.update(param=cfg.parameter, min=cfg.lo, max=cfg.hi, points=cfg.grid_points,
-                       transient=cfg.transient, keep=cfg.keep, iters=cfg.iterations_total)
     if sc.figure is not None:
         entries["figure"] = sc.figure
     return entries
@@ -302,65 +302,51 @@ def _parse_document(text: str) -> dict[str, str]:
     return entries
 
 
-def _typed(entries: dict[str, str]) -> dict:
+def document_entries(text: str) -> dict:
+    """A config document's typed entries; unknown, duplicate and mistyped
+    keys raise ``ConfigError``."""
     out: dict = {}
-    for key, text in entries.items():
+    for key, value in _parse_document(text).items():
         parse, _, expected = _CODECS[KEYS[key]]
         try:
-            out[key] = parse(text)
+            out[key] = parse(value)
         except ValueError:
-            raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
+            raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
     return out
 
 
 def build_scenario(entries: dict) -> Scenario:
     """Build a Scenario from typed config entries (``form`` may also be
-    given by its value).
+    given by its value) over ``DEFAULTS``.
 
     Missing required keys and out-of-range values raise ``ConfigError``
-    naming the offending field; the keys of analyses other than the one
-    named are ignored.  Seeds default to (1, 1), the form to canonical
-    and the analysis to a bounded 100-step orbit.
+    naming the offending key; the keys of analyses other than the one
+    named are ignored.
     """
-    for key in _REQUIRED_KEYS:
-        if key not in entries:
+    for key in ("name", *MAP_KEYS):
+        if key not in entries and key not in DEFAULTS:
             raise ConfigError(f"missing required key {key!r}")
-    kind = entries.get("analysis", "orbit")
+    entries = {**DEFAULTS, **entries}
+    kind = entries["analysis"]
     try:
-        supplier = SupplierBehavior(m=entries.get("m", 1.0))
+        supplier = SupplierBehavior(m=entries["m"])
         market = MarketParams(a=entries["a"], b=entries["b"])
         cost = CostPricing(fc=entries["fc"], v=entries["v"], margin=entries["margin"])
-        if kind not in _ANALYSIS_KEYS:
-            raise ConfigError(
-                f"analysis: expected orbit, bifurcation, lyapunov or ped, got {kind!r}"
-            )
-        for key in _ANALYSIS_KEYS[kind]:
+        if kind not in ANALYSES:
+            *others, last = ANALYSES
+            raise ConfigError(f"analysis: expected {', '.join(others)} or {last}, got {kind!r}")
+        spec, keys = ANALYSES[kind]
+        entries.setdefault("iters", entries["transient"] + entries["keep"])
+        for key in keys:
             if key not in entries:
                 raise ConfigError(f"missing required key {key!r} for {kind} analysis")
-        if kind == "orbit":
-            analysis: AnalysisSpec = OrbitSpec(entries.get("steps", 100),
-                                               entries.get("bounded", True))
-        elif kind == "ped":
-            analysis = PedSpec(entries["p1"], entries["p2"])
-        else:
-            transient = entries.get("transient", ScanConfig.transient)
-            keep = entries.get("keep", ScanConfig.keep)
-            cfg = ScanConfig(entries["param"], entries["min"], entries["max"], entries["points"],
-                             transient, keep, entries.get("iters", transient + keep))
-            analysis = BifurcationSpec(cfg) if kind == "bifurcation" else LyapunovSpec(cfg)
-        return Scenario(
-            entries["name"], supplier, market, cost, analysis,
-            seed_demand=entries.get("seed_d", 1.0), seed_supply=entries.get("seed_s", 1.0),
-            form=MapForm(entries.get("form", MapForm.CANONICAL)), figure=entries.get("figure"),
-        )
+        values = [entries[key] for key in keys]
+        analysis = spec(ScanConfig(*values)) if keys is _SCAN else spec(*values)
+        return Scenario(entries["name"], supplier, market, cost, analysis, entries["seed_d"],
+                        entries["seed_s"], MapForm(entries["form"]), entries.get("figure"))
     except ValueError as exc:  # a ConfigError keeps its text
         raise ConfigError(str(exc)) from None
 
 
 def load_scenario(text: str) -> Scenario:
-    """Parse a flat key = value config document into a Scenario.
-
-    Unknown, duplicate and mistyped keys raise ``ConfigError``; the
-    entries then go through ``build_scenario``.
-    """
-    return build_scenario(_typed(_parse_document(text)))
+    return build_scenario(document_entries(text))

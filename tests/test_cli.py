@@ -305,6 +305,24 @@ def test_bifurcate_requires_scan_parameters(capsys):
     assert "--param" in err
 
 
+@pytest.mark.parametrize("command,analysis,flags", [
+    ("bifurcate", "bifurcation", []),
+    ("lyapunov", "lyapunov", ["--param", "b", "--min", "0.05", "--max", "0.09"]),
+])
+def test_a_config_files_own_keys_reach_the_command(command, analysis, flags, tmp_path, capsys):
+    # a command reads its analysis's keys from a file whatever the file's
+    # analysis: the table is the one of the same file with the analysis set
+    text = ("name = f\na = 10.0\nb = 0.09\nv = 4.0\nfc = 10.0\nmargin = 0.5\n"
+            "param = b\nmin = 0.05\nmax = 0.09\npoints = 5\ntransient = 10\nkeep = 4\n")
+    plain, named = tmp_path / "plain.cfg", tmp_path / "named.cfg"
+    plain.write_text(text)
+    named.write_text(text + f"analysis = {analysis}\n")
+    code, out, err = run([command, "--scenario", str(plain), *flags], capsys)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 5 * (4 if command == "bifurcate" else 1)
+    assert run([command, "--scenario", str(named)], capsys) == (0, out, "")
+
+
 def test_lyapunov_subcommand(capsys):
     code, out, err = run(
         ["lyapunov", "--scenario", "naive-lyap", "--points", "5",

@@ -802,6 +802,27 @@ def test_period_lyapunov_consistency():
             assert rb.classification == "aperiodic"
 
 
+@pytest.mark.parametrize("name", ["naive-bif-b", "co-bif-b", "naive-bif-M"])
+def test_labels_agree_with_lyapunov(name):
+    # λ from the seed, after the bifurcation's transient, is at most
+    # EPSILON on every fixed and periodic row of a 1,000-point grid; the
+    # 1-D map's domain is not the bounded rules', so collapsed rows are
+    # left out.  Measured at TERMS = 10,000: the largest λ of such a row is
+    # -0.00023 (a period 2 near its flip on co-bif-b).  A row that
+    # refinement labels only after a chaotic transient carries that
+    # transient in its mean: naive-bif-M's period-18 row at M = 0.82321
+    # reads +0.080, +0.0058 and -0.020 at 2,000, 5,000 and 10,000 terms.
+    EPSILON, TERMS = 1e-3, 10_000
+    sc = get_scenario(name)
+    cfg = replace(sc.analysis.config, grid_points=1000)
+    [(values, _, periods)] = bifurcation_chunks(cfg, sc)
+    probe = replace(cfg, keep=TERMS, iterations_total=cfg.transient + TERMS)
+    _, lam, _ = scans._lyapunov_columns(values, sc, probe, "analytic")
+    labelled = periods > 0
+    assert labelled.sum() > 700
+    assert np.all(lam[labelled] <= EPSILON), values[labelled][lam[labelled] > EPSILON]
+
+
 def test_intercept_scan():
     # varying a at fixed chaotic b: small intercepts starve the market into
     # equilibrium, large ones feed the instability

@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from marketdyn.model import CostPricing, MapForm, MarketParams, SupplierBehavior
 from marketdyn.scans import ScanConfig, bifurcation_scan, lyapunov_scan
 from marketdyn.scenarios import (
+    ANALYSES,
+    DEFAULTS,
     KEYS,
+    MAP_KEYS,
     BifurcationSpec,
     ConfigError,
     LyapunovSpec,
@@ -91,13 +94,42 @@ def test_registry_documents_keep_their_bytes():
             == "b00da4b7edeb39d28224cb3bb752193dc5fc2d9d74b09ee928645277aaacdba3")
 
 
+def test_schema_tables_agree():
+    # KEYS is name, analysis and figure, the map's keys and each analysis's,
+    # each group in KEYS order
+    groups = [MAP_KEYS, *(keys for _, keys in ANALYSES.values())]
+    assert set(KEYS) == {"name", "analysis", "figure"}.union(*groups)
+    assert len(KEYS) == 3 + len(MAP_KEYS) + len(set().union(*groups[1:]))
+    for keys in groups:
+        assert sorted(keys, key=list(KEYS).index) == list(keys)
+    # an analysis's keys are its spec's fields, or its ScanConfig's, in order
+    for spec, keys in ANALYSES.values():
+        if spec in (BifurcationSpec, LyapunovSpec):
+            assert list(zip(keys, (f.name for f in dataclasses.fields(ScanConfig)))) == [
+                ("param", "parameter"), ("min", "lo"), ("max", "hi"), ("points", "grid_points"),
+                ("transient", "transient"), ("keep", "keep"), ("iters", "iterations_total")]
+        else:
+            assert [f.name for f in dataclasses.fields(spec)] == list(keys)
+    assert DEFAULTS.keys() <= KEYS.keys()
+    assert all(isinstance(value, KEYS[key]) for key, value in DEFAULTS.items())
+
+
 def test_load_defaults():
-    doc = "name = mine\na = 10\nb = 0.09\nv = 4\nfc = 10\nmargin = 0.5\n"
-    sc = load_scenario(doc)
-    assert (sc.seed_demand, sc.seed_supply) == (1.0, 1.0)
-    assert sc.form is MapForm.CANONICAL
-    assert sc.supplier.m == 1.0
-    assert isinstance(sc.analysis, OrbitSpec)
+    # each analysis's minimal entries take the defaults README states
+    scan = "param = b\nmin = 0.05\nmax = 0.09\npoints = 5\n"
+    for analysis in ("", "analysis = orbit\n", "analysis = bifurcation\n" + scan,
+                     "analysis = lyapunov\n" + scan, "analysis = ped\np1 = 10\np2 = 11\n"):
+        doc = "name = mine\na = 10\nb = 0.09\nv = 4\nfc = 10\nmargin = 0.5\n" + analysis
+        sc = load_scenario(doc)
+        assert (sc.seed_demand, sc.seed_supply) == (1.0, 1.0)
+        assert sc.form is MapForm.CANONICAL
+        assert sc.supplier.m == 1.0
+        spec = sc.analysis
+        if isinstance(spec, (BifurcationSpec, LyapunovSpec)):
+            cfg = spec.config
+            assert (cfg.transient, cfg.keep, cfg.iterations_total) == (2500, 500, 2500 + 500)
+        elif "ped" not in analysis:
+            assert spec == OrbitSpec(steps=100, bounded=True)
 
 
 def test_load_comments_and_scan_keys():
