@@ -112,7 +112,9 @@ class CollapseReport:
 
 # Periods per slice of an orbit stream, and rows per block of the
 # ``simulate`` table: an orbit's memory is set by a slice, not its length.
-_SLICE = 1024
+# At 256 a slice and its written rows hold about 100 KiB (380 at 1,024),
+# at the same speed.
+_SLICE = 256
 
 
 def orbit_slices(

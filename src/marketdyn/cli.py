@@ -56,6 +56,11 @@ from .scenarios import (
     scenario_entries,
 )
 
+# A listed column's format in the row template: its cells' own, so a block
+# of numbers writes the same bytes by rows as by cells.
+_ROW_FORMATS = {int: "%d", float: "%.17g"}
+
+
 @dataclass(frozen=True)
 class Table:
     """(name, kind) column pairs and the blocks of rows under them; the
@@ -75,40 +80,53 @@ class Table:
             keys, sep, head, end = [json.dumps(name) + ": " for name in names], ", ", "{", "}\n"
         else:
             raise ConfigError(f"format must be csv or jsonl, got {fmt!r}")
-        rendered = {}
+        rendered, listed = {}, None
         for block in self.blocks:
             if len(block) != len(names):
                 raise ValueError("block width does not match header")
-            listed = (list, tuple, range, *_arrays())
-            # the listed columns' cell texts, and the literal text before,
-            # between and after them: separators, keys and repeated cells
+            # once, after the first block is made: making it may load numpy
+            listed = listed or (list, tuple, range, *_arrays())
+            # the listed columns, and the literal text before, between and
+            # after them: separators, keys and repeated cells
             cols, lits, lit = [], [], head
             for k, ((_, kind), key, entry) in enumerate(zip(self.columns, keys, block)):
                 lit += (sep if k else "") + key
                 if not isinstance(entry, listed):
                     lit += _cells(kind, (entry,), fmt)[0]
                     continue
-                if rendered.get(k, (None,))[0] is not entry:
-                    rendered[k] = (entry, _cells(kind, entry, fmt))
-                cols.append(rendered[k][1])
+                cols.append((k, kind, entry))
                 lits.append(lit)
                 lit = ""
             lits.append(lit + end)
             if not cols:
                 stream.write(lits[0])
                 continue
-            n = len(cols[0])
-            if any(len(c) != n for c in cols):
+            n = len(cols[0][2])
+            if any(len(entry) != n for *_, entry in cols):
                 raise ValueError("block columns differ in length")
             if not n:
                 continue
+            if fmt == "csv" and all(kind in _ROW_FORMATS and isinstance(entry, (list, tuple, range))
+                                    for _, kind, entry in cols):
+                # numbers only: the rows in one %-operation over a row
+                # template, with no string per cell
+                row = "".join(text.replace("%", "%%") + _ROW_FORMATS[kind]
+                              for text, (_, kind, _) in zip(lits, cols))
+                values = [None] * (len(cols) * n)
+                for j, (*_, entry) in enumerate(cols):
+                    values[j::len(cols)] = entry
+                stream.write((row + lits[-1].replace("%", "%%")) * n % tuple(values))
+                continue
+            for k, kind, entry in cols:
+                if rendered.get(k, (None,))[0] is not entry:
+                    rendered[k] = (entry, _cells(kind, entry, fmt))
             # row after row: cell, literal, ..., cell, literal; a row's last
             # literal ends it and leads the next row
             lead, *inner, tail = lits
             width = 2 * len(cols)
             texts = [None] * (width * n)
-            for j, (col, text) in enumerate(zip(cols, inner + [tail + lead])):
-                texts[2 * j::width] = col
+            for j, ((k, *_), text) in enumerate(zip(cols, inner + [tail + lead])):
+                texts[2 * j::width] = rendered[k][1]
                 texts[2 * j + 1::width] = (text,) * n
             texts[-1] = tail
             stream.write(lead + "".join(texts))

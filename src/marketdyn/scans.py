@@ -244,13 +244,15 @@ def _lyapunov_lanes(x, pars: MapParams, transient: int, keep: int, method: str):
             slope = slope_1d(x, x_new, u, pars) if method == "analytic" else fd(x)
             add_log_stretch(acc, slope)
         np.minimum(low, x_new, out=low)
+        if pars.m != 1.0:  # u < 0 leaves the domain, though (u/x)^(1/m) > 0 at 1/m even
+            np.minimum(low, u, out=low)
         x = x_new
 
-    # A lane stayed in the domain iff its orbit's minimum is positive (NaN
-    # propagates) and it ends finite (the map sends +inf to NaN, so only
-    # the last value can be +inf).  Its slopes were all finite iff acc is:
-    # every term is at least ln(LOG_FLOOR), so only an inf or NaN slope
-    # makes the sum non-finite.
+    # A lane stayed in the domain iff its orbit's minimum, of x and at m != 1
+    # of u, is positive (NaN propagates) and it ends finite (the map sends
+    # +inf to NaN, so only the last value can be +inf).  Its slopes were all
+    # finite iff acc is: every term is at least ln(LOG_FLOOR), so only an
+    # inf or NaN slope makes the sum non-finite.
     defined = (low > 0.0) & np.isfinite(x) & np.isfinite(acc)
     return np.where(defined, acc / keep, np.nan), defined
 

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -785,6 +786,25 @@ def test_streamed_tables_hold_peak_memory_flat(tmp_path):
     assert abs(peak(two + ["100000"]) - peak(two + ["20000"])) < 3 * 1024
 
 
+def test_simulate_writer_working_set_is_one_slice_of_numbers():
+    # the rows of a block of numbers are one %-operation, with no string per
+    # cell: writing bounded co-ts periods peaks at about 100 KiB of Python
+    # allocations, at 20,000 periods as at 100,000 (990 KiB with a string per
+    # cell, 250 KiB so in 256-period slices, 380 KiB by rows in 1,024-period
+    # slices)
+    run_table = lambda steps: cli._cmd_simulate(build_parser().parse_args(_CO_TS + [steps]))
+    with open(os.devnull, "w") as sink:
+        run_table("2000").write(sink, "csv")  # imports and caches before tracing
+        table = run_table("20000")
+        tracemalloc.start()
+        try:
+            table.write(sink, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 160 * 1024
+
+
 def test_short_tail_label_matches_the_sweep(capsys):
     # one rule for tails shorter than 2 * MAX_PERIOD: periods up to half the tail
     code, out, err = run(["bifurcate", "--scenario", "naive-bif-b", "--points", "1",
@@ -892,6 +912,54 @@ def test_writer_matches_per_cell_oracle(cells, lone, note):
         )
         for fmt in ("csv", "jsonl"):
             assert written(table, fmt) == oracle(names, rows, fmt)
+
+
+_EDGE_NUMBERS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf,
+                 3.0, -7.0, 1e16, 2.0**53, 0.1]
+
+
+@given(
+    st.lists(st.tuples(st.floats(allow_nan=True, allow_infinity=True),
+                       st.floats(allow_nan=True, allow_infinity=True), st.integers()),
+             max_size=30),
+    st.integers(-10**6, 10**6),
+    st.sampled_from([list, tuple]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+)
+@example([(x, -x, k) for k, x in enumerate(_EDGE_NUMBERS)], 0, tuple, math.nan, '100% "q"\n')
+@example([(1.0, 5e-324, -(2**70)), (-0.0, 1e308, 2**70)], -5, list, -0.0, "%d%%s,%")
+def test_numeric_blocks_write_the_same_bytes_by_rows_as_by_cells(cells, start, shape, lone,
+                                                                  note):
+    # a CSV block whose listed columns are int or float lists, tuples or
+    # ranges is written by rows, with no cell rendered one by one; a float64
+    # array, a bool list (simulate's collapse slice) or JSON lines takes
+    # the cell path, and every path writes the oracle's bytes
+    xs, ys, ns = (list(c) for c in zip(*cells)) if cells else ([], [], [])
+    step, ys = range(start, start + len(cells)), shape(ys)
+    columns = [("step", int), ("x", float), ("note", str), ("y", float), ("n", int),
+               ("lone", float), ("collapsed", bool)]
+    names = [name for name, _ in columns]
+    flags = [k % 3 == 0 for k in step]
+    for fmt, x_column, flag_column, rows_path in [
+        ("csv", xs, False, True), ("csv", np.array(xs, dtype=float), False, False),
+        ("csv", xs, flags, False), ("jsonl", xs, False, False),
+    ]:
+        rendered = []
+
+        def spy(kind, values, fmt, real=cli._cells):
+            rendered.append(values)
+            return real(kind, values, fmt)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_cells", spy)
+            text = written(Table(columns, [(step, x_column, note, ys, ns, lone, flag_column)]),
+                           fmt)
+        flag_cells = flags if flag_column is flags else [False] * len(cells)
+        rows = list(zip(step, xs, [note] * len(cells), ys, ns, [lone] * len(cells), flag_cells))
+        assert text == oracle(names, rows, fmt)
+        if cells:
+            assert any(values is ys for values in rendered) is not rows_path
 
 
 def test_ndarray_float_column_formats_each_bit_pattern_as_its_own_cell():

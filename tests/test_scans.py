@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -275,16 +276,18 @@ def _oracle_lyapunov(values, sc, config, form, method):
     defined = np.ones(values.size, dtype=bool)
     acc = np.zeros(values.size)
     fd = finite_difference_derivative(lambda y: _oracle_map_1d(y, pars)[0])
+    # an orbit stays in the domain while every iterate and every demand u is
+    # positive, as map_1d_handles require (at m = 1 the iterate is u)
     for _ in range(config.transient):
-        x_new = _oracle_map_1d(x, pars)[0]
-        defined &= np.isfinite(x_new) & (x_new > 0.0)
+        x_new, u = _oracle_map_1d(x, pars)
+        defined &= np.isfinite(x_new) & (x_new > 0.0) & (u > 0.0)
         x = np.where(defined, x_new, x)
     for _ in range(config.keep):
         x_new, u = _oracle_map_1d(x, pars)
         slope = _oracle_slope_1d(x, x_new, u, pars) if method == "analytic" else fd(x)
         ok = defined & np.isfinite(slope)
         acc = np.where(ok, acc + np.log(np.maximum(np.abs(slope), LOG_FLOOR)), acc)
-        defined = ok & np.isfinite(x_new) & (x_new > 0.0)
+        defined = ok & np.isfinite(x_new) & (x_new > 0.0) & (u > 0.0)
         x = np.where(defined, x_new, x)
     return np.where(defined, acc / config.keep, np.nan), defined
 
@@ -339,6 +342,10 @@ def test_in_place_lyapunov_loops_match_the_allocating_oracle(
 # in the probe window, so its λ is NaN and it is not refined
 @example(a=10.0, b=0.095, fc=20.0, v=2.0, margin=0.5, seed_d=1.0, seed_s=1.0, parameter="b",
          fractions=[0.31475740453689355])
+# at m = 0.5 paper-literal: the probe's demand goes negative while its
+# supply stays positive, (u/x)^2 > 0, so the orbit leaves the domain
+@example(a=0.0, b=5.960464477539063e-08, fc=1.0, v=1.0, margin=0.75, seed_d=12.0,
+         seed_s=10.0, parameter="a", fractions=[0.75])
 def test_refinement_follows_the_scalar_estimator(
     m, form, a, b, fc, v, margin, seed_d, seed_s, parameter, fractions
 ):
@@ -1020,6 +1027,36 @@ def test_chunk_plan_sizes(monkeypatch):
     assert sizes(10_000, 1, scans._CHUNK) == [3_334, 3_333, 3_333]
     big = sizes(1_000_000, 2, scans._LYAP_CHUNK)
     assert len(big) == 62 and max(big) - min(big) <= 1 and max(big) <= scans._LYAP_CHUNK
+
+
+# Runs one full λ chunk of 200 steps by each method in a fresh interpreter
+# and prints the minor page faults each took.
+_FAULT_PROBE = """
+import resource
+from marketdyn import scans
+from marketdyn.scans import ScanConfig
+from marketdyn.scenarios import get_scenario
+cfg = ScanConfig("b", 0.08, 0.6, scans._LYAP_CHUNK, 100, 100, 200)
+for method in ("analytic", "finite-difference"):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    scans._lyapunov_columns(cfg.grid(), get_scenario("naive-lyap"), cfg, method)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's page faults")
+def test_a_lyapunov_chunk_does_not_refault_its_lanes():
+    # a _LYAP_CHUNK lane array is 128 KiB, glibc's mmap threshold, so one
+    # more lane temporary alive in a step can make the freed heap top trim
+    # and fault back every step: here about 260 and 350 faults, and 9,800
+    # for the finite-difference chunk with one such temporary in
+    # price_demand (773k over a full-length chunk, 60-70% slower)
+    src = os.path.dirname(os.path.dirname(scans.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert max(map(int, out.split())) < 3000
 
 
 @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.05, 0.2), (0.0418, 0.0918), (1e-3, 7.3),
