@@ -33,7 +33,6 @@ from itertools import chain
 from pathlib import Path
 
 from .analysis import (
-    _SLICE,
     OrbitDomainError,
     class_name,
     orbit_slices,
@@ -321,6 +320,11 @@ def _bifurcation_blocks(index: range, part: tuple) -> Iterator[tuple]:
         yield x, index, row.copy(), class_name(k)
 
 
+# Rows per block of the lyapunov table: a chunk's columns are cut into
+# blocks of this many rows, so the writer's working set is one block.
+_LYAP_ROWS = 256
+
+
 def _cmd_lyapunov(args) -> Table:
     sc = _resolve(args, "lyapunov", points=1000)
     cfg = sc.analysis.config
@@ -328,8 +332,9 @@ def _cmd_lyapunov(args) -> Table:
     chunks = lyapunov_chunks(cfg, sc, method=args.method, threads=args.threads)
     return Table(
         [("param_value", float), ("lambda", float), ("method", str), ("defined", bool)],
-        ((values[i:i + _SLICE], lam[i:i + _SLICE], args.method, defined[i:i + _SLICE])
-         for values, lam, defined in chunks for i in range(0, len(values), _SLICE)),
+        ((values[i:i + _LYAP_ROWS], lam[i:i + _LYAP_ROWS], args.method,
+          defined[i:i + _LYAP_ROWS])
+         for values, lam, defined in chunks for i in range(0, len(values), _LYAP_ROWS)),
     )
 
 

@@ -547,11 +547,18 @@ def test_closed_stdout_pipe_ends_quietly():
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    # multiprocessing is loaded only when a sweep starts more than one worker
-    out = _fresh_python("import sys, marketdyn.cli; "
-                        "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
-                        "if m in sys.modules])")
-    assert out == "[]\n"
+    # the scans fork their workers themselves: neither the import nor a
+    # two-worker sweep loads a process pool
+    out = _fresh_python(
+        "import os, sys, marketdyn.cli\n"
+        "pools = lambda: [m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+        "                 if m in sys.modules]\n"
+        "print(pools())\n"
+        "assert marketdyn.cli.run_cli(['lyapunov', '--scenario', 'naive-lyap', '--threads', '2',\n"
+        "                              '--points', '40', '--transient', '5', '--keep', '5',\n"
+        "                              '--out', os.devnull]) == 0\n"
+        "print(pools())\n")
+    assert out == "[]\n[]\n"
 
 
 # Every scalar command: simulate bounded and unbounded at m = 1 (naive) and
@@ -779,11 +786,23 @@ def test_streamed_tables_hold_peak_memory_flat(tmp_path):
     # each chunk computes its own grid points: the whole grid, 8 B a point,
     # is never held (it read 2.3 MiB of a 3.6 MiB rise here)
     assert abs(peak(lyap + ["400000"]) - peak(lyap + ["100000"])) < 2 * 1024
-    # with two workers the parent holds up to four chunks' columns, not their
-    # rows (from 20,000 to 100,000 points the rows rose about 7.5 MiB, the
-    # columns 1.8)
+    # with two workers the parent holds one chunk's columns, not its rows
+    # (from 20,000 to 100,000 points the rows rose about 7.5 MiB, up to four
+    # chunks' columns 1.8, and one chunk's 0.3)
     two = lyap[:1] + ["--threads", "2"] + lyap[1:]
     assert abs(peak(two + ["100000"]) - peak(two + ["20000"])) < 3 * 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_two_worker_parent_holds_one_chunk(tmp_path):
+    # four chunks of 4,096 lanes, each a 2 MiB samples matrix at keep = 64:
+    # the parent holds the chunk it reads, not the 2W a process pool kept in
+    # flight (with those it read about 8 MiB above one worker)
+    argv = ["bifurcate", "--scenario", "naive-bif-b", "--points", "16384", "--transient", "1000",
+            "--keep", "64", "--iters", "1064", "--out", str(tmp_path / "table.out")]
+    peak = lambda threads: int(_fresh_python(_PEAK_PROBE % (argv + ["--threads", threads])))
+    chunk_kib = 4096 * 64 * 8 // 1024
+    assert peak("2") <= peak("1") + chunk_kib
 
 
 def test_simulate_writer_working_set_is_one_slice_of_numbers():

@@ -2,7 +2,6 @@
 classification structure."""
 
 import math
-import multiprocessing
 import os
 import pickle
 import signal
@@ -10,8 +9,6 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
-from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -902,38 +899,63 @@ def test_period_test_memory_does_not_grow_with_keep(keep):
     assert peak < 2**20
 
 
+# A result larger than a pipe's buffer (64 KiB on Linux), so its write
+# returns only once the parent has read all but that much of it.
+_BIG = 1 << 20
+
+
+def _open_fds():
+    """This process's open file descriptors, where Linux lists them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """The process pool replaced by one that runs each task at submission, in
-    this process, and sends its result through pickle as a worker's result
-    crosses the pool.  Records the pool's worker count and, per task, the
-    chunk and its pickled result."""
-    record = SimpleNamespace(workers=[], tasks=[])
-
-    class InlinePool:
-        def __init__(self, processes):
-            record.workers.append(processes)
-
-        def apply_async(self, fn, args):
-            blob = pickle.dumps(fn(*args))
-            record.tasks.append((*args, blob))
-            return SimpleNamespace(ready=lambda: True, get=partial(pickle.loads, blob))
-
-        def terminate(self):
-            pass
-
-    # _run_chunks imports the pool class from its package when it needs one
-    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-    return record
+def no_leftovers():
+    """After the test, every worker is reaped and every pipe closed (an
+    unclosed pipe's ResourceWarning is an error under pytest's filter)."""
+    before = _open_fds()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == before
 
 
-def test_pool_keeps_at_most_two_chunks_per_worker_in_flight(inline_pool):
-    got = []
-    for result in scans._run_chunks(lambda chunk: -chunk, range(20), 3):
-        got.append(result)
-        assert len(inline_pool.tasks) <= len(got) - 1 + 2 * 3
-    assert got == [-c for c in range(20)]
-    assert inline_pool.workers == [3]
+def test_a_worker_starts_chunk_j_plus_w_only_after_the_parent_asks_for_chunk_j(
+        tmp_path, no_leftovers):
+    # Worker w runs chunks w, w + W, ... and blocks on each result until the
+    # parent reads it, so a worker holds at most one finished chunk and the
+    # parent the one it reads.  Both sides append to one O_APPEND file.
+    log = os.open(tmp_path / "events", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def worker(j):  # a closure: only results cross to the parent, never the worker
+        os.write(log, b"start %d\n" % j)
+        return j, bytes(_BIG)
+
+    try:
+        results = scans._run_chunks(worker, range(12), 3)
+        for j in range(12):
+            os.write(log, b"ask %d\n" % j)
+            assert next(results)[0] == j
+        with pytest.raises(StopIteration):
+            next(results)
+    finally:
+        os.close(log)
+    events = (tmp_path / "events").read_text().splitlines()
+    assert sorted(events) == sorted([f"ask {j}" for j in range(12)]
+                                    + [f"start {j}" for j in range(12)])
+    for j in range(12 - 3):
+        assert events.index(f"start {j + 3}") > events.index(f"ask {j}"), events
+
+
+def _fail_at_three(chunk):
+    if chunk == 3:
+        raise ValueError(f"chunk {chunk} has no rows")
+    return chunk
+
+
+def test_a_worker_exception_is_raised_in_the_parent(no_leftovers):
+    with pytest.raises(ValueError, match="^chunk 3 has no rows$"):
+        list(scans._run_chunks(_fail_at_three, range(8), 2))
 
 
 def _die_at_two(chunk):
@@ -942,51 +964,103 @@ def _die_at_two(chunk):
     return chunk
 
 
-def test_a_killed_worker_fails_the_scan_instead_of_hanging_it():
+def test_a_killed_worker_fails_the_scan_instead_of_hanging_it(no_leftovers):
     # as when the OOM killer ends a worker: its chunk's result never comes
-    with pytest.raises(RuntimeError, match="worker process died"):
+    with pytest.raises(RuntimeError, match=r"worker process died .*\(killed by signal 9\)$"):
         list(scans._run_chunks(_die_at_two, range(6), 2))
 
 
-def test_workers_hand_back_columns_and_the_parent_builds_the_rows(inline_pool, monkeypatch):
-    # What crosses the pool: a Lyapunov chunk's (values, lam, defined), 17 B
-    # a lane (its rows took about 35), and a bifurcation chunk's (values,
-    # samples, periods).  The chunk streams yield them as they came, and the
-    # rows built from them are one worker's rows.
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # planning only
+class _DieWhenPickled:
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_worker_killed_mid_write_fails_the_scan(no_leftovers):
+    # the large bytes reach the pipe before the pickler meets the second item
+    chunk = lambda j: (bytes(_BIG), _DieWhenPickled() if j == 1 else None)
+    with pytest.raises(RuntimeError, match=r"worker process died .*\(killed by signal 9\)$"):
+        list(scans._run_chunks(chunk, range(4), 2))
+
+
+def test_a_closed_chunk_stream_ends_its_workers(no_leftovers):
+    results = scans._run_chunks(lambda j: (j, bytes(_BIG)), range(10), 2)
+    assert next(results)[0] == 0
+    results.close()
+
+
+class _Counted:
+    """A reader that counts the bytes taken from it."""
+
+    def __init__(self, pipe):
+        self.pipe, self.size = pipe, 0
+
+    def _count(self, data):
+        self.size += len(data)
+        return data
+
+    def read(self, n=-1):
+        return self._count(self.pipe.read(n))
+
+    def readline(self):
+        return self._count(self.pipe.readline())
+
+    def readinto(self, buf):
+        n = self.pipe.readinto(buf)
+        self.size += n
+        return n
+
+
+def test_workers_hand_back_columns_and_the_parent_builds_the_rows(monkeypatch):
+    # What the parent reads from the pipes: a Lyapunov chunk's (values, lam,
+    # defined), 17 B a lane (its rows took about 35), and a bifurcation
+    # chunk's (values, samples, periods).  The chunk streams yield them as
+    # they came, and their columns are one worker's.
+    reads, load = [], pickle.load
+
+    def counted_load(pipe):
+        counted = _Counted(pipe)
+        _, part = got = load(counted)
+        reads.append((counted.size, part))
+        return got
+
+    monkeypatch.setattr(pickle, "load", counted_load)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three workers on any host
+    by_chunk = lambda parts: [b"".join(c.tobytes() for c in part) for part in parts]
+    by_column = lambda parts: [np.concatenate(c).tobytes() for c in zip(*parts)]
+
     sc = get_scenario("naive-lyap")
     cfg = ScanConfig("b", 0.08, 0.092, 3000, 20, 40, 60)
     rows = lyapunov_scan(cfg, sc, threads=3)
     assert [repr(r) for r in rows] == [repr(r) for r in lyapunov_scan(cfg, sc)]
     assert {r.defined for r in rows} == {True, False}
-    assert inline_pool.workers == [3] and len(inline_pool.tasks) == 3
-    for chunk, blob in inline_pool.tasks:
-        values, lam, defined = part = pickle.loads(blob)
+    chunks = list(_plan(cfg, 3, scans._LYAP_CHUNK)[0])
+    assert len(reads) == len(chunks) == 3
+    for chunk, (size, part) in zip(chunks, reads):
+        values, lam, defined = part
         assert all(isinstance(c, np.ndarray) and c.shape == chunk.shape for c in part)
         assert values.tobytes() == chunk.tobytes()
         assert (lam.dtype, defined.dtype) == (np.float64, np.bool_)
-        assert len(blob) <= 17 * chunk.size + 1024
-    inline_pool.tasks.clear()
-    streamed = [b"".join(c.tobytes() for c in part)
-                for part in scans.lyapunov_chunks(cfg, sc, threads=3)]
-    assert streamed == [b"".join(c.tobytes() for c in pickle.loads(blob))
-                        for _, blob in inline_pool.tasks]
+        assert size <= 17 * chunk.size + 1024
+    reads.clear()
+    parts = list(lyapunov_chunks(cfg, sc, threads=3))
+    assert by_chunk(parts) == by_chunk(part for _, part in reads)
+    assert by_column(parts) == by_column(lyapunov_chunks(cfg, sc))
 
-    inline_pool.tasks.clear()
+    reads.clear()
     sc = get_scenario("naive-bif-b")
     cfg = ScanConfig("b", 0.045, 0.1, 41, 300, 64, 364)
     bif = lambda threads: [(repr(r.param_value), r.classification, r.attractor_samples.tobytes())
                            for r in bifurcation_scan(cfg, sc, threads)]
     assert bif(3) == bif(1)
-    assert len(inline_pool.tasks) == 3
-    for chunk, blob in inline_pool.tasks:
-        values, samples, periods = pickle.loads(blob)
+    chunks = list(_plan(cfg, 3, scans._CHUNK)[0])
+    assert len(reads) == len(chunks) == 3
+    for chunk, (_, (values, samples, periods)) in zip(chunks, reads):
         assert values.tobytes() == chunk.tobytes()
         assert samples.shape == (chunk.size, cfg.keep) and periods.shape == chunk.shape
-    inline_pool.tasks.clear()
-    streamed = [b"".join(c.tobytes() for c in part) for part in bifurcation_chunks(cfg, sc, 3)]
-    assert streamed == [b"".join(c.tobytes() for c in pickle.loads(blob))
-                        for _, blob in inline_pool.tasks]
+    reads.clear()
+    parts = list(bifurcation_chunks(cfg, sc, 3))
+    assert by_chunk(parts) == by_chunk(part for _, part in reads)
+    assert by_column(parts) == by_column(bifurcation_chunks(cfg, sc))
 
 
 def _chunks(n, threads, size):
