@@ -388,24 +388,17 @@ def lyapunov_exponent(
         raise ValueError("need transient >= 0 and samples > 0")
     if deriv_f is None:
         deriv_f = finite_difference_derivative(map_f)
-    x = x0
-    for n in range(transient):
+    x, acc = x0, 0.0
+    for n in range(transient + samples):
         try:
+            slope = deriv_f(x) if n >= transient else 0.0
             x = map_f(x)
         except DomainError:
             raise OrbitEscapeError(n + 1) from None
-        if not math.isfinite(x):
-            raise OrbitEscapeError(n + 1)
-    acc = 0.0
-    for n in range(samples):
-        try:
-            slope = deriv_f(x)
-            x = map_f(x)
-        except DomainError:
-            raise OrbitEscapeError(transient + n + 1) from None
         if not (math.isfinite(x) and math.isfinite(slope)):
-            raise OrbitEscapeError(transient + n + 1)
-        acc = add_log_stretch(acc, slope)
+            raise OrbitEscapeError(n + 1)
+        if n >= transient:
+            acc = add_log_stretch(acc, slope)
     return float(acc / samples)
 
 

@@ -55,8 +55,8 @@ from .scenarios import (
     scenario_entries,
 )
 
-# A listed column's format in the row template: its cells' own, so a block
-# of numbers writes the same bytes by rows as by cells.
+# A number column's format, in the row template and in its cells alike, so a
+# block of numbers writes the same bytes by rows as by cells.
 _ROW_FORMATS = {int: "%d", float: "%.17g"}
 
 
@@ -79,18 +79,16 @@ class Table:
             keys, sep, head, end = [json.dumps(name) + ": " for name in names], ", ", "{", "}\n"
         else:
             raise ConfigError(f"format must be csv or jsonl, got {fmt!r}")
-        rendered, listed = {}, None
+        rendered = {}
         for block in self.blocks:
             if len(block) != len(names):
                 raise ValueError("block width does not match header")
-            # once, after the first block is made: making it may load numpy
-            listed = listed or (list, tuple, range, *_arrays())
             # the listed columns, and the literal text before, between and
             # after them: separators, keys and repeated cells
             cols, lits, lit = [], [], head
             for k, ((_, kind), key, entry) in enumerate(zip(self.columns, keys, block)):
                 lit += (sep if k else "") + key
-                if not isinstance(entry, listed):
+                if isinstance(entry, str) or not hasattr(entry, "__len__"):  # numpy's numbers too
                     lit += _cells(kind, (entry,), fmt)[0]
                     continue
                 cols.append((k, kind, entry))
@@ -131,14 +129,9 @@ class Table:
             stream.write(lead + "".join(texts))
 
 
-def _arrays() -> tuple:
-    """numpy's ndarray type if numpy is loaded, else none: no ndarray exists before."""
-    np = sys.modules.get("numpy")
-    return () if np is None else (np.ndarray,)
-
-
 def _cells(kind: type, values, fmt: str) -> list[str]:
-    if kind is float and isinstance(values, _arrays()) and values.dtype == float:
+    dtype = getattr(values, "dtype", None)  # an ndarray's
+    if kind is float and dtype == float:
         import numpy as np
         # each distinct bit pattern is formatted once (float equality would
         # merge -0.0 into 0.0); a sort and a search cost less here than
@@ -150,17 +143,17 @@ def _cells(kind: type, values, fmt: str) -> list[str]:
         distinct = ranked[first]
         texts = _cells(kind, distinct.view(np.float64).tolist(), fmt)
         return list(map(texts.__getitem__, np.searchsorted(distinct, bits).tolist()))
-    if isinstance(values, _arrays()):  # any other dtype: its bits are not float64's
+    if dtype is not None:  # any other dtype: its bits are not float64's
         values = values.tolist()
     if kind is float or kind is int:
         # one %-operation for the column; every cell follows a newline
-        text = ("\n%.17g" if kind is float else "\n%d") * len(values) % tuple(values)
+        text = ("\n" + _ROW_FORMATS[kind]) * len(values) % tuple(values)
         if fmt == "jsonl":
             for word in ("nan", "inf", "-inf"):
                 text = text.replace("\n" + word, "\nnull")
         return text.split("\n")[1:]
     if kind is bool:
-        return list(map(("false", "true").__getitem__, values))
+        return list(map({False: "false", True: "true"}.__getitem__, values))  # np.bool_ too
     texts = {t: _quote(str(t), fmt) for t in set(values)}
     return list(map(texts.__getitem__, values))
 

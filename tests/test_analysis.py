@@ -387,10 +387,13 @@ def test_lyapunov_positive_in_chaotic_band():
 
 
 def test_lyapunov_escape_carries_step():
-    f = demand_map_1d(MarketParams(10.0, 0.2), NAIVE_COST)  # dies immediately
-    with pytest.raises(OrbitEscapeError) as err:
-        lyapunov_exponent(f, None, 1.0)
-    assert err.value.step >= 1
+    f, df = map_1d_handles(MarketParams(10.0, 0.2), NAIVE_COST)  # dies in a few steps
+    # (slope, transient, step); the analytic slope refuses the last sample
+    # that the map still takes
+    for slope, transient, step in [(df, 0, 4), (df, 5, 5), (None, 0, 5), (None, 5, 5)]:
+        with pytest.raises(OrbitEscapeError) as err:
+            lyapunov_exponent(f, slope, 1.0, transient=transient)
+        assert err.value.step == step, (slope, transient)
 
 
 def test_finite_difference_matches_analytic():

@@ -993,6 +993,20 @@ def test_ndarray_float_column_formats_each_bit_pattern_as_its_own_cell():
         for i, x in enumerate(xs)]
 
 
+def test_writer_takes_an_array_after_a_block_of_lists():
+    # numpy is loaded only after the first block is written
+    out = _fresh_python(
+        "import sys\n"
+        "from marketdyn.cli import Table\n"
+        "def blocks():\n"
+        "    yield range(0, 2), [0.5, 1.5]\n"
+        "    import numpy as np\n"
+        "    yield range(2, 4), np.array([2.5, 3.5])\n"
+        "assert 'numpy' not in sys.modules\n"
+        "Table([('i', int), ('x', float)], blocks()).write(sys.stdout, 'csv')\n")
+    assert out == "i,x\n0,0.5\n1,1.5\n2,2.5\n3,3.5\n"
+
+
 def test_non_float64_ndarray_columns_render_like_their_lists():
     flags, ints = [True, False, False, True, True], [3, -1, 0, 2**40, -(2**62)]
     halves = [0.5, -1.25, 3.0, 0.0, 2.0**100]  # exact in float32
@@ -1009,9 +1023,17 @@ def test_non_float64_ndarray_columns_render_like_their_lists():
 
 
 def test_writer_repeats_block_of_scalars_and_checks_width():
-    table = Table([("x", float), ("n", int)], [(1.5, 2), (math.inf, -3)])
-    assert written(table, "csv") == "x,n\n1.5,2\ninf,-3\n"
-    assert written(table, "jsonl") == '{"x": 1.5, "n": 2}\n{"x": null, "n": -3}\n'
+    columns = [("x", float), ("n", int), ("b", bool)]
+    table = Table(columns, [(1.5, 2, True), (math.inf, -3, False)])
+    assert written(table, "csv") == "x,n,b\n1.5,2,true\ninf,-3,false\n"
+    assert written(table, "jsonl") == ('{"x": 1.5, "n": 2, "b": true}\n'
+                                       '{"x": null, "n": -3, "b": false}\n')
+    # numpy's numbers have no length: each is repeated down its block too
+    listed = [([0, 1], 1.5, 2, True), ([2], math.inf, -3, False)]
+    numpy = [(i, np.float64(x), np.int64(n), np.bool_(b)) for i, x, n, b in listed]
+    for fmt in ("csv", "jsonl"):
+        assert written(Table([("i", int)] + columns, numpy), fmt) == \
+            written(Table([("i", int)] + columns, listed), fmt)
     with pytest.raises(ValueError, match="width"):
         written(Table([("x", float)], [(1.0, 2.0)]), "csv")
     with pytest.raises(ValueError, match="length"):
